@@ -3,32 +3,15 @@
 Exit status: 0 success, 1 validation error (arguments, files, shapes),
 2 numerical failure, 3 a property-violation report (a check ran and failed).
 
-The HYPOKIT_THREADS environment variable caps BLAS/OpenMP parallelism; it is
-applied before the numerical modules are imported, which is why all heavy
-imports in this module are deferred into the command handlers.
+BLAS parallelism follows the usual OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
+environment variables, which must be set before the process starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("HYPOKIT_THREADS")
-    if not cap:
-        return
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, cap)
 
 
 class _UsageError(Exception):
@@ -247,10 +230,10 @@ def _cmd_lorentz(args) -> int:
         import numpy as np
 
         consts = lorentz.appendix_constants(args.M_constants)
-        cubic = lorentz.cubic_bound_verify(args.N, args.M, consts, samples=args.steps)
         sandwich = lorentz.full_propagator_bounds(
             args.N, args.M, consts, np.linspace(0.0, consts.tau, args.steps)
         )
+        cubic = lorentz.CubicBoundReport.from_sandwich(sandwich)
         _emit_json(
             {
                 "constants": consts.to_json_dict(),
@@ -275,13 +258,12 @@ def _cmd_lorentz(args) -> int:
         else:
             raise PreconditionError("simulate needs --input or --random")
         times = np.linspace(0.0, args.tmax, args.steps + 1)
-        reports = lorentz.simulate_curve(field0, times)
+        final, reports = lorentz.simulate_curve(field0, times)
         lines = ["t,distance,bound"]
         for rep in reports:
             lines.append(f"{rep.t:.17g},{rep.distance:.17g},{rep.bound:.17g}")
         _emit("\n".join(lines) + "\n", args.output)
         if args.final_field:
-            final, _ = lorentz.simulate(field0, args.tmax)
             with open(args.final_field, "w", encoding="utf-8") as fh:
                 json.dump(lorentz.field_to_json(final), fh, indent=2, sort_keys=True)
         ok = all(rep.bound_ok and rep.mass_ok for rep in reports)
@@ -291,7 +273,6 @@ def _cmd_lorentz(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

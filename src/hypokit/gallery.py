@@ -263,10 +263,9 @@ def ek_rescale_factor(k: int, t_grid=None) -> RescaleReport:
     gap = -core.spectral_abscissa(-C)
     if t_grid is None:
         t_grid = np.linspace(0.0, 40.0 / gap, 2001)
-    t_grid = np.asarray(t_grid, dtype=float)
-    vals = np.array(
-        [core.spectral_norm(core.matrix_exponential(-C, t)) * math.exp(gap * t) for t in t_grid]
-    )
+    curve = decay.propagator_norm_curve(C, t_grid)
+    t_grid = curve.times
+    vals = curve.norms * np.exp(gap * t_grid)
     c_env = float(vals.max())
     # earliest index within roundoff of the max, so a flat envelope does not
     # spuriously report a boundary maximum

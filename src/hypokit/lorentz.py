@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
+from . import decay
 from . import operator_core as core
-from .decay import DecayCurve
 from .errors import (
     DimensionError,
     InvalidEntryError,
@@ -234,41 +234,11 @@ def lyapunov_margin(n_abs: float, alpha: float, lambda0: float, M: int) -> float
     return core.min_eig_hermitian(S)
 
 
-def _sigma_max(P: np.ndarray) -> float:
-    """Largest singular value via the Gram matrix; cheaper than a full SVD
-    and accurate to machine precision for the top value."""
-    lam = np.linalg.eigvalsh(P.conj().T @ P)[-1]
-    return float(math.sqrt(max(lam, 0.0)))
-
-
-def _norms_over_grid(C: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Spectral norms of exp(-C t) over a grid, reusing powers on uniform grids."""
-    ts = np.asarray(times, dtype=float)
-    n = C.shape[0]
-    if ts.size > 2:
-        dt = ts[1] - ts[0]
-        uniform = dt > 0 and np.allclose(np.diff(ts), dt, rtol=1e-12, atol=1e-14)
-    else:
-        uniform = False
-    out = np.empty(ts.size)
-    if uniform:
-        E = core.matrix_exponential(-C, dt)
-        P = core.matrix_exponential(-C, ts[0]) if ts[0] != 0.0 else np.eye(n, dtype=complex)
-        for i in range(ts.size):
-            out[i] = _sigma_max(P)
-            if i + 1 < ts.size:
-                P = P @ E
-    else:
-        for i, t in enumerate(ts):
-            out[i] = _sigma_max(core.matrix_exponential(-C, t))
-    return out
-
-
 @dataclass
 class ModalDecayResult:
     """Propagator-norm curve of one mode plus the uniform decay envelope."""
 
-    curve: DecayCurve
+    curve: decay.DecayCurve
     bounds: np.ndarray
     worst_margin: float
     ok: bool
@@ -282,13 +252,10 @@ def modal_propagator_norm(n_abs: float, M: int, times) -> ModalDecayResult:
     """
     if n_abs < 1:
         raise PreconditionError("n_abs must be at least 1")
-    gen = modal_generator(n_abs, M)
-    ts = np.asarray(times, dtype=float)
-    norms = _norms_over_grid(gen.C, ts)
+    curve = decay.propagator_norm_curve(modal_generator(n_abs, M).C, times)
     pref = math.sqrt((2.0 * n_abs + 1.0) / (2.0 * n_abs - 1.0))
-    bounds = np.minimum(1.0, pref * np.exp(-LAMBDA0 * ts))
-    margins = bounds + 1e-8 - norms
-    curve = DecayCurve(times=ts, norms=norms, generator_norm=core.spectral_norm(gen.C))
+    bounds = np.minimum(1.0, pref * np.exp(-LAMBDA0 * curve.times))
+    margins = bounds + 1e-8 - curve.norms
     return ModalDecayResult(
         curve=curve,
         bounds=bounds,
@@ -462,46 +429,53 @@ class CubicBoundReport:
             "samples": self.samples,
         }
 
+    @classmethod
+    def from_sandwich(cls, sandwich: SandwichReport) -> CubicBoundReport:
+        """Read the cubic check off the sandwich's (mode x time) norm stack.
+
+        The worst entry is the first minimal margin in (mode, time) order.
+        """
+        margins = sandwich.upper - sandwich.norms
+        n, i = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        worst = float(margins[n, i])
+        return cls(
+            ok=worst >= -1e-9,
+            worst_margin=worst,
+            worst_mode=float(n + 1),
+            worst_time=float(sandwich.times[i]),
+            modes=[float(k) for k in range(1, margins.shape[0] + 1)],
+            samples=int(sandwich.times.size),
+        )
+
 
 def cubic_bound_verify(
     N: int, M: int, consts: AppendixCConstants, samples: int = 50
 ) -> CubicBoundReport:
     """Check ||P_n(t)|| <= 1 - c t^3 + 1e-9 on [0, tau] for n = 1..N."""
-    if N < 1 or samples < 2:
-        raise PreconditionError("need N >= 1 and at least 2 samples")
-    ts = np.linspace(0.0, consts.tau, samples)
-    bound = 1.0 - consts.c * ts**3
-    worst = np.inf
-    w_mode, w_time = 1.0, 0.0
-    modes = [float(n) for n in range(1, N + 1)]
-    for n in modes:
-        gen = modal_generator(n, M)
-        norms = _norms_over_grid(gen.C, ts)
-        margins = bound - norms
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst, w_mode, w_time = float(margins[i]), n, float(ts[i])
-    return CubicBoundReport(
-        ok=bool(worst >= -1e-9),
-        worst_margin=float(worst),
-        worst_mode=w_mode,
-        worst_time=w_time,
-        modes=modes,
-        samples=samples,
+    return CubicBoundReport.from_sandwich(
+        full_propagator_bounds(N, M, consts, np.linspace(0.0, consts.tau, samples))
     )
 
 
 @dataclass
 class SandwichReport:
-    """Envelope of the modal norms against its cubic upper and modal lower bound."""
+    """Envelope of the modal norms against its cubic upper and modal lower bound.
+
+    ``norms`` is the (mode x time) stack ||P_n(t)|| for n = 1..N.
+    """
 
     ok: bool
     times: np.ndarray
+    norms: np.ndarray
     sup_norms: np.ndarray
-    lower: np.ndarray
     upper: np.ndarray
     worst_upper_margin: float
     worst_lower_margin: float
+
+    @property
+    def lower(self) -> np.ndarray:
+        """The modal lower bound ||P_1(t)||."""
+        return self.norms[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -518,23 +492,23 @@ def full_propagator_bounds(
 ) -> SandwichReport:
     """sup over modes 1..N of ||P_n(t)|| must lie in [||P_1(t)||, 1 - c t^3]."""
     ts = np.asarray(times, dtype=float)
+    if N < 1 or ts.size < 2:
+        raise PreconditionError("need N >= 1 and at least 2 samples")
     if np.any(ts < 0) or np.any(ts > consts.tau + 1e-15):
         raise PreconditionError("times must lie in [0, tau]")
-    all_norms = []
-    for n in range(1, N + 1):
-        gen = modal_generator(float(n), M)
-        all_norms.append(_norms_over_grid(gen.C, ts))
-    stack = np.vstack(all_norms)
+    stack = np.vstack([
+        decay.propagator_norm_curve(modal_generator(float(n), M).C, ts).norms
+        for n in range(1, N + 1)
+    ])
     sup = stack.max(axis=0)
-    lower = stack[0]
     upper = 1.0 - consts.c * ts**3
     worst_upper = float((upper + 1e-9 - sup).min())
-    worst_lower = float((sup - lower).min())
+    worst_lower = float((sup - stack[0]).min())
     return SandwichReport(
         ok=bool(worst_upper >= 0.0 and worst_lower >= -1e-12),
         times=ts,
+        norms=stack,
         sup_norms=sup,
-        lower=lower,
         upper=upper,
         worst_upper_margin=worst_upper,
         worst_lower_margin=worst_lower,
@@ -648,94 +622,61 @@ def _mode_groups(N: int) -> dict[float, list[tuple[int, int]]]:
 
 
 def simulate(field0: LorentzField, t: float, sigma: float = 1.0) -> tuple[LorentzField, SimulationReport]:
-    """Evolve every spatial mode independently for time t.
-
-    Modes of equal magnitude share one propagator; the zero mode relaxes by
-    the diagonal collision semigroup, which fixes the mass exactly.
-    """
-    if t < 0:
-        raise PreconditionError("t must be nonnegative")
-    N, M = field0.N, field0.M
-    out = field0.copy()
-    ops = build_velocity_operators(M)
-
-    # zero mode: exp(-sigma R t) is diagonal.
-    diag = np.full(2 * M + 1, math.exp(-sigma * t), dtype=complex)
-    diag[M] = 1.0
-    out.coeffs[N, N, :] *= diag
-
-    for mag, modes in _mode_groups(N).items():
-        C = sigma * ops.R - mag * ops.J10
-        P = core.matrix_exponential(-C, t)
-        block = np.stack([field0.coeffs[n1 + N, n2 + N, :] for n1, n2 in modes], axis=1)
-        evolved = P @ block
-        for k, (n1, n2) in enumerate(modes):
-            out.coeffs[n1 + N, n2 + N, :] = evolved[:, k]
-
-    d0 = field0.distance_to_equilibrium()
-    d = out.distance_to_equilibrium()
-    bound = math.sqrt(3.0) * math.exp(-LAMBDA0 * t) * d0
-    drift = abs(out.mass - field0.mass)
-    report = SimulationReport(
-        t=t,
-        distance=d,
-        bound=bound,
-        initial_distance=d0,
-        mass_drift=drift,
-        bound_ok=d <= bound + 1e-8,
-        mass_ok=drift <= 1e-14 * max(1.0, abs(field0.mass)),
-    )
-    return out, report
+    """Evolve every spatial mode independently for time t: ``simulate_curve`` on [t]."""
+    final, (report,) = simulate_curve(field0, [t], sigma)
+    return final, report
 
 
 def simulate_curve(
     field0: LorentzField, times, sigma: float = 1.0
-) -> list[SimulationReport]:
-    """Evolve along a uniform grid, reusing one propagator per mode magnitude."""
+) -> tuple[LorentzField, list[SimulationReport]]:
+    """Evolve along an increasing time grid; return the final field and one
+    report per grid time.
+
+    Each step advances the previous state by the time since the last grid
+    point (the first by ``times[0]``).  Modes of equal magnitude share one
+    propagator, computed again only when the step length changes, so a
+    uniform grid costs one ``expm`` per magnitude (two when it starts after
+    0).  The zero mode relaxes by the diagonal collision semigroup, which
+    fixes the mass exactly.
+    """
     ts = np.asarray(times, dtype=float)
-    if ts.size == 0 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
+    if ts.ndim != 1 or ts.size == 0 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise PreconditionError("times must be strictly increasing and nonnegative")
+    steps = np.diff(ts, prepend=0.0)
+    if decay.is_uniform_grid(ts):
+        steps[1:] = ts[1] - ts[0]
     N, M = field0.N, field0.M
     ops = build_velocity_operators(M)
     groups = _mode_groups(N)
-    uniform = ts.size > 2 and np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-12, atol=1e-14)
+    index = [tuple(np.array(modes).T + N) for modes in groups.values()]
 
     d0 = field0.distance_to_equilibrium()
     mass0 = field0.mass
+    state = field0.copy()
     reports = []
-    if uniform:
-        dt = float(ts[1] - ts[0])
-        props = {
-            mag: core.matrix_exponential(-(sigma * ops.R - mag * ops.J10), dt)
-            for mag in groups
-        }
-        state = field0.copy()
-        if ts[0] > 0:
-            state, _ = simulate(field0, float(ts[0]), sigma)
-        diag = np.full(2 * M + 1, math.exp(-sigma * dt), dtype=complex)
-        diag[M] = 1.0
-        for i, t in enumerate(ts):
-            d = state.distance_to_equilibrium()
-            bound = math.sqrt(3.0) * math.exp(-LAMBDA0 * float(t)) * d0
-            drift = abs(state.mass - mass0)
-            reports.append(
-                SimulationReport(
-                    t=float(t), distance=d, bound=bound, initial_distance=d0,
-                    mass_drift=drift, bound_ok=d <= bound + 1e-8,
-                    mass_ok=drift <= 1e-14 * max(1.0, abs(mass0)),
-                )
+    h_prev = 0.0
+    for t, h in zip(ts, steps):
+        if h > 0:
+            if h != h_prev:
+                props = [
+                    core.matrix_exponential(-(sigma * ops.R - mag * ops.J10), h)
+                    for mag in groups
+                ]
+                diag = np.full(2 * M + 1, math.exp(-sigma * h), dtype=complex)
+                diag[M] = 1.0
+                h_prev = h
+            state.coeffs[N, N, :] *= diag
+            for P, idx in zip(props, index):
+                state.coeffs[idx] = (P @ state.coeffs[idx].T).T
+        d = state.distance_to_equilibrium()
+        bound = math.sqrt(3.0) * math.exp(-LAMBDA0 * float(t)) * d0
+        drift = abs(state.mass - mass0)
+        reports.append(
+            SimulationReport(
+                t=float(t), distance=d, bound=bound, initial_distance=d0,
+                mass_drift=drift, bound_ok=d <= bound + 1e-8,
+                mass_ok=drift <= 1e-14 * max(1.0, abs(mass0)),
             )
-            if i + 1 < ts.size:
-                state.coeffs[N, N, :] *= diag
-                for mag, modes in groups.items():
-                    block = np.stack(
-                        [state.coeffs[n1 + N, n2 + N, :] for n1, n2 in modes], axis=1
-                    )
-                    evolved = props[mag] @ block
-                    for k, (n1, n2) in enumerate(modes):
-                        state.coeffs[n1 + N, n2 + N, :] = evolved[:, k]
-    else:
-        for t in ts:
-            _, rep = simulate(field0, float(t), sigma)
-            reports.append(rep)
-    return reports
+        )
+    return state, reports

@@ -1,0 +1,30 @@
+import json
+
+from hypokit import cli, lorentz
+
+
+def test_simulate_final_field_is_the_last_csv_row(tmp_path):
+    curve, final = tmp_path / "curve.csv", tmp_path / "final.json"
+    rc = cli.main([
+        "lorentz", "simulate", "--random", "--N", "2", "--M", "4",
+        "--final-field", str(final), "--output", str(curve),
+    ])
+    assert rc == 0
+    t, distance, _ = curve.read_text().strip().splitlines()[-1].split(",")
+    field = lorentz.field_from_json(json.loads(final.read_text()))
+    assert float(t) == 30.0
+    assert float(distance) == field.distance_to_equilibrium()
+
+
+def test_verify_cubic_bound_is_read_off_the_sandwich(tmp_path):
+    out = tmp_path / "verify.json"
+    rc = cli.main([
+        "lorentz", "verify", "--N", "2", "--M", "8", "--M-constants", "32",
+        "--steps", "6", "--output", str(out),
+    ])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    cubic, sandwich = doc["cubic_bound"], doc["sandwich"]
+    assert abs(cubic["worst_margin"] - (sandwich["worst_upper_margin"] - 1e-9)) <= 1e-15
+    assert cubic["samples"] == len(sandwich["times"]) == 6
+    assert cubic["modes"] == [1.0, 2.0]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypokit import decay, errors, gallery, hc_index
 from hypokit import operator_core as core
@@ -30,6 +31,16 @@ class TestPropagatorNormCurve:
     def test_time_zero_is_one(self):
         curve = decay.propagator_norm_curve(gallery.ek_matrix(3), [0.0, 1.0])
         assert curve.norms[0] == pytest.approx(1.0, abs=1e-14)
+
+    def test_uniform_grid_tail_matches_pointwise_expm(self):
+        # the envelope constant of ek_rescale_factor multiplies these norms by
+        # up to e^40, so stepping must stay accurate relative to the decayed norm
+        C = gallery.ek_matrix(5)
+        gap = -core.spectral_abscissa(-C)
+        ts = np.linspace(0.0, 40.0 / gap, 2001)
+        curve = decay.propagator_norm_curve(C, ts)
+        ref = np.array([np.linalg.norm(scipy.linalg.expm(-C * t), 2) for t in ts])
+        np.testing.assert_allclose(curve.norms, ref, rtol=1e-9, atol=0.0)
 
     def test_submultiplicative_norms(self):
         rng = np.random.default_rng(0)

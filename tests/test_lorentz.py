@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypokit import decay, errors, hc_index, lorentz
 from hypokit import operator_core as core
@@ -239,12 +240,34 @@ class TestSimulate:
     def test_curve_matches_pointwise_evolution(self):
         rng = np.random.default_rng(2)
         field = lorentz.LorentzField.random(rng, 2, 6)
-        ts = np.linspace(0.0, 3.0, 7)
-        reports = lorentz.simulate_curve(field, ts)
-        for t, rep in zip(ts, reports):
-            _, single = lorentz.simulate(field, float(t))
-            assert rep.distance == pytest.approx(single.distance, abs=1e-10)
-            assert rep.bound_ok and rep.mass_ok
+        grids = [
+            np.linspace(0.0, 3.0, 7),
+            np.linspace(0.5, 3.0, 6),  # uniform, starting after 0
+            np.array([0.1, 0.3, 1.0, 1.2, 2.5, 3.0]),  # non-uniform
+        ]
+        for ts in grids:
+            final, reports = lorentz.simulate_curve(field, ts)
+            assert len(reports) == ts.size
+            for t, rep in zip(ts, reports):
+                _, single = lorentz.simulate(field, float(t))
+                assert rep.distance == pytest.approx(single.distance, abs=1e-10)
+                assert rep.bound_ok and rep.mass_ok
+            direct, _ = lorentz.simulate(field, float(ts[-1]))
+            err = np.linalg.norm(final.coeffs - direct.coeffs)
+            assert err <= 1e-12 * np.linalg.norm(direct.coeffs)
+
+    def test_field_matches_modewise_expm(self):
+        # independent reference: every spatial mode evolved by its own expm
+        rng = np.random.default_rng(4)
+        field = lorentz.LorentzField.random(rng, 2, 5)
+        t = 1.7
+        out, _ = lorentz.simulate(field, t)
+        ops = lorentz.build_velocity_operators(5)
+        for n1 in range(-2, 3):
+            for n2 in range(-2, 3):
+                C = ops.R - math.hypot(n1, n2) * ops.J10
+                ref = scipy.linalg.expm(-C * t) @ field.coeffs[n1 + 2, n2 + 2]
+                np.testing.assert_allclose(out.coeffs[n1 + 2, n2 + 2], ref, rtol=0, atol=1e-12)
 
     def test_zero_mode_velocity_relaxation(self):
         field = lorentz.LorentzField(1, 4)

@@ -140,6 +140,22 @@ class TestMinEigHermitian:
         with pytest.raises(errors.ContractViolationError):
             core.min_eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("rel, rejected", [(1e-6, True), (1e-13, False)])
+    def test_relative_asymmetry_threshold(self, rel, rejected):
+        # ||(A - A*)/2||_2 = rel * ||H||_2: far above the 1e-8 tolerance is
+        # rejected, roundoff-sized asymmetry is symmetrized away
+        rng = np.random.default_rng(7)
+        G = random_matrix(rng, 20)
+        H = (G + G.conj().T) / 2
+        K = random_matrix(rng, 20)
+        K = (K - K.conj().T) / 2
+        A = H + rel * np.linalg.norm(H, 2) / np.linalg.norm(K, 2) * K
+        if rejected:
+            with pytest.raises(errors.ContractViolationError):
+                core.min_eig_hermitian(A)
+        else:
+            assert core.min_eig_hermitian(A) == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-10)
+
 
 class TestPsdSqrt:
     def test_diagonal(self):

@@ -64,6 +64,22 @@ class TestBuildStaircase:
         with pytest.raises(errors.DimensionError):
             build_staircase(np.eye(2), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("rel, rejected", [(1e-6, True), (1e-13, False)])
+    def test_relative_asymmetry_threshold(self, rel, rejected):
+        # perturb R by a skew and J by a Hermitian matrix of relative size rel
+        rng = np.random.default_rng(8)
+        R, J = random_pair(rng, 12, 4)
+        S = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        K, H = (S - S.conj().T) / 2, (S + S.conj().T) / 2
+        bad_R = R + rel * np.linalg.norm(R, 2) / np.linalg.norm(K, 2) * K
+        bad_J = J + rel * np.linalg.norm(J, 2) / np.linalg.norm(H, 2) * H
+        for pair in ((bad_R, J), (R, bad_J)):
+            if rejected:
+                with pytest.raises(errors.ContractViolationError):
+                    build_staircase(*pair)
+            else:
+                assert sum(build_staircase(*pair).block_dims) == 12
+
 
 class TestStaircaseProperties:
     def test_random_campaign(self):
