@@ -128,10 +128,11 @@ def propagator_norm_curve(C, times) -> DecayCurve:
     - on any other grid (the geometric short-time grids) every point gets
       its own ``expm``.
 
-    The top singular value is ``core.spectral_norm`` (a full SVD), not the
-    Gram eigenvalue sqrt(lambda_max(P*P)): on a 220-point grid at n = 60
-    (2-core box, OpenBLAS, default threads) expm + SVD took 0.84-0.98 s
-    against 2.6-3.1 s for expm + Gram.
+    A real generator is stepped in real arithmetic (``core.as_matrix`` keeps
+    its dtype).  The top singular value is ``core.spectral_norm`` (a full
+    SVD), not the Gram eigenvalue sqrt(lambda_max(P*P)): on a 220-point grid
+    at n = 60 (2-core box, OpenBLAS, default threads) expm + SVD took
+    0.84-0.98 s against 2.6-3.1 s for expm + Gram.
     """
     C = core.as_matrix(C, square=True)
     ts = np.asarray(times, dtype=float)
@@ -141,7 +142,7 @@ def propagator_norm_curve(C, times) -> DecayCurve:
         raise PreconditionError("times must be strictly increasing and nonnegative")
     if is_uniform_grid(ts):
         E = core.matrix_exponential(-C, ts[1] - ts[0])
-        P = core.matrix_exponential(-C, ts[0]) if ts[0] > 0 else np.eye(C.shape[0], dtype=complex)
+        P = core.matrix_exponential(-C, ts[0]) if ts[0] > 0 else np.eye(C.shape[0], dtype=C.dtype)
         norms = np.empty(ts.size)
         for i in range(ts.size):
             norms[i] = core.spectral_norm(P)

@@ -8,6 +8,17 @@ does not affect norms) as n times the tridiagonal skew matrix with -i/2 off
 the diagonal.  On top of the modal generators this module provides the
 coercivity constant of the mixing form, Lyapunov-weight decay certificates,
 the uniform short-time constant pipeline, and full-field simulation.
+
+Norms and smallest eigenvalues are computed in a parity basis.  The diagonal
+similarity D = diag(i^j) makes R and J10 real, and both commute with the
+signed reflection e_j -> (-1)^j e_(-j).  Its orthonormal eigenvectors, even
+(j = 0..M) then odd (j = 1..M), form the columns of U = D Q, and every
+matrix built from R and J10 (the generators sigma R - n J10, the mixing
+forms R + J R J*, R + C* R C, J* R J) is block diagonal in it, with real
+blocks of sizes M+1 and M (tridiagonal for the generators).  As U is
+unitary, ||exp(-C t)|| is the larger of the two block norms and lambda_min
+the smaller of the two block minima, at half the dimension and in real
+arithmetic.
 """
 
 from __future__ import annotations
@@ -158,6 +169,44 @@ def essential_block(n_abs: float, alpha: float = 0.5) -> np.ndarray:
     )
 
 
+def _reflection_columns(X: np.ndarray, M: int) -> np.ndarray:
+    """X Q, where the columns of Q are the orthonormal eigenvectors of the
+    signed reflection e_j -> (-1)^j e_(-j): first the even ones e_0 and
+    (e_j + (-1)^j e_(-j))/sqrt 2, then the odd ones (e_j - (-1)^j e_(-j))/sqrt 2,
+    for j = 1..M.  Each has at most two nonzeros, so this is a column sum."""
+    pos = X[:, M + 1:] / math.sqrt(2.0)
+    neg = X[:, M - 1::-1] * ((-1.0) ** np.arange(1, M + 1) / math.sqrt(2.0))
+    return np.hstack([X[:, M:M + 1], pos + neg, pos - neg])
+
+
+def _parity_blocks(A: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real even (M+1) and odd (M) diagonal blocks of U* A U.
+
+    U = D Q is the parity basis of the module docstring; D is applied
+    entrywise and Q by ``_reflection_columns``, so no dense product is formed.
+
+    Valid for matrices that commute with the reflection after the similarity
+    by D, as every form in R and J10 does; raises ``NumericalError`` when the
+    imaginary or off-block part exceeds 1e-13 * max(max|A|, 1), for instance
+    on the Lyapunov weight, which couples j = 0 with j = 1 only.
+    """
+    d = np.array([1, 1j, -1, -1j])[np.arange(-M, M + 1) % 4]  # i^j, exactly
+    B = _reflection_columns(_reflection_columns(d.conj()[:, None] * A * d, M).T, M).T
+    k = M + 1
+    leak = max(np.abs(B.imag).max(), np.abs(B[:k, k:]).max(), np.abs(B[k:, :k]).max())
+    tol = 1e-13 * max(float(np.abs(A).max()), 1.0)
+    if leak > tol:
+        raise NumericalError(
+            f"matrix has no real parity split: residual {leak:.3g} exceeds {tol:.3g}"
+        )
+    return np.ascontiguousarray(B.real[:k, :k]), np.ascontiguousarray(B.real[k:, k:])
+
+
+def _min_eig_over_blocks(A: np.ndarray, M: int) -> float:
+    """lambda_min of a Hermitian form in R and J10: the min over its parity blocks."""
+    return min(core.min_eig_hermitian(B) for B in _parity_blocks(A, M))
+
+
 def _windowed(M: int, depth: int, form) -> np.ndarray:
     """Evaluate ``form(R, J10)`` at cutoff M+depth and keep the central window.
 
@@ -180,7 +229,7 @@ def kappa_truncated(M: int) -> float:
     minimizer is localized at j = 0) to (3 - sqrt 5)/2.
     """
     W = _windowed(M, 1, lambda R, J: R + J @ R @ J.conj().T)
-    return core.min_eig_hermitian(W)
+    return _min_eig_over_blocks(W, M)
 
 
 def kappa3_truncated(M: int, n_abs: float = 1.0) -> float:
@@ -190,7 +239,7 @@ def kappa3_truncated(M: int, n_abs: float = 1.0) -> float:
         C = R - n_abs * J
         return R + C.conj().T @ R @ C
 
-    return core.min_eig_hermitian(_windowed(M, 1, form))
+    return _min_eig_over_blocks(_windowed(M, 1, form), M)
 
 
 def constrained_mixing_infimum(M: int, delta: float) -> float:
@@ -203,12 +252,12 @@ def constrained_mixing_infimum(M: int, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must lie in (0, 1)")
-    A = _windowed(M, 1, lambda R, J: J.conj().T @ R @ J)
+    A = _parity_blocks(_windowed(M, 1, lambda R, J: J.conj().T @ R @ J), M)
     R = build_velocity_operators(M).R
-    shift = R - delta * np.eye(2 * M + 1)
+    shift = _parity_blocks(R - delta * np.eye(2 * M + 1), M)
 
     def dual(mu: float) -> float:
-        return core.min_eig_hermitian(A + mu * shift)
+        return min(core.min_eig_hermitian(a + mu * s) for a, s in zip(A, shift))
 
     res = scipy.optimize.minimize_scalar(
         lambda mu: -dual(mu), bounds=(0.0, 1e3), method="bounded",
@@ -244,6 +293,19 @@ class ModalDecayResult:
     ok: bool
 
 
+def _modal_norm_curve(n_abs: float, M: int, times) -> decay.DecayCurve:
+    """||exp(-C t)|| of the magnitude-n_abs mode: the max over its parity blocks."""
+    even, odd = (
+        decay.propagator_norm_curve(B, times)
+        for B in _parity_blocks(modal_generator(n_abs, M).C, M)
+    )
+    return decay.DecayCurve(
+        times=even.times,
+        norms=np.maximum(even.norms, odd.norms),
+        generator_norm=max(even.generator_norm, odd.generator_norm),
+    )
+
+
 def modal_propagator_norm(n_abs: float, M: int, times) -> ModalDecayResult:
     """Norm curve of exp(-C_n t) checked against min(1, prefactor * e^(-lambda0 t)).
 
@@ -252,7 +314,7 @@ def modal_propagator_norm(n_abs: float, M: int, times) -> ModalDecayResult:
     """
     if n_abs < 1:
         raise PreconditionError("n_abs must be at least 1")
-    curve = decay.propagator_norm_curve(modal_generator(n_abs, M).C, times)
+    curve = _modal_norm_curve(n_abs, M, times)
     pref = math.sqrt((2.0 * n_abs + 1.0) / (2.0 * n_abs - 1.0))
     bounds = np.minimum(1.0, pref * np.exp(-LAMBDA0 * curve.times))
     margins = bounds + 1e-8 - curve.norms
@@ -496,10 +558,7 @@ def full_propagator_bounds(
         raise PreconditionError("need N >= 1 and at least 2 samples")
     if np.any(ts < 0) or np.any(ts > consts.tau + 1e-15):
         raise PreconditionError("times must lie in [0, tau]")
-    stack = np.vstack([
-        decay.propagator_norm_curve(modal_generator(float(n), M).C, ts).norms
-        for n in range(1, N + 1)
-    ])
+    stack = np.vstack([_modal_norm_curve(float(n), M, ts).norms for n in range(1, N + 1)])
     sup = stack.max(axis=0)
     upper = 1.0 - consts.c * ts**3
     worst_upper = float((upper + 1e-9 - sup).min())

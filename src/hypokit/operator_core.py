@@ -1,8 +1,10 @@
-"""Dense complex linear-algebra kernels used by every other module.
+"""Dense linear-algebra kernels used by every other module.
 
-All operators are plain ``numpy.ndarray`` matrices with complex128 entries;
-real input is promoted to complex on entry (skew parts generically have
-imaginary eigenvalues, so staying complex avoids dtype surprises downstream).
+All operators are plain ``numpy.ndarray`` matrices.  Real (and integer)
+input stays real as float64 and everything else becomes complex128, so a
+real matrix, such as a real parity block of a Lorentz mode, is exponentiated,
+factored and normed in real arithmetic.  Results agree with the same call on
+the complexified input up to roundoff.
 """
 
 from __future__ import annotations
@@ -36,14 +38,15 @@ __all__ = [
 
 
 def as_matrix(A, square: bool = False) -> np.ndarray:
-    """Validate and return a finite complex128 matrix copy of ``A``."""
+    """Validate and return a finite matrix copy of ``A``: float64 for real or
+    integer input, complex128 otherwise."""
     M = np.asarray(A)
     if M.ndim != 2 or M.size == 0:
         raise DimensionError(f"expected a nonempty 2-d matrix, got shape {M.shape}")
     if square and M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    M = M.astype(np.complex128, copy=True)
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    M = M.astype(np.float64 if M.dtype.kind in "biuf" else np.complex128, copy=True)
+    if not np.all(np.isfinite(M)):
         raise InvalidEntryError("matrix contains NaN or infinite entries")
     return M
 

@@ -42,6 +42,18 @@ class TestPropagatorNormCurve:
         ref = np.array([np.linalg.norm(scipy.linalg.expm(-C * t), 2) for t in ts])
         np.testing.assert_allclose(curve.norms, ref, rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "ts",
+        [np.linspace(0.0, 3.0, 31), np.linspace(0.2, 3.0, 15), np.geomspace(1e-3, 3.0, 12)],
+    )
+    def test_real_generator_matches_complex(self, ts):
+        dec = hc_index.random_accretive(np.random.default_rng(12), 9)
+        C = (dec.C + dec.C.conj()).real / 2  # a real accretive generator
+        real = decay.propagator_norm_curve(C, ts)
+        cplx = decay.propagator_norm_curve(C.astype(complex), ts)
+        np.testing.assert_allclose(real.norms, cplx.norms, rtol=1e-14, atol=0.0)
+        assert real.generator_norm == pytest.approx(cplx.generator_norm, rel=1e-14)
+
     def test_submultiplicative_norms(self):
         rng = np.random.default_rng(0)
         for _ in range(5):

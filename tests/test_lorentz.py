@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from hypokit import decay, errors, hc_index, lorentz
 from hypokit import operator_core as core
@@ -96,6 +98,108 @@ class TestModalGenerators:
     def test_norm_bound(self):
         gen = lorentz.modal_generator(4.0, 8)
         assert core.spectral_norm(gen.C) <= 1.0 + 4.0 + 1e-12
+
+
+def parity_basis(M):
+    """U = D Q from its definition: D = diag(i^j) and Q the even (j = 0..M)
+    then odd (j = 1..M) eigenvectors of e_j -> (-1)^j e_(-j)."""
+    dim = 2 * M + 1
+    Q = np.zeros((dim, dim))
+    Q[M, 0] = 1.0
+    for j in range(1, M + 1):
+        Q[M + j, j] = Q[M + j, M + j] = 1 / math.sqrt(2)
+        Q[M - j, j] = (-1) ** j / math.sqrt(2)
+        Q[M - j, M + j] = -((-1) ** j) / math.sqrt(2)
+    return np.exp(0.5j * math.pi * np.arange(-M, M + 1))[:, None] * Q
+
+
+def tridiagonal(diag, upper, lower):
+    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize(
+        "n, M, sigma", [(1.0, 1, 1.0), (3.0, 2, 0.5), (2.5, 8, 2.0), (7.0, 17, 1.0)]
+    )
+    def test_generator_blocks_are_explicit_tridiagonals(self, n, M, sigma):
+        C = lorentz.modal_generator(n, M, sigma).C
+        U = parity_basis(M)
+        np.testing.assert_allclose(U.conj().T @ U, np.eye(2 * M + 1), rtol=0, atol=1e-14)
+        B = U.conj().T @ C @ U
+        assert np.abs(B.imag).max() <= 1e-14
+        assert np.abs(B[: M + 1, M + 1 :]).max() <= 1e-14
+        assert np.abs(B[M + 1 :, : M + 1]).max() <= 1e-14
+        upper = np.full(M, -n / 2)
+        upper[0] = -n / math.sqrt(2)
+        even = tridiagonal([0.0] + [sigma] * M, upper, -upper)
+        odd = tridiagonal([sigma] * M, np.full(M - 1, -n / 2), np.full(M - 1, n / 2))
+        np.testing.assert_allclose(B[: M + 1, : M + 1].real, even, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(B[M + 1 :, M + 1 :].real, odd, rtol=0, atol=1e-14)
+        got_even, got_odd = lorentz._parity_blocks(C, M)
+        assert got_even.dtype == got_odd.dtype == np.float64
+        np.testing.assert_allclose(got_even, even, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got_odd, odd, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("M", [1, 3, 10])
+    def test_recovers_any_real_block_pair(self, M):
+        # the Lorentz forms always have odd == even[1:, 1:]; unrelated blocks
+        # check the split itself
+        rng = np.random.default_rng(M)
+        even, odd = rng.standard_normal((M + 1, M + 1)), rng.standard_normal((M, M))
+        U = parity_basis(M)
+        A = U @ scipy.linalg.block_diag(even, odd) @ U.conj().T
+        got_even, got_odd = lorentz._parity_blocks(A, M)
+        np.testing.assert_allclose(got_even, even, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got_odd, odd, rtol=0, atol=1e-14)
+
+    def test_rejects_lyapunov_weight(self):
+        # Y couples j = 0 with j = 1 but not with j = -1: no parity symmetry
+        with pytest.raises(errors.NumericalError):
+            lorentz._parity_blocks(lorentz.lyapunov_weight(2.0, 0.5, 6).Y, 6)
+
+    def test_norms_match_dense_complex_expm(self, consts):
+        # tau is raised so that the grid reaches well-decayed norms
+        ts = np.linspace(0.0, 3.0, 13)
+        rep = lorentz.full_propagator_bounds(3, 8, dataclasses.replace(consts, tau=3.0), ts)
+        for n in (1, 2, 3):
+            C = lorentz.modal_generator(float(n), 8).C
+            ref = [np.linalg.norm(scipy.linalg.expm(-C * t), 2) for t in ts]
+            np.testing.assert_allclose(rep.norms[n - 1], ref, rtol=0, atol=1e-13)
+        res = lorentz.modal_propagator_norm(2, 8, ts)
+        np.testing.assert_allclose(res.curve.norms, rep.norms[1], rtol=0, atol=1e-15)
+        C2 = lorentz.modal_generator(2.0, 8).C
+        assert res.curve.generator_norm == pytest.approx(np.linalg.norm(C2, 2), abs=1e-13)
+
+    @staticmethod
+    def dense_form(M, form):
+        ops = lorentz.build_velocity_operators(M + 1)
+        return form(ops.R, ops.J10)[1:-1, 1:-1]
+
+    @pytest.mark.parametrize("M", [1, 2, 8, 40])
+    def test_kappas_match_dense_complex_eigvalsh(self, M):
+        W = self.dense_form(M, lambda R, J: R + J @ R @ J.conj().T)
+        assert lorentz.kappa_truncated(M) == pytest.approx(np.linalg.eigvalsh(W)[0], abs=1e-13)
+        for n in (1.0, 2.5):
+            def form(R, J):
+                C = R - n * J
+                return R + C.conj().T @ R @ C
+
+            ref = np.linalg.eigvalsh(self.dense_form(M, form))[0]
+            assert lorentz.kappa3_truncated(M, n) == pytest.approx(ref, abs=1e-13)
+
+    @pytest.mark.parametrize("M", [1, 2, 8, 40])
+    def test_mixing_infimum_matches_dense_complex_dual(self, M):
+        A = self.dense_form(M, lambda R, J: J.conj().T @ R @ J)
+        for delta in (0.0763932, 0.3):
+            shift = lorentz.build_velocity_operators(M).R - delta * np.eye(2 * M + 1)
+            dual = lambda mu: np.linalg.eigvalsh(A + mu * shift)[0]
+            res = scipy.optimize.minimize_scalar(
+                lambda mu: -dual(mu), bounds=(0.0, 1e3), method="bounded",
+                options={"xatol": 1e-10},
+            )
+            ref = math.sqrt(max(dual(0.0), dual(float(res.x)), 0.0))
+            got = lorentz.constrained_mixing_infimum(M, delta)
+            assert got == pytest.approx(ref, abs=1e-13)
 
 
 class TestLyapunovWeight:

@@ -57,6 +57,59 @@ class TestHermitianSplit:
             core.hermitian_split(bad)
 
 
+class TestAsMatrix:
+    @pytest.mark.parametrize(
+        "A, dtype",
+        [
+            ([[1.0, 2.0], [3.0, 4.0]], np.float64),
+            (np.arange(4).reshape(2, 2), np.float64),
+            (np.eye(2, dtype=np.float32), np.float64),
+            ([[1.0, 2.0j], [3.0, 4.0]], np.complex128),
+            (np.eye(2, dtype=np.complex64), np.complex128),
+        ],
+    )
+    def test_real_stays_real(self, A, dtype):
+        M = core.as_matrix(A)
+        assert M.dtype == dtype
+        np.testing.assert_array_equal(M, np.asarray(A))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_real(self, bad):
+        with pytest.raises(errors.InvalidEntryError):
+            core.as_matrix([[1.0, bad], [0.0, 1.0]])
+
+
+class TestRealArithmetic:
+    """Real input gives real results equal to the complexified call."""
+
+    @staticmethod
+    def close(real, cplx):
+        assert np.isrealobj(real)
+        scale = max(np.abs(cplx).max(), 1e-300)
+        assert np.abs(real - cplx).max() <= 1e-14 * scale
+
+    def test_matrix_exponential(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 4, 17):
+            A = rng.standard_normal((n, n))
+            real = core.matrix_exponential(A, 0.7)
+            self.close(real, core.matrix_exponential(A.astype(complex), 0.7))
+
+    def test_spectral_norm(self):
+        A = np.random.default_rng(9).standard_normal((9, 6))
+        self.close(core.spectral_norm(A), core.spectral_norm(A.astype(complex)))
+
+    def test_min_eig_hermitian(self):
+        G = np.random.default_rng(10).standard_normal((12, 12))
+        H = G + G.T
+        self.close(core.min_eig_hermitian(H), core.min_eig_hermitian(H.astype(complex)))
+
+    def test_psd_sqrt(self):
+        G = np.random.default_rng(11).standard_normal((10, 10))
+        R = G.T @ G
+        self.close(core.psd_sqrt(R), core.psd_sqrt(R.astype(complex)))
+
+
 class TestMatrixExponential:
     def test_zero_matrix(self):
         np.testing.assert_allclose(core.matrix_exponential(np.zeros((3, 3)), 7.5), np.eye(3))
