@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import operator_core as core
+from . import staircase
 from .errors import (
     ContractViolationError,
     DimensionError,
@@ -203,34 +204,24 @@ def short_time_constant(
     Evaluates the constrained minimum of ||sqrt(C_H) C^m x||^2 over the joint
     kernel of sqrt(C_H) C^j, j < m (the shrinking-neighborhood limit in the
     analytic definition collapses to this exact kernel in finite dimensions),
-    normalized by (2m+1)! * binom(2m, m).
+    normalized by (2m+1)! * binom(2m, m).  The kernel is read off the
+    staircase form of (J, R): it is spanned by the basis columns after the
+    first m blocks.
     """
     if m < 0:
         raise PreconditionError("m must be nonnegative")
     scale = max(core.spectral_norm(dec.C), 1.0)
     if core.min_eig_hermitian(dec.R) < -1e-10 * scale:
         raise PreconditionError("C is not accretive")
-    if m == 0:
-        return core.min_eig_hermitian(dec.R)
-    n = dec.dim
-    S = core.psd_sqrt(dec.R)
-    rows = []
-    P = np.eye(n, dtype=complex)
-    for _ in range(m):
-        rows.append(S @ P)
-        P = dec.C @ P
-    K = np.vstack(rows)
-    U, sv, Vh = np.linalg.svd(K)
-    top = sv[0] if sv.size else 0.0
-    rank = int(np.count_nonzero(sv >= rank_tol * top)) if top > 0 else 0
-    if rank == n:
+    form = staircase.build_staircase(dec.R, dec.J, rank_tol)
+    B = form.basis[:, sum(form.block_dims[:m]) :]
+    if B.shape[1] == 0:
         raise ContractViolationError(
             f"the kernel intersection at level m={m} is trivial; m is not the index"
         )
-    B = Vh.conj().T[:, rank:]
-    Cm = np.linalg.matrix_power(dec.C, m)
-    M = Cm.conj().T @ dec.R @ Cm
-    lam = core.min_eig_hermitian(B.conj().T @ M @ B)
+    for _ in range(m):
+        B = dec.C @ B
+    lam = core.min_eig_hermitian(B.conj().T @ dec.R @ B)
     return lam / (math.factorial(2 * m + 1) * math.comb(2 * m, m))
 
 

@@ -1,9 +1,14 @@
-"""Hypocoercivity index via coercive partial sums, Kalman-rank tests, and
-eigenvector obstructions.
+"""Hypocoercivity index from one staircase reduction, cross-checked by the
+coercive partial sums.
 
-The index of an accretive C = R - J is the smallest m such that a partial sum
-of the form sum_{j<=m} (C*)^j R C^j (or one of three equivalent families)
-becomes coercive.  All four families share the same minimal m; the achieved
+The index of an accretive C = R - J is the number of steps before the chain
+of subdiagonal blocks of the staircase form of (J, R) ends (Paige 1981,
+"Properties of numerical algorithms related to computing controllability").
+One ``build_staircase`` call yields the index, the Kalman defect sweep (the
+block dimensions) and, when the terminal block is nonzero, an eigenvector
+obstruction.  The four families of partial sums sum_{j<=m} (C*)^j R C^j (and
+three equivalent ones) become coercive at the same minimal m in exact
+arithmetic; they are run as an independent cross-check, and their achieved
 coercivity constants may differ.
 """
 
@@ -14,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operator_core as core
-from .errors import DimensionError, PreconditionError
+from . import staircase
+from .errors import NumericalError, PreconditionError
 
 __all__ = [
     "METHODS",
@@ -36,6 +42,9 @@ DEFAULT_KAPPA_RTOL = 1e-9
 
 #: Relative tolerance for accepting C as accretive.
 ACCRETIVE_RTOL = 1e-10
+
+#: Scale-relative residual bound of an obstruction witness.
+WITNESS_RTOL = 1e-8
 
 
 @dataclass
@@ -170,88 +179,74 @@ def index_via_powers(
     )
 
 
+def _defect_sweep(form: staircase.StaircaseForm, m_max: int) -> list[int]:
+    """Kalman defects n - dim span{J^j range R : j <= m}, m = 0..m_max.
+
+    Blocks 0..m of the staircase span that space and the terminal block is
+    never reached, so the sweep is monotone and first vanishes at the index.
+    """
+    dims = form.block_dims
+    return [sum(dims) - sum(dims[: min(m + 1, len(dims) - 1)]) for m in range(m_max + 1)]
+
+
+def _terminal_witness(
+    form: staircase.StaircaseForm, R, J, tol: float
+) -> ObstructionWitness | None:
+    """Eigenvector of J on the terminal block (J-invariant, killed by R).
+
+    Residuals above max(tol, rank_tol) times max(||J||, 1) resp. max(||R||, 1)
+    mean a wrong rank decision and raise NumericalError.
+    """
+    if form.terminal_dim == 0:
+        return None
+    T = form.block_slices()[-1]
+    _, U = np.linalg.eigh(1j * form.J_hat[T, T])
+    v = form.basis[:, T] @ U[:, 0]
+    v = v / np.linalg.norm(v)
+    lam = complex(np.vdot(v, J @ v))
+    residual_J = float(np.linalg.norm(J @ v - lam * v))
+    residual_R = float(np.linalg.norm(R @ v))
+    bound = max(tol, form.rank_tol)
+    scale_J, scale_R = max(core.spectral_norm(J), 1.0), max(core.spectral_norm(R), 1.0)
+    if residual_J > bound * scale_J or residual_R > bound * scale_R:
+        raise NumericalError(
+            f"terminal-block witness fails its residual check "
+            f"(||Jv - lambda v|| = {residual_J:.3g}, ||Rv|| = {residual_R:.3g})"
+        )
+    return ObstructionWitness(
+        eigenvalue=lam, vector=v, residual_J=residual_J, residual_R=residual_R
+    )
+
+
 def kalman_kernel_defect(R, J, m: int, rank_tol: float = 1e-10) -> int:
     """Dimension of the joint kernel of sqrt(R) (J*)^j, j = 0..m.
 
-    Computed as n minus the rank of the stacked observability-style matrix
-    [sqrt(R); sqrt(R) J*; ...; sqrt(R) (J*)^m]; defect 0 means the Kalman-type
-    spanning condition holds at level m.
+    Read off the staircase form of (J, R): n minus the dimensions of its
+    blocks 0..m.  Defect 0 means the Kalman-type spanning condition holds at
+    level m.
+    """
+    if m < 0:
+        raise PreconditionError("m must be nonnegative")
+    return _defect_sweep(staircase.build_staircase(R, J, rank_tol), m)[m]
+
+
+def eigenvector_obstruction(R, J, tol: float = WITNESS_RTOL) -> ObstructionWitness | None:
+    """Unit eigenvector of skew-Hermitian J killed by R, or None.
+
+    Such a vector exists iff the staircase form of (J, R) has a nonzero
+    terminal block; the witness is an eigenvector of J restricted to that
+    block, its residuals checked against max(tol, rank_tol).  In finite
+    dimensions a witness exists iff the Kalman spanning condition fails at
+    every level.
     """
     R = core.as_matrix(R, square=True)
     J = core.as_matrix(J, square=True)
-    if R.shape != J.shape:
-        raise DimensionError(f"shape mismatch: R is {R.shape}, J is {J.shape}")
-    n = R.shape[0]
-    # The square root must share the rank cut: an eigenvalue of R at roundoff
-    # level (say 1e-16) would otherwise contribute a 1e-8 singular value to
-    # the stack and silently defeat the rank decision.
-    w, V = np.linalg.eigh((R + R.conj().T) / 2.0)
-    w = np.where(w >= rank_tol * max(w[-1], 0.0), w, 0.0)
-    S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-    blocks = []
-    P = np.eye(n, dtype=complex)
-    for _ in range(m + 1):
-        blocks.append(S @ P)
-        P = P @ J.conj().T
-    sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
-    if sv[0] == 0.0:
-        return n
-    rank = int(np.count_nonzero(sv >= rank_tol * sv[0]))
-    return n - rank
-
-
-def _eig_clusters(theta: np.ndarray, width: float) -> list[list[int]]:
-    """Group sorted eigenvalues into clusters of gap <= width."""
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(theta)):
-        if theta[i] - theta[groups[-1][-1]] <= width:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def eigenvector_obstruction(R, J, tol: float = 1e-8) -> ObstructionWitness | None:
-    """Search the eigenspaces of skew-Hermitian J for a unit vector killed by R.
-
-    Eigenvalues are clustered within 1e-8 * ||J|| and whole clusters are
-    tested at once (a split multiplicity must not hide a genuine invariant
-    direction).  Returns a verified witness or None.  In finite dimensions a
-    witness exists iff the Kalman spanning condition fails at every level.
-    """
-    R = core.as_matrix(R, square=True)
-    J = core.as_matrix(J, square=True)
-    if R.shape != J.shape:
-        raise DimensionError(f"shape mismatch: R is {R.shape}, J is {J.shape}")
-    scale_J = core.spectral_norm(J)
-    scale_R = core.spectral_norm(R)
-    # i*J is Hermitian, so its eigenbasis is orthonormal and well conditioned.
-    theta, V = np.linalg.eigh(1j * J)
-    clusters = _eig_clusters(theta, 1e-8 * max(scale_J, 1.0))
-
-    candidates = []
-    for group in clusters:
-        Vg = V[:, group]
-        G = Vg.conj().T @ R @ Vg
-        w, U = np.linalg.eigh((G + G.conj().T) / 2.0)
-        candidates.append((w[0], Vg @ U[:, 0]))
-    candidates.sort(key=lambda item: item[0])
-
-    for _, v in candidates:
-        v = v / np.linalg.norm(v)
-        lam = complex(np.vdot(v, J @ v))
-        residual_J = float(np.linalg.norm(J @ v - lam * v))
-        residual_R = float(np.linalg.norm(R @ v))
-        if residual_J <= tol * max(scale_J, 1.0) and residual_R <= tol * max(scale_R, 1.0):
-            return ObstructionWitness(
-                eigenvalue=lam, vector=v, residual_J=residual_J, residual_R=residual_R
-            )
-    return None
+    return _terminal_witness(staircase.build_staircase(R, J), R, J, tol)
 
 
 @dataclass
 class AuditReport:
-    """Cross-check of the four index methods plus rank/obstruction views."""
+    """Staircase index, defect sweep and witness, and the four power families."""
 
     index_per_method: dict[str, int | None]
     kappa_per_method: dict[str, float]
@@ -279,30 +274,34 @@ def equivalence_audit(
     m_max: int | None = None,
     rank_tol: float = 1e-10,
 ) -> AuditReport:
-    """Run every index method and assert they report the same index.
+    """Index, defect sweep and obstruction from one staircase form, checked
+    against the four power families.
 
-    A disagreement is reported, not raised: it signals a tolerance problem in
-    the inputs, and the per-method data is exactly what is needed to diagnose
-    it.  Coercivity constants are allowed to differ between methods.
+    The staircase index is reported as method "staircase" (None when the
+    terminal block is nonzero or the index exceeds m_max).  A disagreement
+    with any power family is reported, not raised: it signals a tolerance
+    problem in the inputs, and the per-method data is exactly what is needed
+    to diagnose it.  Coercivity constants are allowed to differ between the
+    families.
     """
     if m_max is None:
         m_max = dec.dim
+    form = staircase.build_staircase(dec.R, dec.J, rank_tol)
     reports = {
         method: index_via_powers(dec, method, kappa_threshold, m_max)
         for method in METHODS
     }
     indices = {method: rep.index for method, rep in reports.items()}
     kappas = {method: rep.kappa for method, rep in reports.items()}
-    defects = [kalman_kernel_defect(dec.R, dec.J, m, rank_tol) for m in range(m_max + 1)]
-    witness = eigenvector_obstruction(dec.R, dec.J)
-    agree = len(set(indices.values())) == 1
+    index = form.index
+    indices["staircase"] = index if index is not None and index <= m_max else None
     return AuditReport(
         index_per_method=indices,
         kappa_per_method=kappas,
         reports=reports,
-        defect_sweep=defects,
-        obstruction=witness,
-        agree=agree,
+        defect_sweep=_defect_sweep(form, m_max),
+        obstruction=_terminal_witness(form, dec.R, dec.J, WITNESS_RTOL),
+        agree=len(set(indices.values())) == 1,
     )
 
 

@@ -46,6 +46,11 @@ class StaircaseForm:
     def terminal_dim(self) -> int:
         return self.block_dims[-1]
 
+    @property
+    def index(self) -> int | None:
+        """Hypocoercivity index n_blocks - 2, or None if the terminal block is nonzero."""
+        return self.n_blocks - 2 if self.terminal_dim == 0 else None
+
     def block_slices(self) -> list[slice]:
         edges = np.concatenate([[0], np.cumsum(self.block_dims)])
         return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
@@ -101,12 +106,10 @@ def build_staircase(R, J, rank_tol: float = 1e-10) -> StaircaseForm:
         if trailing.shape[1] == 0 or prev.shape[1] == 0:
             blocks.append(trailing)
             break
-        A = trailing.conj().T @ J @ prev
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[0] <= rank_tol * scale_J:
+        U, s, _ = np.linalg.svd(trailing.conj().T @ J @ prev)
+        if s[0] <= rank_tol * scale_J:
             blocks.append(trailing)
             break
-        U, s, _ = np.linalg.svd(A)
         rank = int(np.count_nonzero(s >= rank_tol * s[0]))
         amb = (s >= 0.1 * rank_tol * s[0]) & (s <= 10.0 * rank_tol * s[0])
         if np.any(amb):

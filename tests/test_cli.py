@@ -1,6 +1,7 @@
 import json
 
-from hypokit import cli, lorentz
+from hypokit import cli, gallery, lorentz
+from hypokit import operator_core as core
 
 
 def test_simulate_final_field_is_the_last_csv_row(tmp_path):
@@ -28,3 +29,28 @@ def test_verify_cubic_bound_is_read_off_the_sandwich(tmp_path):
     assert abs(cubic["worst_margin"] - (sandwich["worst_upper_margin"] - 1e-9)) <= 1e-15
     assert cubic["samples"] == len(sandwich["times"]) == 6
     assert cubic["modes"] == [1.0, 2.0]
+
+
+def _analyze(tmp_path, C):
+    src, out = tmp_path / "input.json", tmp_path / "analyze.json"
+    src.write_text(json.dumps(core.matrix_to_json(C)))
+    rc = cli.main(["analyze", "--input", str(src), "--output", str(out)])
+    return rc, json.loads(out.read_text())["audit"]
+
+
+def test_analyze_ek40_reports_the_disagreement(tmp_path):
+    # the power families lose the index of E_40 in roundoff; the staircase
+    # keeps it, so the audit must not claim agreement
+    rc, audit = _analyze(tmp_path, gallery.ek_matrix(40))
+    assert rc == 3
+    assert audit["index_per_method"]["staircase"] == 39
+    assert audit["agree"] is False
+
+
+def test_analyze_ck2_all_methods_agree(tmp_path):
+    rc, audit = _analyze(tmp_path, gallery.ck_matrix(2))
+    assert rc == 0
+    assert audit["agree"] is True
+    assert audit["index_per_method"] == {
+        "c_powers_right": 1, "c_powers_left": 1, "j_powers": 1, "commutators": 1, "staircase": 1,
+    }

@@ -81,6 +81,22 @@ class TestShortTimeConstant:
         dec = core.hermitian_split(gallery.ek_matrix(2))
         assert decay.short_time_constant(dec, 1) == pytest.approx(1.0 / 12.0, abs=1e-13)
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_ek_matches_stacked_svd_kernel(self, k):
+        # reference: the kernel of the stacked [sqrt(R) C^j, j < m] by SVD
+        # and the raw power C^m, independent of the staircase
+        C = gallery.ek_matrix(k)
+        dec = core.hermitian_split(C)
+        m = k - 1
+        S = core.psd_sqrt(dec.R)
+        K = np.vstack([S @ np.linalg.matrix_power(C, j) for j in range(m)])
+        _, sv, Vh = np.linalg.svd(K)
+        B = Vh[int(np.count_nonzero(sv >= 1e-10 * sv[0])) :].conj().T
+        Cm = np.linalg.matrix_power(C, m)
+        lam = np.linalg.eigvalsh(B.conj().T @ Cm.conj().T @ dec.R @ Cm @ B)[0]
+        ref = lam / (math.factorial(2 * m + 1) * math.comb(2 * m, m))
+        assert decay.short_time_constant(dec, m) == pytest.approx(ref, rel=1e-12)
+
     def test_wrong_level_raises(self):
         dec = core.hermitian_split(np.eye(3))
         with pytest.raises(errors.ContractViolationError):

@@ -106,9 +106,14 @@ class TestEkProperties:
         assert rep.indices == [0]
         assert rep.gaps[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_huge_k(self):
+    def test_ladder_up_to_twenty_five(self):
+        rep = gallery.ek_properties(25)
+        assert rep.ok
+        assert rep.indices == list(range(25))
+
+    def test_rejects_k_zero(self):
         with pytest.raises(errors.PreconditionError):
-            gallery.ek_properties(13)
+            gallery.ek_properties(0)
 
 
 class TestEkRescale:

@@ -3,11 +3,62 @@ import pytest
 
 from hypokit import errors, gallery, hc_index
 from hypokit import operator_core as core
+from hypokit.staircase import StaircaseForm
 
 
 def _rj(C):
     dec = core.hermitian_split(C)
     return dec.R, dec.J
+
+
+def stacked_svd_defect(R, J, m, rank_tol=1e-10):
+    """Reference Kalman defect: n - rank [S; S J*; ...; S (J*)^m], S = sqrt(R).
+
+    Independent of the staircase: the PSD root shares the rank cut, and the
+    rank of the stacked matrix is cut relative to its top singular value.
+    """
+    n = R.shape[0]
+    w, V = np.linalg.eigh(R)
+    w = np.where(w >= rank_tol * max(w[-1], 0.0), w, 0.0)
+    S = (V * np.sqrt(w)) @ V.conj().T
+    blocks, P = [], np.eye(n, dtype=complex)
+    for _ in range(m + 1):
+        blocks.append(S @ P)
+        P = P @ J.conj().T
+    sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    if sv[0] == 0.0:
+        return n
+    return n - int(np.count_nonzero(sv >= rank_tol * sv[0]))
+
+
+def random_unitary(rng, n):
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, T = np.linalg.qr(Z)
+    return Q * (np.diag(T) / np.abs(np.diag(T)))
+
+
+def planted_staircase_pair(rng, dims):
+    """(R, J) in staircase form with block sizes ``dims``, in a random basis.
+
+    R is definite on the first block; J is block tridiagonal with square,
+    generically invertible subdiagonal blocks, so the index is len(dims) - 1.
+    """
+    n = sum(dims)
+    edges = np.concatenate([[0], np.cumsum(dims)])
+    sl = [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+    R = np.zeros((n, n), dtype=complex)
+    G = rng.standard_normal((dims[0], dims[0])) + 1j * rng.standard_normal((dims[0], dims[0]))
+    R[sl[0], sl[0]] = G @ G.conj().T / dims[0] + np.eye(dims[0])
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    J = np.zeros((n, n), dtype=complex)
+    for i in range(len(dims)):
+        J[sl[i], sl[i]] = (S[sl[i], sl[i]] - S[sl[i], sl[i]].conj().T) / 2
+        if i + 1 < len(dims):
+            J[sl[i + 1], sl[i]] = S[sl[i + 1], sl[i]]
+            J[sl[i], sl[i + 1]] = -S[sl[i + 1], sl[i]].conj().T
+    U = random_unitary(rng, n)
+    R, J = U @ R @ U.conj().T, U @ J @ U.conj().T
+    return (R + R.conj().T) / 2, (J - J.conj().T) / 2
 
 
 def forced_obstruction_pair(rng, n):
@@ -112,6 +163,19 @@ class TestKalmanKernelDefect:
             if hc_index.kalman_kernel_defect(dec.R, dec.J, n) == 0:
                 assert hc_index.kalman_kernel_defect(dec.R, dec.J, max(kdim, 0)) == 0
 
+    def test_sweep_matches_stacked_svd(self):
+        rng = np.random.default_rng(21)
+        for trial in range(400):
+            n = int(rng.integers(2, 9))
+            if trial % 3 == 2:
+                R, J = forced_obstruction_pair(rng, n)
+            else:
+                dec = hc_index.random_accretive(rng, n)
+                R, J = dec.R, dec.J
+            dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
+            sweep = hc_index.equivalence_audit(dec).defect_sweep
+            assert sweep == [stacked_svd_defect(R, J, m) for m in range(n + 1)]
+
 
 class TestEigenvectorObstruction:
     def test_zero_R_reports_witness(self):
@@ -146,6 +210,17 @@ class TestEigenvectorObstruction:
             assert w.residual_R <= 1e-8 * max(np.linalg.norm(R, 2), 1.0)
             assert w.residual_J <= 1e-8 * max(np.linalg.norm(J, 2), 1.0)
 
+    def test_failed_residual_raises(self):
+        # a form whose terminal block is not J-invariant: the witness check
+        # must refuse it instead of returning an unverified vector
+        R = np.diag([1.0, 0.0]).astype(complex)
+        J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+        form = StaircaseForm(
+            basis=np.eye(2, dtype=complex), block_dims=[1, 1], J_hat=J, R_hat=R, rank_tol=1e-10
+        )
+        with pytest.raises(errors.NumericalError):
+            hc_index._terminal_witness(form, R, J, hc_index.WITNESS_RTOL)
+
     def test_matches_kalman_rank(self):
         rng = np.random.default_rng(17)
         for trial in range(120):
@@ -155,7 +230,7 @@ class TestEigenvectorObstruction:
             else:
                 dec = hc_index.random_accretive(rng, n)
                 R, J = dec.R, dec.J
-            full_rank = hc_index.kalman_kernel_defect(R, J, n) == 0
+            full_rank = stacked_svd_defect(R, J, n) == 0
             witness = hc_index.eigenvector_obstruction(R, J)
             assert full_rank == (witness is None)
 
@@ -183,6 +258,39 @@ class TestEquivalenceAudit:
         for _ in range(60):
             dec = hc_index.random_accretive(rng, 6)
             assert hc_index.equivalence_audit(dec).agree
+
+    def test_planted_staircase_index_four(self):
+        R, J = planted_staircase_pair(np.random.default_rng(22), [12] * 5)
+        audit = hc_index.equivalence_audit(core.OperatorDecomposition(C=R - J, R=R, J=J))
+        assert audit.index_per_method["staircase"] == 4
+        assert audit.agree
+        sweep = audit.defect_sweep
+        assert sweep[:6] == [48, 36, 24, 12, 0, 0]
+        assert all(a >= b for a, b in zip(sweep, sweep[1:]))
+        assert sweep.index(0) == 4
+        assert audit.obstruction is None
+
+    def test_rank_21_at_n_200_disagrees(self):
+        # generic index ceil(179 / 21) = 9 (blocks 21 x 9 + 11); the power
+        # families lose it in roundoff, so the audit must report disagreement
+        rng = np.random.default_rng(23)
+        n = 200
+        G = rng.standard_normal((n, 21)) + 1j * rng.standard_normal((n, 21))
+        R = G @ G.conj().T / n
+        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        J = (S - S.conj().T) / 2
+        audit = hc_index.equivalence_audit(
+            core.OperatorDecomposition(C=R - J, R=(R + R.conj().T) / 2, J=J)
+        )
+        assert audit.index_per_method["staircase"] == 9
+        assert audit.defect_sweep.index(0) == 9
+        assert not audit.agree
+
+    def test_staircase_above_m_max_is_none(self):
+        audit = hc_index.equivalence_audit(core.hermitian_split(gallery.ek_matrix(5)), m_max=2)
+        assert audit.index_per_method["staircase"] is None
+        assert audit.agree
+        assert audit.defect_sweep == [4, 3, 2]
 
 
 class TestVanishingFormEquivalence:
