@@ -3,15 +3,34 @@
 Exit status: 0 success, 1 validation error (arguments, files, shapes),
 2 numerical failure, 3 a property-violation report (a check ran and failed).
 
-BLAS parallelism follows the usual OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
-environment variables, which must be set before the process starts.
+BLAS runs on one thread by default.  Importing this module sets
+OPENBLAS_NUM_THREADS=1 when none of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is set and numpy is not loaded yet (the ``hypokit`` package
+loads its modules lazily, so ``python -m hypokit.cli`` and the ``hypokit``
+script qualify).  The matrices here are small (finite sections up to
+n = 200, Lorentz blocks of size about M+1), and handing them to a second
+thread costs more than it saves.  On a 2-core box (OpenBLAS 0.3.31), at
+their defaults, one thread against two took ``analyze`` on a planted
+n = 200 pair from 21.1 to 8.9 s, ``lorentz simulate --random`` from 2.91 to
+0.90 s, ``lorentz verify`` from 2.50 to 1.76 s and ``lorentz lyapunov``
+from 0.78 to 0.48 s, and left ``lorentz constants`` at 0.92-0.94 s; no
+command was slower.  To use more threads, set one of the three variables
+before the process starts, e.g. ``OPENBLAS_NUM_THREADS=2 hypokit analyze``;
+it is then left exactly as set.  A process that loaded numpy before
+importing this module (tests, notebooks) keeps its environment untouched.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(var in os.environ for var in _THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 class _UsageError(Exception):

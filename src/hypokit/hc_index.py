@@ -96,18 +96,17 @@ class ObstructionWitness:
         }
 
 
-def _factor_generator(dec: core.OperatorDecomposition, method: str):
+def _factor_generator(dec: core.OperatorDecomposition, method: str, S: np.ndarray):
     """Yield factors F_0, F_1, ... with partial sums sum_j F_j* F_j.
 
-    Every coercivity family is a Gram matrix, so its smallest eigenvalue is
-    the squared smallest singular value of the stacked factors.  Working on
-    the factors keeps the noise floor near machine-epsilon squared, where
-    forming the sums explicitly would lose half the digits on the singular
-    levels below the index.
+    ``S`` is sqrt(R).  Every coercivity family is a Gram matrix, so its
+    smallest eigenvalue is the squared smallest singular value of the stacked
+    factors.  Working on the factors keeps the noise floor near
+    machine-epsilon squared, where forming the sums explicitly would lose
+    half the digits on the singular levels below the index.
     """
-    C, R, J = dec.C, dec.R, dec.J
+    C, J = dec.C, dec.J
     n = dec.dim
-    S = core.psd_sqrt(R)
     if method == "c_powers_right":
         P = np.eye(n, dtype=complex)
         while True:
@@ -132,18 +131,11 @@ def _factor_generator(dec: core.OperatorDecomposition, method: str):
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def index_via_powers(
-    dec: core.OperatorDecomposition,
-    method: str = "c_powers_right",
-    kappa_threshold: float | None = None,
-    m_max: int | None = None,
-) -> IndexReport:
-    """Smallest m <= m_max whose partial sum has min-eigenvalue >= threshold.
-
-    ``kappa_threshold`` defaults to 1e-9 * ||C|| (an exact-zero test is
-    meaningless in floating point); ``m_max`` defaults to the dimension,
-    beyond which the rank conditions cannot improve.
-    """
+def _family_setup(
+    dec: core.OperatorDecomposition, kappa_threshold: float | None, m_max: int | None
+) -> tuple[np.ndarray, float, int]:
+    """What every power family shares: the accretivity check, the default
+    threshold and m_max, and sqrt(R)."""
     scale = core.spectral_norm(dec.C)
     if core.min_eig_hermitian(dec.R) < -ACCRETIVE_RTOL * max(scale, 1.0):
         raise PreconditionError("C is not accretive: Hermitian part has a negative eigenvalue")
@@ -155,10 +147,20 @@ def index_via_powers(
         m_max = dec.dim
     if m_max < 0:
         raise PreconditionError("m_max must be nonnegative")
+    return core.psd_sqrt(dec.R), kappa_threshold, m_max
 
+
+def _family_search(
+    dec: core.OperatorDecomposition,
+    method: str,
+    S: np.ndarray,
+    kappa_threshold: float,
+    m_max: int,
+) -> IndexReport:
+    """The search of ``index_via_powers`` on prepared inputs (see ``_family_setup``)."""
     eigs: list[float] = []
     rows: list[np.ndarray] = []
-    gen = _factor_generator(dec, method)
+    gen = _factor_generator(dec, method, S)
     index = None
     kappa = 0.0
     for m in range(m_max + 1):
@@ -177,6 +179,21 @@ def index_via_powers(
         m_max=m_max,
         kappa_threshold=kappa_threshold,
     )
+
+
+def index_via_powers(
+    dec: core.OperatorDecomposition,
+    method: str = "c_powers_right",
+    kappa_threshold: float | None = None,
+    m_max: int | None = None,
+) -> IndexReport:
+    """Smallest m <= m_max whose partial sum has min-eigenvalue >= threshold.
+
+    ``kappa_threshold`` defaults to 1e-9 * ||C|| (an exact-zero test is
+    meaningless in floating point); ``m_max`` defaults to the dimension,
+    beyond which the rank conditions cannot improve.
+    """
+    return _family_search(dec, method, *_family_setup(dec, kappa_threshold, m_max))
 
 
 def _defect_sweep(form: staircase.StaircaseForm, m_max: int) -> list[int]:
@@ -287,10 +304,8 @@ def equivalence_audit(
     if m_max is None:
         m_max = dec.dim
     form = staircase.build_staircase(dec.R, dec.J, rank_tol)
-    reports = {
-        method: index_via_powers(dec, method, kappa_threshold, m_max)
-        for method in METHODS
-    }
+    setup = _family_setup(dec, kappa_threshold, m_max)
+    reports = {method: _family_search(dec, method, *setup) for method in METHODS}
     indices = {method: rep.index for method, rep in reports.items()}
     kappas = {method: rep.kappa for method, rep in reports.items()}
     index = form.index

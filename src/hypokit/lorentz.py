@@ -19,6 +19,10 @@ blocks of sizes M+1 and M (tridiagonal for the generators).  As U is
 unitary, ||exp(-C t)|| is the larger of the two block norms and lambda_min
 the smaller of the two block minima, at half the dimension and in real
 arithmetic.
+
+``scipy.optimize`` (about 0.3 s to import) is imported inside the two
+functions that call it, so commands that never solve for a constant do not
+load it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import decay
 from . import operator_core as core
@@ -259,6 +262,8 @@ def constrained_mixing_infimum(M: int, delta: float) -> float:
     def dual(mu: float) -> float:
         return min(core.min_eig_hermitian(a + mu * s) for a, s in zip(A, shift))
 
+    import scipy.optimize
+
     res = scipy.optimize.minimize_scalar(
         lambda mu: -dual(mu), bounds=(0.0, 1e3), method="bounded",
         options={"xatol": 1e-10},
@@ -359,6 +364,8 @@ def _bracketed_root(fn, lo: float, hi: float) -> float:
         raise NumericalError(
             f"root bracketing failed on [{lo:g}, {hi:g}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}"
         )
+    import scipy.optimize
+
     return float(scipy.optimize.brentq(fn, lo, hi, xtol=1e-15, rtol=8.9e-16))
 
 

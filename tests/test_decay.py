@@ -54,6 +54,22 @@ class TestPropagatorNormCurve:
         np.testing.assert_allclose(real.norms, cplx.norms, rtol=1e-14, atol=0.0)
         assert real.generator_norm == pytest.approx(cplx.generator_norm, rel=1e-14)
 
+    def test_geometric_grid_equals_pointwise_matrix_exponential(self):
+        dec = hc_index.random_accretive(np.random.default_rng(5), 12)
+        ts = np.geomspace(1e-4, 10.0, 40)
+        curve = decay.propagator_norm_curve(dec.C, ts)
+        ref = [core.spectral_norm(core.matrix_exponential(-dec.C, t)) for t in ts]
+        assert curve.norms.tolist() == ref
+
+    def test_geometric_grid_guard_covers_the_last_point(self):
+        # log-norm of -C t is t: fine up to t = 700, overflow after it
+        C = np.diag([-1.0, 1.0]).astype(complex)
+        decay.propagator_norm_curve(C, np.geomspace(1.0, 650.0, 30))
+        with pytest.raises(errors.RangeError):
+            decay.propagator_norm_curve(C, np.geomspace(1.0, 750.0, 30))
+        with pytest.raises(errors.InvalidEntryError):
+            decay.propagator_norm_curve(C, [0.1, np.nan, 1.0])
+
     def test_submultiplicative_norms(self):
         rng = np.random.default_rng(0)
         for _ in range(5):

@@ -293,6 +293,21 @@ class TestEquivalenceAudit:
         assert audit.defect_sweep == [4, 3, 2]
 
 
+    def test_families_share_one_setup(self, monkeypatch):
+        dec = hc_index.random_accretive(np.random.default_rng(31), 10)
+        expected = {m: hc_index.index_via_powers(dec, m) for m in hc_index.METHODS}
+        calls = {"psd_sqrt": 0, "min_eig_hermitian": 0}
+        for name in calls:
+            def counting(*args, _fn=getattr(core, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(core, name, counting)
+        audit = hc_index.equivalence_audit(dec)
+        assert calls == {"psd_sqrt": 1, "min_eig_hermitian": 1}
+        assert audit.reports == expected
+        assert audit.kappa_per_method == {m: r.kappa for m, r in expected.items()}
+
+
 class TestVanishingFormEquivalence:
     """Kernel-intersection vectors annihilate all four quadratic-form families
     below the index level, and the four level-m forms coincide."""
