@@ -52,7 +52,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("analyze", help="index audit + stability + short-time fit")
     sp.add_argument("--input", required=True)
     sp.add_argument("--tol-kappa", type=float, default=None)
-    sp.add_argument("--tol-rank", type=float, default=1e-10)
+    sp.add_argument("--tol-rank", type=float, default=1e-10, help="relative rank cut of R "
+                    "and of each staircase block; the power families share the cut of R")
     sp.add_argument("--m-max", type=int, default=None)
     common(sp)
 
@@ -146,9 +147,7 @@ def _cmd_analyze(args) -> int:
     audit = hc_index.equivalence_audit(
         dec, kappa_threshold=args.tol_kappa, m_max=args.m_max, rank_tol=args.tol_rank
     )
-    gap = -core.spectral_abscissa(-A)
-    t0 = min(max(1.0, 3.0 / gap), 1e5) if gap > 1e-8 else 1.0
-    stab = decay.stability_check(A, t0)
+    stab = decay.stability_check(A)
     scale = max(core.spectral_norm(A), 1e-300)
     times = np.geomspace(1e-4 / scale, 10.0 / scale, 220)
     try:
@@ -157,7 +156,7 @@ def _cmd_analyze(args) -> int:
         fit = None
     out = {
         "audit": audit.to_json_dict(),
-        "stability": {"t0": t0, **stab.to_json_dict()},
+        "stability": stab.to_json_dict(),
         "short_time_fit": fit,
     }
     _emit_json(out, args.output)
@@ -304,7 +303,6 @@ def main(argv=None) -> int:
         DimensionError,
         InvalidEntryError,
         NoDecayError,
-        NotPSDError,
         NumericalError,
         PreconditionError,
         RangeError,
@@ -325,7 +323,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
         print(f"hypokit: cannot read input: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, RangeError, NotPSDError, ContractViolationError, NoDecayError) as exc:
+    except (NumericalError, RangeError, ContractViolationError, NoDecayError) as exc:
         print(f"hypokit: numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ worst-case initial-data perturbation that realizes the lower decay bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -78,15 +78,7 @@ class ShortTimeFit:
     flagged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "a_est": self.a_est,
-            "a_rounded": self.a_rounded,
-            "c_est": self.c_est,
-            "residual": self.residual,
-            "fit_window": list(self.fit_window),
-            "odd_gap": self.odd_gap,
-            "flagged": self.flagged,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -100,15 +92,12 @@ class TaylorSeriesData:
 @dataclass
 class StabilityReport:
     stable: bool
+    t0: float
     norm_at_t0: float
     spectral_gap: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "stable": self.stable,
-            "norm_at_t0": self.norm_at_t0,
-            "spectral_gap": self.spectral_gap,
-        }
+        return asdict(self)
 
 
 def is_uniform_grid(ts: np.ndarray) -> bool:
@@ -126,7 +115,8 @@ def propagator_norm_curve(C, times) -> DecayCurve:
     - on a uniform grid, E = exp(-C dt) is computed once (plus exp(-C t0)
       when t0 > 0) and P(t_k) = P(t_(k-1)) E is stepped.  After k steps the
       absolute error is at most k*eps*max_(s<=t) ||P(s)||^2, so at most
-      k*eps for accretive C;
+      k*eps for accretive C.  A product that overflows raises ``RangeError``
+      (a bound at the last time would refuse stable non-normal generators);
     - on any other grid (the geometric short-time grids) every point gets
       its own ``expm``, and the overflow guard of ``core.matrix_exponential``
       runs once, at the last time, which bounds the logarithmic norm of
@@ -152,10 +142,14 @@ def propagator_norm_curve(C, times) -> DecayCurve:
         E = core.matrix_exponential(-C, ts[1] - ts[0])
         P = core.matrix_exponential(-C, ts[0]) if ts[0] > 0 else np.eye(C.shape[0], dtype=C.dtype)
         norms = np.empty(ts.size)
-        for i in range(ts.size):
-            norms[i] = core.spectral_norm(P)
-            if i + 1 < ts.size:
-                P = P @ E
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(ts.size):
+                try:
+                    norms[i] = core.spectral_norm(P)
+                except InvalidEntryError:  # E and P(t0) are finite: the product overflowed
+                    raise RangeError(f"exp(-C t) overflows at t = {ts[i]:.6g}") from None
+                if i + 1 < ts.size:
+                    P = P @ E
     else:
         A = -C
         core._check_exp_range(A, ts[-1])
@@ -215,13 +209,10 @@ def short_time_constant(
     analytic definition collapses to this exact kernel in finite dimensions),
     normalized by (2m+1)! * binom(2m, m).  The kernel is read off the
     staircase form of (J, R): it is spanned by the basis columns after the
-    first m blocks.
+    first m blocks.  Building it raises ``NotPSDError`` when C is not accretive.
     """
     if m < 0:
         raise PreconditionError("m must be nonnegative")
-    scale = max(core.spectral_norm(dec.C), 1.0)
-    if core.min_eig_hermitian(dec.R) < -1e-10 * scale:
-        raise PreconditionError("C is not accretive")
     form = staircase.build_staircase(dec.R, dec.J, rank_tol)
     B = form.basis[:, sum(form.block_dims[:m]) :]
     if B.shape[1] == 0:
@@ -234,19 +225,19 @@ def short_time_constant(
     return lam / (math.factorial(2 * m + 1) * math.comb(2 * m, m))
 
 
-def stability_check(C, t0: float) -> StabilityReport:
+def stability_check(C) -> StabilityReport:
     """Exponential stability marker ||exp(-C t0)|| < 1 plus the spectral gap.
 
     For a bounded generator the sharp asymptotic rate equals the spectral
     gap min Re sigma(C); a norm strictly below one at any single time already
-    certifies uniform exponential stability.
+    certifies uniform exponential stability.  t0 = min(max(1, 3/gap), 1e5),
+    about three decay times, or 1 when the gap is at most 1e-8.
     """
     C = core.as_matrix(C, square=True)
-    if t0 <= 0:
-        raise PreconditionError("t0 must be positive")
-    norm = core.spectral_norm(core.matrix_exponential(-C, t0))
     gap = -core.spectral_abscissa(-C)
-    return StabilityReport(stable=norm < 1.0 - 1e-12, norm_at_t0=norm, spectral_gap=gap)
+    t0 = min(max(1.0, 3.0 / gap), 1e5) if gap > 1e-8 else 1.0
+    norm = core.spectral_norm(core.matrix_exponential(-C, t0))
+    return StabilityReport(stable=norm < 1.0 - 1e-12, t0=t0, norm_at_t0=norm, spectral_gap=gap)
 
 
 def taylor_U(C, jmax: int) -> TaylorSeriesData:

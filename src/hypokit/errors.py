@@ -21,7 +21,7 @@ class ContractViolationError(HypokitError, ValueError):
     """Input violates a structural contract (e.g. grossly non-Hermitian)."""
 
 
-class NotPSDError(HypokitError, ValueError):
+class NotPSDError(PreconditionError):
     """Matrix expected to be positive semidefinite has a clearly negative eigenvalue."""
 
 

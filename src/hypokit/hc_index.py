@@ -8,13 +8,15 @@ One ``build_staircase`` call yields the index, the Kalman defect sweep (the
 block dimensions) and, when the terminal block is nonzero, an eigenvector
 obstruction.  The four families of partial sums sum_{j<=m} (C*)^j R C^j (and
 three equivalent ones) become coercive at the same minimal m in exact
-arithmetic; they are run as an independent cross-check, and their achieved
-coercivity constants may differ.
+arithmetic, and their achieved coercivity constants may differ.  They share
+the staircase's decision about ker R: sqrt(R) and the accretivity check come
+from the eigendecomposition of R that made block 0 (``core._psd_cut``), so
+they cross-check only the chain of J-steps, not the cut of R.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,9 +41,6 @@ METHODS = ("c_powers_right", "c_powers_left", "j_powers", "commutators")
 
 #: Scale-relative default for deciding "coercive" in floating point.
 DEFAULT_KAPPA_RTOL = 1e-9
-
-#: Relative tolerance for accepting C as accretive.
-ACCRETIVE_RTOL = 1e-10
 
 #: Scale-relative residual bound of an obstruction witness.
 WITNESS_RTOL = 1e-8
@@ -68,14 +67,7 @@ class IndexReport:
         return self.index is not None
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index if self.found else "none-up-to-m_max",
-            "kappa": self.kappa,
-            "method": self.method,
-            "per_m_min_eigs": list(self.per_m_min_eigs),
-            "m_max": self.m_max,
-            "kappa_threshold": self.kappa_threshold,
-        }
+        return {**asdict(self), "index": self.index if self.found else "none-up-to-m_max"}
 
 
 @dataclass
@@ -105,49 +97,40 @@ def _factor_generator(dec: core.OperatorDecomposition, method: str, S: np.ndarra
     machine-epsilon squared, where forming the sums explicitly would lose
     half the digits on the singular levels below the index.
     """
-    C, J = dec.C, dec.J
-    n = dec.dim
-    if method == "c_powers_right":
-        P = np.eye(n, dtype=complex)
-        while True:
-            yield S @ P  # (C*)^j R C^j = (sqrt(R) C^j)* (sqrt(R) C^j)
-            P = C @ P
-    elif method == "c_powers_left":
-        P = np.eye(n, dtype=complex)
-        while True:
-            yield S @ P  # C^j R (C*)^j with factor sqrt(R) (C*)^j
-            P = C.conj().T @ P
-    elif method == "j_powers":
-        P = np.eye(n, dtype=complex)
-        while True:
-            yield S @ P  # J^j R (J*)^j with factor sqrt(R) (J*)^j
-            P = J.conj().T @ P
-    elif method == "commutators":
+    J = dec.J
+    if method == "commutators":
         Cj = S
         while True:
             yield Cj
             Cj = J @ Cj - Cj @ J
-    else:
+    # (C*)^j R C^j, C^j R (C*)^j and J^j R (J*)^j have the factors S X^j
+    # with X = C, C* and J*
+    steps = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T, "j_powers": J.conj().T}
+    if method not in steps:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    P = np.eye(dec.dim, dtype=complex)
+    while True:
+        yield S @ P
+        P = steps[method] @ P
 
 
 def _family_setup(
-    dec: core.OperatorDecomposition, kappa_threshold: float | None, m_max: int | None
+    dec: core.OperatorDecomposition,
+    kappa_threshold: float | None,
+    m_max: int | None,
+    r_cut: core._PsdCut,
 ) -> tuple[np.ndarray, float, int]:
-    """What every power family shares: the accretivity check, the default
-    threshold and m_max, and sqrt(R)."""
-    scale = core.spectral_norm(dec.C)
-    if core.min_eig_hermitian(dec.R) < -ACCRETIVE_RTOL * max(scale, 1.0):
-        raise PreconditionError("C is not accretive: Hermitian part has a negative eigenvalue")
+    """What every power family shares: the default threshold and m_max, and
+    sqrt(R) from the cut of R (which already checked that C is accretive)."""
     if kappa_threshold is None:
-        kappa_threshold = DEFAULT_KAPPA_RTOL * max(scale, 1.0)
+        kappa_threshold = DEFAULT_KAPPA_RTOL * max(core.spectral_norm(dec.C), 1.0)
     if kappa_threshold <= 0.0:
         raise PreconditionError("kappa_threshold must be positive")
     if m_max is None:
         m_max = dec.dim
     if m_max < 0:
         raise PreconditionError("m_max must be nonnegative")
-    return core.psd_sqrt(dec.R), kappa_threshold, m_max
+    return r_cut.root(), kappa_threshold, m_max
 
 
 def _family_search(
@@ -191,9 +174,11 @@ def index_via_powers(
 
     ``kappa_threshold`` defaults to 1e-9 * ||C|| (an exact-zero test is
     meaningless in floating point); ``m_max`` defaults to the dimension,
-    beyond which the rank conditions cannot improve.
+    beyond which the rank conditions cannot improve.  sqrt(R) is cut at the
+    staircase's default rank_tol of 1e-10.
     """
-    return _family_search(dec, method, *_family_setup(dec, kappa_threshold, m_max))
+    setup = _family_setup(dec, kappa_threshold, m_max, core._psd_cut(dec.R))
+    return _family_search(dec, method, *setup)
 
 
 def _defect_sweep(form: staircase.StaircaseForm, m_max: int) -> list[int]:
@@ -256,8 +241,7 @@ def eigenvector_obstruction(R, J, tol: float = WITNESS_RTOL) -> ObstructionWitne
     dimensions a witness exists iff the Kalman spanning condition fails at
     every level.
     """
-    R = core.as_matrix(R, square=True)
-    J = core.as_matrix(J, square=True)
+    R, J = staircase._check_pair(R, J)
     return _terminal_witness(staircase.build_staircase(R, J), R, J, tol)
 
 
@@ -304,7 +288,7 @@ def equivalence_audit(
     if m_max is None:
         m_max = dec.dim
     form = staircase.build_staircase(dec.R, dec.J, rank_tol)
-    setup = _family_setup(dec, kappa_threshold, m_max)
+    setup = _family_setup(dec, kappa_threshold, m_max, form.r_cut)
     reports = {method: _family_search(dec, method, *setup) for method in METHODS}
     indices = {method: rep.index for method, rep in reports.items()}
     kappas = {method: rep.kappa for method, rep in reports.items()}

@@ -148,22 +148,48 @@ def min_eig_hermitian(A, asym_tol: float = 1e-8) -> float:
     return float(np.linalg.eigvalsh(_symmetrized(A))[0])
 
 
-def psd_sqrt(R, clip_tol: float = 1e-10) -> np.ndarray:
-    """Hermitian square root S >= 0 with S @ S = R for PSD Hermitian R.
+@dataclass(frozen=True)
+class _PsdCut:
+    """R = V diag(w) V* (w ascending) with its top ``rank`` eigenvalues kept and
+    the others read as zero; ``ambiguous`` if some |w| lies within 10x of the cut."""
 
-    Eigenvalues in [-clip_tol * ||R||, 0) are treated as roundoff and clipped
-    to zero; anything below that raises ``NotPSDError``.
+    w: np.ndarray
+    V: np.ndarray
+    rank: int
+    ambiguous: bool
+
+    def root(self) -> np.ndarray:
+        """sqrt(R) on the kept eigenvalues."""
+        k = self.w.size - self.rank
+        S = (self.V[:, k:] * np.sqrt(self.w[k:])) @ self.V[:, k:].conj().T
+        return _symmetrized(S)
+
+
+def _psd_cut(R, rank_tol: float = 1e-10) -> _PsdCut:
+    """The one decision "is R PSD, and which of its eigenvalues are zero".
+
+    With s = max|w| over the eigenvalues w of (R + R*)/2, an eigenvalue below
+    -rank_tol * s raises ``NotPSDError`` and one at or above rank_tol * s is
+    kept.  The staircase (its block 0 and its kernel count), the power
+    families' sqrt(R) and every accretivity check read this cut.
     """
     R = as_matrix(R, square=True)
     w, V = np.linalg.eigh(_symmetrized(R))
-    scale = max(abs(w[0]), abs(w[-1]))
-    if w[0] < -clip_tol * scale:
-        raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.3g} < -{clip_tol:g} * {scale:.3g}"
-        )
-    w = np.clip(w, 0.0, None)
-    S = (V * np.sqrt(w)) @ V.conj().T
-    return _symmetrized(S)
+    cut = rank_tol * max(abs(w[0]), abs(w[-1]), 1e-300)
+    if w[0] < -cut:
+        raise NotPSDError(f"matrix is not PSD: min eigenvalue {w[0]:.3g} < -{cut:.3g}")
+    near = (np.abs(w) >= 0.1 * cut) & (np.abs(w) <= 10.0 * cut)
+    return _PsdCut(w=w, V=V, rank=int(np.count_nonzero(w >= cut)), ambiguous=bool(near.any()))
+
+
+def psd_sqrt(R, clip_tol: float = 1e-10) -> np.ndarray:
+    """Hermitian square root S >= 0 of a PSD Hermitian R, cut as ``_psd_cut``.
+
+    With s = max|eigenvalue of R|, eigenvalues in (-clip_tol * s, clip_tol * s)
+    are read as zero, so S has the rank of that cut and S @ S = R up to
+    clip_tol * s.  An eigenvalue below -clip_tol * s raises ``NotPSDError``.
+    """
+    return _psd_cut(R, clip_tol).root()
 
 
 def spectral_abscissa(A) -> float:

@@ -37,6 +37,8 @@ class StaircaseForm:
     R_hat: np.ndarray
     rank_tol: float
     warnings: list[str] = field(default_factory=list)
+    #: The cut of R that made block 0, kept for the power families' sqrt(R).
+    r_cut: core._PsdCut | None = field(default=None, repr=False)
 
     @property
     def n_blocks(self) -> int:
@@ -84,22 +86,21 @@ def build_staircase(R, J, rank_tol: float = 1e-10) -> StaircaseForm:
 
     Rank cuts compare singular values against ``rank_tol`` times the largest
     singular value of the block under inspection; values within a factor 10 of
-    the cut are flagged as ambiguous rather than silently resolved.
+    the cut are flagged as ambiguous rather than silently resolved.  Block 0 is
+    the kept range of R from ``core._psd_cut``, which rejects an R that is not
+    PSD at the same tolerance.
     """
     R, J = _check_pair(R, J)
     n = R.shape[0]
     scale_J = max(core.spectral_norm(J), 1.0)
     warnings: list[str] = []
 
-    w, V = np.linalg.eigh((R + R.conj().T) / 2.0)
-    w_scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    keep = w >= rank_tol * w_scale
-    ambiguous = (np.abs(w) >= 0.1 * rank_tol * w_scale) & (np.abs(w) <= 10.0 * rank_tol * w_scale)
-    if np.any(ambiguous):
+    r_cut = core._psd_cut(R, rank_tol)
+    if r_cut.ambiguous:
         warnings.append("rank decision for the Hermitian part is within 10x of rank_tol")
-    order = np.argsort(w[keep])[::-1]
-    blocks = [V[:, keep][:, order]]
-    trailing = V[:, ~keep]
+    k = n - r_cut.rank
+    blocks = [r_cut.V[:, k:][:, ::-1]]  # kept eigenvectors, largest eigenvalue first
+    trailing = r_cut.V[:, :k]
 
     while True:
         prev = blocks[-1]
@@ -129,6 +130,7 @@ def build_staircase(R, J, rank_tol: float = 1e-10) -> StaircaseForm:
         R_hat=R_hat,
         rank_tol=rank_tol,
         warnings=warnings,
+        r_cut=r_cut,
     )
 
 
@@ -160,7 +162,8 @@ def verify_staircase(form: StaircaseForm, R, J, tol: float = 1e-10) -> Staircase
     n = R.shape[0]
     Q = form.basis
     scale_J = max(core.spectral_norm(J), 1.0)
-    scale_R = max(core.spectral_norm(R), 1.0)
+    r_cut = core._psd_cut(R, form.rank_tol)
+    scale_R = max(float(np.abs(r_cut.w).max()), 1.0)
     checks: dict[str, tuple[bool, float]] = {}
 
     res = core.spectral_norm(Q.conj().T @ Q - np.eye(n))
@@ -203,10 +206,7 @@ def verify_staircase(form: StaircaseForm, R, J, tol: float = 1e-10) -> Staircase
     checks["reconstruct_J"] = (rec_J <= tol * scale_J, rec_J)
     checks["reconstruct_R"] = (rec_R <= tol * scale_R, rec_R)
 
-    kernel_dim = n - int(np.count_nonzero(
-        np.linalg.eigvalsh((R + R.conj().T) / 2.0)
-        >= form.rank_tol * max(core.spectral_norm(R), 1e-300)
-    ))
+    kernel_dim = n - r_cut.rank
     count_ok = s <= kernel_dim + 2
     checks["block_count_bound"] = (count_ok, float(s - kernel_dim - 2))
 

@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from hypokit import cli, gallery, lorentz
 from hypokit import operator_core as core
 
@@ -54,3 +56,21 @@ def test_analyze_ck2_all_methods_agree(tmp_path):
     assert audit["index_per_method"] == {
         "c_powers_right": 1, "c_powers_left": 1, "j_powers": 1, "commutators": 1, "staircase": 1,
     }
+
+
+def _run(tmp_path, command, C, *extra):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(core.matrix_to_json(C)))
+    return cli.main([command, "--input", str(src), "--output", str(tmp_path / "out"), *extra])
+
+
+def test_non_accretive_input_is_invalid_for_analyze_and_staircase(tmp_path):
+    C = np.diag([1.0, -1.0])
+    assert _run(tmp_path, "analyze", C) == 1
+    assert _run(tmp_path, "staircase", C) == 1
+
+
+def test_decay_overflow_is_a_numerical_failure(tmp_path, capsys):
+    rc = _run(tmp_path, "decay", np.diag([-1.0, 1.0]), "--tmax", "1000", "--steps", "10")
+    assert rc == 2
+    assert "overflow" in capsys.readouterr().err

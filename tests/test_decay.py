@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,14 @@ class TestPropagatorNormCurve:
             decay.propagator_norm_curve(C, np.geomspace(1.0, 750.0, 30))
         with pytest.raises(errors.InvalidEntryError):
             decay.propagator_norm_curve(C, [0.1, np.nan, 1.0])
+
+    def test_stepped_overflow_raises_range_error(self):
+        # exp(-C t) grows like e^t on diag(-1, 1): the stepped product leaves
+        # double range after t = 700, and no numpy warning may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.RangeError):
+                decay.propagator_norm_curve(np.diag([-1.0, 1.0]), np.linspace(0.0, 1000.0, 11))
 
     def test_submultiplicative_norms(self):
         rng = np.random.default_rng(0)
@@ -170,22 +179,25 @@ class TestFitShortTime:
 
 class TestStabilityCheck:
     def test_ck(self):
-        rep = decay.stability_check(gallery.ck_matrix(2), 5.0)
+        rep = decay.stability_check(gallery.ck_matrix(2))
         assert rep.stable
         assert rep.spectral_gap == pytest.approx(0.5, abs=1e-12)
+        assert rep.t0 == pytest.approx(6.0, rel=1e-12)  # 3 / gap
 
     def test_skew_is_not_stable(self):
         J = np.array([[0.0, -2.0], [2.0, 0.0]])
-        rep = decay.stability_check(J, 3.0)
+        rep = decay.stability_check(J)
         assert not rep.stable
         assert abs(rep.spectral_gap) <= 1e-10
+        assert rep.t0 == 1.0
 
     def test_block_assembly_gap_is_minimum(self):
         A = gallery.make_example("ek_blockdiag", blocks=8)
-        rep = decay.stability_check(A, 1.0)
+        rep = decay.stability_check(A)
         gaps = [-core.spectral_abscissa(-gallery.ek_matrix(k)) for k in range(1, 9)]
         assert rep.spectral_gap == pytest.approx(min(gaps), abs=1e-12)
         assert rep.spectral_gap <= 1.0 / 8.0 + 1e-12
+        assert rep.t0 == pytest.approx(3.0 / min(gaps), rel=1e-10)
 
 
 class TestTaylorSeries:

@@ -286,6 +286,29 @@ class TestEquivalenceAudit:
         assert audit.defect_sweep.index(0) == 9
         assert not audit.agree
 
+    @pytest.mark.parametrize("rank_tol, index", [(1e-6, 1), (1e-10, 0)])
+    def test_families_follow_the_rank_cut_of_R(self, rank_tol, index):
+        # R's small eigenvalue 1e-8 is a kernel direction at rank_tol = 1e-6
+        # (J then couples it in one step) and a coercive one at 1e-10
+        C = np.diag([1.0, 1e-8]) - np.array([[0.0, -1.0], [1.0, 0.0]])
+        audit = hc_index.equivalence_audit(core.hermitian_split(C), rank_tol=rank_tol)
+        assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), index)
+        assert audit.agree
+
+    def test_generic_low_rank_pairs_agree(self):
+        # complex Gaussian R = G G*/n of rank r and skew J, drawn in this
+        # order from one generator; the families agree with the staircase
+        # only if sqrt(R) drops R's roundoff eigenvalues as block 0 does
+        rng = np.random.default_rng(7)
+        for n, r, index in ((50, 7, 7), (100, 11, 9)):
+            G = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            R = G @ G.conj().T / n
+            S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            J = (S - S.conj().T) / 2
+            audit = hc_index.equivalence_audit(core.hermitian_split(R - J))
+            assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), index)
+            assert audit.agree
+
     def test_staircase_above_m_max_is_none(self):
         audit = hc_index.equivalence_audit(core.hermitian_split(gallery.ek_matrix(5)), m_max=2)
         assert audit.index_per_method["staircase"] is None
@@ -294,16 +317,18 @@ class TestEquivalenceAudit:
 
 
     def test_families_share_one_setup(self, monkeypatch):
+        # one eigendecomposition of R per audit: the staircase's cut, which
+        # also checks accretivity and gives the families their sqrt(R)
         dec = hc_index.random_accretive(np.random.default_rng(31), 10)
         expected = {m: hc_index.index_via_powers(dec, m) for m in hc_index.METHODS}
-        calls = {"psd_sqrt": 0, "min_eig_hermitian": 0}
+        calls = {"_psd_cut": 0, "psd_sqrt": 0, "min_eig_hermitian": 0}
         for name in calls:
             def counting(*args, _fn=getattr(core, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(core, name, counting)
         audit = hc_index.equivalence_audit(dec)
-        assert calls == {"psd_sqrt": 1, "min_eig_hermitian": 1}
+        assert calls == {"_psd_cut": 1, "psd_sqrt": 0, "min_eig_hermitian": 0}
         assert audit.reports == expected
         assert audit.kappa_per_method == {m: r.kappa for m, r in expected.items()}
 

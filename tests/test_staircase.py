@@ -64,6 +64,15 @@ class TestBuildStaircase:
         with pytest.raises(errors.DimensionError):
             build_staircase(np.eye(2), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("small, flagged", [(3e-10, True), (1e-6, False)])
+    def test_ambiguous_cut_of_R_is_flagged(self, small, flagged):
+        # an eigenvalue of R within 10x of rank_tol * ||R|| gets a warning
+        R = np.diag([1.0, small])
+        form = build_staircase(R, np.array([[0.0, -1.0], [1.0, 0.0]]))
+        warning = "rank decision for the Hermitian part is within 10x of rank_tol"
+        assert form.warnings == ([warning] if flagged else [])
+        assert form.block_dims == [2, 0]
+
     @pytest.mark.parametrize("rel, rejected", [(1e-6, True), (1e-13, False)])
     def test_relative_asymmetry_threshold(self, rel, rejected):
         # perturb R by a skew and J by a Hermitian matrix of relative size rel
