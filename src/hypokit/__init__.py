@@ -1,10 +1,11 @@
 """hypokit: hypocoercivity index, staircase forms, and decay-rate analysis
 for finite (or spectrally truncated) dissipative generators.
 
-Public names resolve lazily (PEP 562): ``import hypokit`` loads no numpy or
-scipy, and ``hypokit.X`` or ``from hypokit import X`` imports only the module
-that defines X.  So a command pays only for the modules it uses, and
-``hypokit.cli`` can choose the BLAS thread count before numpy loads.
+Public names resolve lazily (PEP 562): ``import hypokit`` loads no numpy,
+and ``hypokit.X`` or ``from hypokit import X`` imports only the module that
+defines X.  numpy is the only runtime dependency; no module imports scipy.
+So a command pays only for the modules it uses, and ``hypokit.cli`` can
+choose the BLAS thread count before numpy loads.
 """
 
 import importlib

@@ -127,8 +127,9 @@ def propagator_norm_curve(C, times) -> DecayCurve:
     SVD), not the Gram eigenvalue sqrt(lambda_max(P*P)): on a 220-point grid
     at n = 60 (2-core box, OpenBLAS, two BLAS threads) expm + SVD took
     0.84-0.98 s against 2.6-3.1 s for expm + Gram.  At one thread, the CLI
-    default, the 220 expm take 0.20 s and their norms 0.13 s by SVD against
-    0.09 s by Gram, so the choice is worth measuring again.
+    default, the 220 numpy expm (``core._expm``) take 0.12 s (scipy's took
+    0.13 s) and their norms 0.11 s by SVD against 0.06 s by Gram (best of 7,
+    same box), so the choice is worth measuring again.
     """
     C = core.as_matrix(C, square=True)
     ts = np.asarray(times, dtype=float)

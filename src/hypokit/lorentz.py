@@ -20,9 +20,9 @@ unitary, ||exp(-C t)|| is the larger of the two block norms and lambda_min
 the smaller of the two block minima, at half the dimension and in real
 arithmetic.
 
-``scipy.optimize`` (about 0.3 s to import) is imported inside the two
-functions that call it, so commands that never solve for a constant do not
-load it.
+The scalar solves of the constant pipeline are small private routines:
+bisection to adjacent floats for the monotone time limits and the crossover
+magnitude, and Brent's bounded minimization for the mixing dual.
 """
 
 from __future__ import annotations
@@ -245,13 +245,91 @@ def kappa3_truncated(M: int, n_abs: float = 1.0) -> float:
     return _min_eig_over_blocks(_windowed(M, 1, form), M)
 
 
+def _bounded_minimum(f, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of f on [lo, hi] by Brent's method (golden section plus
+    parabolic steps), as in Brent, "Algorithms for Minimization without
+    Derivatives" (1973), ch. 5, and in the same arithmetic as
+    ``scipy.optimize.minimize_scalar(method="bounded")``, so both return the
+    same x.
+
+    It stops when the bracket [a, b] around the best point x has
+    |x - (a + b)/2| <= 2 tol - (b - a)/2 with tol = sqrt(eps)|x| + xatol/3,
+    so x is located to about sqrt(eps)|x|, not to ``xatol``, once
+    |x| > xatol / sqrt(eps); or after scipy's default of 500 evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    for _ in range(499):  # at most 500 evaluations of f, as scipy
+        if abs(xf - xm) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf
+
+
 def constrained_mixing_infimum(M: int, delta: float) -> float:
     """inf ||sqrt(R) J10 x|| over unit x with <x, R x> <= delta.
 
     Evaluated through the concave dual mu -> lambda_min(J10* R J10 +
     mu (R - delta I)), whose maximum equals the constrained minimum for this
     pair of quadratic forms; cross-checked against sampled feasible vectors
-    in the tests.
+    in the tests.  Every mu >= 0 gives a lower bound.  ``_bounded_minimum``
+    with xatol = 1e-10 stops at sqrt(eps)|mu| + xatol/3, which is 1.8e-8 at
+    the optimum mu = 1.2047 of M = 96 (delta = 0.0764): mu is known to that
+    width, not to 1e-10.  The dual is flat there (it moves by 2e-16 over
+    mu +- 2e-8), so the value is not affected.
     """
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must lie in (0, 1)")
@@ -262,13 +340,8 @@ def constrained_mixing_infimum(M: int, delta: float) -> float:
     def dual(mu: float) -> float:
         return min(core.min_eig_hermitian(a + mu * s) for a, s in zip(A, shift))
 
-    import scipy.optimize
-
-    res = scipy.optimize.minimize_scalar(
-        lambda mu: -dual(mu), bounds=(0.0, 1e3), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    best = max(dual(0.0), dual(float(res.x)))
+    mu = _bounded_minimum(lambda mu: -dual(mu), 0.0, 1e3, xatol=1e-10)
+    best = max(dual(0.0), dual(mu))
     return math.sqrt(max(best, 0.0))
 
 
@@ -359,14 +432,23 @@ def _grow_rate_cubic(tau: float) -> float:
 
 
 def _bracketed_root(fn, lo: float, hi: float) -> float:
+    """Root of fn on [lo, hi], fn(lo) < 0 < fn(hi), by bisection down to two
+    adjacent floats; returns the one with the smaller |fn|, or a point where
+    fn is exactly zero."""
     flo, fhi = fn(lo), fn(hi)
     if not (flo < 0.0 < fhi):
         raise NumericalError(
             f"root bracketing failed on [{lo:g}, {hi:g}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}"
         )
-    import scipy.optimize
-
-    return float(scipy.optimize.brentq(fn, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        fmid = fn(mid)
+        if fmid == 0.0:
+            return mid
+        if fmid < 0.0:
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return lo if -flo <= fhi else hi
 
 
 @dataclass

@@ -9,6 +9,7 @@ the complexified input up to roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ def hermitian_split(C) -> OperatorDecomposition:
 
 
 def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
-    """Return exp(A*t) via scaling-and-squaring with a Pade approximant.
+    """Return exp(A*t) by scaling and squaring a Pade approximant (``_expm``).
 
     Guards against overflow using the logarithmic norm: ||exp(A t)|| is
     bounded by exp(t * lambda_max(A_H)), so evaluation is refused when that
@@ -99,15 +100,109 @@ def _check_exp_range(A: np.ndarray, t: float) -> None:
         )
 
 
+#: Largest eta for which the degree-m Pade approximant has backward error
+#: below 2^-53 (Higham 2005; Al-Mohy & Higham 2009 take 4.25 for m = 13).
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 4.25}
+#: Coefficients b_j = (2m-j)! / (j! (m-j)!) of the degree-m Pade numerator
+#: p_m(x) = sum_j b_j x^j (scaled so that b_m = 1); the denominator is p_m(-x).
+_PADE_COEF = {
+    m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+        for j in range(m + 1)]
+    for m in _PADE_THETA
+}
+
+
+def _onenorm(X: np.ndarray) -> float:
+    """||X||_1, the largest column sum (``np.linalg.norm(X, 1)`` takes twice
+    as long on the small matrices here)."""
+    return float(np.abs(X).sum(axis=0).max())
+
+
+def _pade_degree(A: np.ndarray) -> tuple[int, int, list[np.ndarray]]:
+    """Pade degree m and squarings s for exp(A), with the even powers
+    [A^2, A^4, A^6, ...] computed on the way.
+
+    Algorithm 5.1 of Al-Mohy & Higham 2009, with exact 1-norms of A^4 .. A^10
+    where the paper estimates them: for the matrices here (n up to a few
+    hundred) a product costs less than the estimator.
+    """
+    norm = _onenorm(A)
+    B = np.abs(A) / (norm or 1.0)
+    v, p = np.ones(A.shape[0]), 0  # v = 1^T B^p; m only grows from call to call
+
+    def ell(m: int, s: int = 0) -> int:
+        """l(2^-s A, m): the extra squarings that keep the backward error of
+        the degree-m approximant at unit roundoff u = 2^-53, from
+        alpha = ||abs(A)^(2m+1)||_1 / (||A||_1 (2m)! (2m+1)! / (m!)^2).
+        The powers of B = abs(A) / ||A||_1, whose column sums are at most one,
+        cannot overflow, and 2^-s A has the same B."""
+        nonlocal v, p
+        while p < 2 * m + 1:
+            v = v @ B
+            p += 1
+        top = float(v.max())
+        if top == 0.0:
+            return 0
+        c_recip = math.factorial(2 * m) * math.factorial(2 * m + 1) // math.factorial(m) ** 2
+        log2_alpha_over_u = (
+            2 * m * (math.log2(norm) - s) + math.log2(top) - math.log2(c_recip) + 53.0
+        )
+        return max(math.ceil(log2_alpha_over_u / (2 * m)), 0)
+
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    powers = [A2, A4, A6]
+    d6 = _onenorm(A6) ** (1.0 / 6.0)
+    eta1 = max(_onenorm(A4) ** 0.25, d6)
+    for m in (3, 5):
+        if eta1 <= _PADE_THETA[m] and ell(m) == 0:
+            return m, 0, powers
+    A8 = A4 @ A4
+    powers.append(A8)
+    d8 = _onenorm(A8) ** 0.125
+    eta3 = max(d6, d8)
+    for m in (7, 9):
+        if eta3 <= _PADE_THETA[m] and ell(m) == 0:
+            return m, 0, powers
+    eta5 = min(eta3, max(d8, _onenorm(A4 @ A6) ** 0.1))
+    s = max(math.ceil(math.log2(eta5 / _PADE_THETA[13])), 0) if eta5 > 0.0 else 0
+    return 13, s + ell(13, s), powers
+
+
 def _expm(A: np.ndarray, t: float) -> np.ndarray:
     """exp(A*t) without the overflow guard; the caller has run ``_check_exp_range``.
 
-    scipy.linalg is imported here, on first use, because importing it costs
-    about 0.25 s and the staircase and the index engines never need it.
+    The scaling and squaring algorithm of Al-Mohy & Higham, "A new scaling
+    and squaring algorithm for the matrix exponential" (SIAM J. Matrix Anal.
+    Appl. 31(3), 2009): the [m/m] Pade approximant r_m(2^-s A t), with m and
+    s from ``_pade_degree``, squared s times.  Diagonal input is exponentiated
+    entrywise.  Real input gives a real result.
     """
-    import scipy.linalg
-
-    return scipy.linalg.expm(A * t)
+    X = A * t
+    d = np.diagonal(X)
+    if np.array_equal(X, np.diag(d)):
+        return np.diag(np.exp(d))
+    m, s, powers = _pade_degree(X)
+    b = _PADE_COEF[m]
+    eye = np.eye(X.shape[0], dtype=X.dtype)
+    if m < 13:
+        P = [eye, *powers]
+        U = X @ sum(b[2 * k + 1] * P[k] for k in range(m // 2 + 1))
+        V = sum(b[2 * k] * P[k] for k in range(m // 2 + 1))
+    else:
+        A2, A4, A6 = powers[:3]
+        X, X2, X4, X6 = (X * 2.0**-s, A2 * 2.0 ** (-2 * s), A4 * 2.0 ** (-4 * s),
+                          A6 * 2.0 ** (-6 * s))
+        U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+                 + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+        V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+             + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def spectral_norm(A) -> float:

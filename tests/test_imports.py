@@ -54,6 +54,17 @@ def _loaded_after(statements: str) -> set[str]:
     return set(_child(f"import json, sys\n{statements}\nprint(json.dumps(sorted(sys.modules)))"))
 
 
+#: Every command that evaluates a propagator, a modal norm or a constant.
+CLI_COMMANDS = [
+    ["lorentz", "verify", "--N", "2", "--M", "8", "--M-constants", "32", "--steps", "6"],
+    ["lorentz", "simulate", "--random", "--N", "2", "--M", "8"],
+    ["lorentz", "constants", "--M", "32"],
+    ["analyze", "--input", "{ck2}"],
+    ["decay", "--input", "{ck2}"],
+    ["gallery", "--name", "ek_rescaled", "--blocks", "2"],
+]
+
+
 def _is_scipy(name: str) -> bool:
     return name == "scipy" or name.startswith("scipy.")
 
@@ -73,6 +84,25 @@ class TestLayering:
 
     def test_lorentz_loads_no_optimizer(self):
         assert "scipy.optimize" not in _loaded_after("import hypokit.lorentz")
+
+    @pytest.mark.parametrize(
+        "argv", CLI_COMMANDS, ids=[" ".join(w for w in a[:2] if w[0] != "-") for a in CLI_COMMANDS]
+    )
+    def test_command_needs_no_scipy(self, tmp_path, argv):
+        path = tmp_path / "ck2.json"
+        path.write_text(json.dumps(core.matrix_to_json(gallery.ck_matrix(2))))
+        argv = [str(path) if a == "{ck2}" else a for a in argv] + ["--output", os.devnull]
+        run = (
+            "import json, os, sys\n{block}\n"
+            "from hypokit import cli\n"
+            f"rc = cli.main({argv!r})\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))"
+        )
+        rc, _ = _child(run.format(block='sys.modules["scipy"] = None'))
+        assert rc == 0
+        rc, loaded = _child(run.format(block=""))
+        assert rc == 0
+        assert not any(_is_scipy(m) for m in loaded)
 
     def test_staircase_command_loads_no_scipy(self, tmp_path):
         path = tmp_path / "ek4.json"

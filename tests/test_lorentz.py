@@ -300,6 +300,62 @@ class TestAppendixConstants:
             lorentz.appendix_constants(8)
 
 
+class TestScalarSolvers:
+    """The pipeline's private bisection and Brent search against scipy."""
+
+    @pytest.mark.parametrize(
+        "fn, lo, hi",
+        [(lambda x: x * x - 2.0, 0.0, 2.0), (lambda x: math.tanh(x - 0.3), -5.0, 7.0),
+         (lambda x: x - 1.0, 0.0, 2.0), (lambda t: lorentz._grow_rate_cubic(t) - 1e-3, 1e-8, 10.0)],
+    )
+    def test_bracketed_root_is_a_sign_change_between_adjacent_floats(self, fn, lo, hi):
+        x = lorentz._bracketed_root(fn, lo, hi)
+        fx = fn(x)
+        assert fx == 0.0 or any(
+            fx * fn(y) < 0.0 for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+        )
+
+    def test_bracketed_root_rejects_a_bracket_without_sign_change(self):
+        with pytest.raises(errors.NumericalError):
+            lorentz._bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(errors.NumericalError):  # decreasing: f(lo) > 0 > f(hi)
+            lorentz._bracketed_root(lambda x: 1.0 - x, 0.0, 2.0)
+
+    @pytest.mark.parametrize("M", [32, 96])
+    def test_roots_within_two_ulp_of_brentq(self, M):
+        c = lorentz.appendix_constants(M)
+
+        def gap(x):
+            return c.tau / x + math.log1p(1.0 / (x - 0.5)) / (2.0 * c.lambda0) - c.tau
+
+        hi = 2.0
+        while gap(hi) >= 0.0:
+            hi *= 2.0
+        for got, fn, lo, up in (
+            (c.tau1, lambda t: lorentz._grow_rate_initial(t) - c.delta, 1e-8, 10.0),
+            (c.tau3, lambda t: lorentz._grow_rate_cubic(t) - c.delta / 12.0, 1e-8, 10.0),
+            (c.r, lambda x: -gap(x), 1.0 + 1e-9, hi),
+        ):
+            # brentq at its tightest tolerance: rtol = 4 eps and no absolute slack
+            ref = scipy.optimize.brentq(fn, lo, up, xtol=1e-300, rtol=8.9e-16)
+            assert abs(got - ref) <= 2.0 * math.ulp(ref)
+
+    @pytest.mark.parametrize("M", [1, 8, 40, 96])
+    def test_brent_port_matches_scipy_bounded(self, M):
+        A = lorentz._parity_blocks(lorentz._windowed(M, 1, lambda R, J: J.conj().T @ R @ J), M)
+        R = lorentz.build_velocity_operators(M).R
+        for delta in (0.0763932, 0.3):
+            shift = lorentz._parity_blocks(R - delta * np.eye(2 * M + 1), M)
+
+            def neg_dual(mu):
+                return -min(core.min_eig_hermitian(a + mu * s) for a, s in zip(A, shift))
+
+            ref = scipy.optimize.minimize_scalar(
+                neg_dual, bounds=(0.0, 1e3), method="bounded", options={"xatol": 1e-10}
+            )
+            assert lorentz._bounded_minimum(neg_dual, 0.0, 1e3, xatol=1e-10) == ref.x
+
+
 class TestCubicAndSandwich:
     def test_cubic_bound_small(self, consts):
         rep = lorentz.cubic_bound_verify(5, 32, consts, samples=20)

@@ -1,7 +1,14 @@
+import importlib.util
+import math
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hypokit import errors, gallery
+from hypokit import errors, gallery, lorentz
 from hypokit import operator_core as core
 
 
@@ -112,7 +119,10 @@ class TestRealArithmetic:
 
 class TestMatrixExponential:
     def test_zero_matrix(self):
-        np.testing.assert_allclose(core.matrix_exponential(np.zeros((3, 3)), 7.5), np.eye(3))
+        for dtype in (float, complex):
+            E = core.matrix_exponential(np.zeros((3, 3), dtype=dtype), 7.5)
+            assert E.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(E, np.eye(3))
 
     def test_planar_rotation(self):
         theta = 0.73
@@ -160,6 +170,204 @@ class TestMatrixExponential:
     def test_overflow_guard(self):
         with pytest.raises(errors.RangeError):
             core.matrix_exponential(np.eye(2) * 1000.0, 1.0)
+
+    def test_one_by_one(self):
+        assert core.matrix_exponential([[2.0]], 0.5)[0, 0] == math.exp(1.0)
+        z = 0.3 + 2.0j
+        assert core.matrix_exponential([[z]])[0, 0] == np.exp(z)
+
+    def test_diagonal_is_entrywise(self):
+        d = np.array([-3.0, 0.5, 2.0, -0.25])
+        E = core.matrix_exponential(np.diag(d), 1.5)
+        np.testing.assert_array_equal(E, np.diag(np.exp(1.5 * d)))
+        dc = d + 1j * np.arange(4)
+        np.testing.assert_array_equal(core.matrix_exponential(np.diag(dc)), np.diag(np.exp(dc)))
+
+    def test_random_against_scipy(self):
+        rng = np.random.default_rng(14)
+        for i in range(200):
+            n = int(rng.integers(1, 13))
+            A = rng.standard_normal((n, n))
+            if i % 2:
+                A = A + 1j * rng.standard_normal((n, n))
+            A *= 10.0 ** rng.uniform(-3.0, 1.0) / np.linalg.norm(A, 2)
+            E, ref = core.matrix_exponential(A), scipy.linalg.expm(A)
+            assert E.dtype == ref.dtype
+            assert np.linalg.norm(E - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+#: Working precision of the reference exponential: mpmath's at 40 digits.
+_BITS = 136
+
+
+def _fixed(X: np.ndarray, e: int) -> np.ndarray:
+    """floor(X / 2^e) entrywise for a real float array, as exact Python ints."""
+    scale = Fraction(2) ** -e
+    ints = [math.floor(Fraction(float(x)) * scale) for x in X.ravel()]
+    return np.array(ints, dtype=object).reshape(X.shape)
+
+
+class _Exact:
+    """The matrix (re + 1j*im) * 2^e, with re and im object arrays of Python
+    ints and im None for a real matrix.  Sums and products are exact integer
+    arithmetic; after each one the largest entry is cut back to _BITS bits, so
+    this is floating point with one exponent per matrix."""
+
+    def __init__(self, re, im, e: int):
+        bits = max(int(v).bit_length() for part in (re, im) if part is not None for v in part.flat)
+        k = max(bits - _BITS, 0)
+        self.re, self.im, self.e = re >> k, None if im is None else im >> k, e + k
+
+    @classmethod
+    def of(cls, X) -> "_Exact":
+        X = np.asarray(X)
+        e = math.frexp(float(np.abs(X).max()))[1] - _BITS
+        return cls(_fixed(X.real, e), _fixed(X.imag, e) if np.iscomplexobj(X) else None, e)
+
+    def __add__(self, other: "_Exact") -> "_Exact":
+        e = min(self.e, other.e)
+        ims = [x.im << (x.e - e) for x in (self, other) if x.im is not None]
+        re = (self.re << (self.e - e)) + (other.re << (other.e - e))
+        return _Exact(re, sum(ims) if ims else None, e)
+
+    def __matmul__(self, other: "_Exact") -> "_Exact":
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if b is None and d is None:
+            re, im = a.dot(c), None
+        elif b is None:
+            re, im = a.dot(c), a.dot(d)
+        elif d is None:
+            re, im = a.dot(c), b.dot(c)
+        else:  # three real products
+            k1, k2, k3 = (a + b).dot(c), a.dot(d - c), b.dot(c + d)
+            re, im = k1 - k3, k1 + k2
+        return _Exact(re, im, self.e + other.e)
+
+    def over_factorial(self, k: int) -> "_Exact":
+        c = (1 << _BITS) // math.factorial(k)
+        return _Exact(self.re * c, None if self.im is None else self.im * c, self.e - _BITS)
+
+
+def _exp_reference(X: np.ndarray) -> _Exact:
+    """exp(X) at _BITS bits: the Taylor series of Y = 2^-s X, ||Y||_2 <= 1/2,
+    summed (Paterson-Stockmeyer) until the next term is below 2^-(_BITS+4),
+    then squared s times."""
+    norm = float(np.linalg.norm(X, 2)) * (1.0 + 1e-10)
+    s = max(math.ceil(math.log2(2.0 * norm)), 0) if norm else 0
+    theta = norm * 2.0**-s
+    K = 1
+    while theta ** (K + 1) / math.factorial(K + 1) > 2.0 ** -(_BITS + 4):
+        K += 1
+    q = max(math.isqrt(K), 1)
+    n = X.shape[0]
+    powers = [_Exact(np.eye(n, dtype=int).astype(object), None, 0), _Exact.of(X * 2.0**-s)]
+    while len(powers) <= q:
+        powers.append(powers[-1] @ powers[1])
+    acc = None
+    for j in reversed(range(0, K + 1, q)):
+        part = powers[0].over_factorial(j)
+        for i in range(1, min(q, K + 1 - j)):
+            part = part + powers[i].over_factorial(j + i)
+        acc = part if acc is None else acc @ powers[q] + part
+    for _ in range(s):
+        acc = acc @ acc
+    return acc
+
+
+def _rel_error(X: np.ndarray, ref: _Exact) -> float:
+    """||X - ref||_2 / ||ref||_2, with X - ref taken exactly."""
+    as_float = np.vectorize(float, otypes=[float])
+    zero = 0 * ref.re
+    ref_im = zero if ref.im is None else ref.im
+    diff = as_float(_fixed(X.real, ref.e) - ref.re) + 1j * as_float(_fixed(np.imag(X), ref.e) - ref_im)
+    exact = as_float(ref.re) + 1j * as_float(ref_im)
+    return float(np.linalg.norm(diff, 2) / np.linalg.norm(exact, 2))
+
+
+def _planted60() -> np.ndarray:
+    """The planted n = 60, index-4 input of the benchmark's index-audit workload (seed 1)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return workloads.planted_pair(workloads._rng(1, 0), 60, 12)[0]
+
+
+def _lorentz_block(n: int, parity: int) -> np.ndarray:
+    return lorentz._parity_blocks(lorentz.modal_generator(n, 40).C, 40)[parity]
+
+
+EXPM_CASES = {
+    **{f"ck_{k}": (lambda k=k: gallery.ck_matrix(k)) for k in (2, 3, 4, 5)},
+    **{f"ek_{k}": (lambda k=k: gallery.ek_matrix(k)) for k in (3, 8, 16)},
+    **{
+        f"lorentz_n{n}_{name}": (lambda n=n, p=p: _lorentz_block(n, p))
+        for n in (1, 10)
+        for p, name in enumerate(("even", "odd"))
+    },
+    "planted60": _planted60,
+}
+
+
+class TestExpmAccuracy:
+    """``core.matrix_exponential`` against an exponential in exact integer
+    arithmetic at mpmath's 40-digit precision, with scipy's error on the same
+    input as the yardstick.  mpmath's own matrix products take about 0.1 s
+    each at n = 41, so mpmath checks the reference on small cases only."""
+
+    def test_reference_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for C in (gallery.ck_matrix(2), gallery.ek_matrix(3), _lorentz_block(1, 1)[:6, :6]):
+                for tn in (1.0, 30.0):
+                    X = -core.as_matrix(C) * (tn / np.linalg.norm(C, 2))
+                    ref = _exp_reference(X)
+                    want = mpmath.expm(mpmath.matrix(X.tolist()))
+                    im = 0 * ref.re if ref.im is None else ref.im
+                    got = mpmath.matrix([
+                        [mpmath.mpc(mpmath.ldexp(int(ref.re[i, j]), ref.e),
+                                    mpmath.ldexp(int(im[i, j]), ref.e)) for j in range(X.shape[1])]
+                        for i in range(X.shape[0])
+                    ])
+                    assert mpmath.mnorm(got - want, 1) < 1e-35 * mpmath.mnorm(want, 1)
+
+    @pytest.mark.parametrize("case", list(EXPM_CASES))
+    def test_no_worse_than_twice_scipy(self, case):
+        C = core.as_matrix(EXPM_CASES[case](), square=True)
+        norm = np.linalg.norm(C, 2)
+        for tn in (1e-4, 0.3, 1.0, 30.0, 300.0):
+            t = tn / norm
+            ref = _exp_reference(-C * t)
+            ours = _rel_error(core.matrix_exponential(-C, t), ref)
+            theirs = _rel_error(scipy.linalg.expm(-C * t), ref)
+            assert ours <= max(2.0 * theirs, 1e-14), (tn, ours, theirs)
+
+
+class TestPadeBranches:
+    """Every degree and the squaring phase of Al-Mohy & Higham's choice."""
+
+    G = np.random.default_rng(12).standard_normal((6, 6))
+    G /= np.linalg.norm(G, 2)
+
+    @pytest.mark.parametrize(
+        "scale, degree, squared",
+        [(1e-2, 3, False), (0.1, 5, False), (0.5, 7, False), (1.5, 9, False),
+         (3.0, 13, False), (30.0, 13, True)],
+    )
+    def test_branch(self, scale, degree, squared):
+        A = scale * self.G  # real, so the result must stay real
+        m, s, _ = core._pade_degree(A)
+        assert (m, s > 0) == (degree, squared)
+        E = core.matrix_exponential(A)
+        assert E.dtype == np.float64
+        ref = _exp_reference(A)
+        assert _rel_error(E, ref) <= max(2.0 * _rel_error(scipy.linalg.expm(A), ref), 1e-14)
+
+    def test_nilpotent_needs_no_scaling(self):
+        # A^2 = 0: every eta is zero, degree 3 with s = 0, and r_3(A) = I + A
+        A = np.array([[0.0, 1e6], [0.0, 0.0]])
+        assert core._pade_degree(A)[:2] == (3, 0)
+        np.testing.assert_array_equal(core._expm(A, 1.0), np.eye(2) + A)
 
 
 class TestSpectralNorm:
