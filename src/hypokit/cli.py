@@ -177,11 +177,19 @@ def _cmd_staircase(args) -> int:
     return 0 if report.ok else 3
 
 
+def _check_steps(steps: int) -> None:
+    from .errors import PreconditionError
+
+    if steps < 0:
+        raise PreconditionError(f"--steps must be nonnegative, got {steps}")
+
+
 def _cmd_decay(args) -> int:
     import numpy as np
 
     from . import decay
 
+    _check_steps(args.steps)
     A = _load_matrix(args.input)
     times = np.linspace(0.0, args.tmax, args.steps + 1)
     curve = decay.propagator_norm_curve(A, times)
@@ -213,6 +221,7 @@ def _cmd_gallery(args) -> int:
 
 def _cmd_lorentz(args) -> int:
     from . import lorentz
+    from .errors import PreconditionError
 
     cmd = args.lorentz_command
     if cmd == "kappa":
@@ -220,6 +229,8 @@ def _cmd_lorentz(args) -> int:
         return 0
 
     if cmd == "lyapunov":
+        if args.N < 1:
+            raise PreconditionError(f"--N must be at least 1, got {args.N}")
         margins = {
             str(n): lorentz.lyapunov_margin(n, args.alpha, lorentz.LAMBDA0, args.M)
             for n in range(1, args.N + 1)
@@ -247,6 +258,7 @@ def _cmd_lorentz(args) -> int:
     if cmd == "verify":
         import numpy as np
 
+        _check_steps(args.steps)
         consts = lorentz.appendix_constants(args.M_constants)
         sandwich = lorentz.full_propagator_bounds(
             args.N, args.M, consts, np.linspace(0.0, consts.tau, args.steps)
@@ -265,8 +277,7 @@ def _cmd_lorentz(args) -> int:
     if cmd == "simulate":
         import numpy as np
 
-        from .errors import PreconditionError
-
+        _check_steps(args.steps)
         if args.random:
             rng = np.random.default_rng(args.seed)
             field0 = lorentz.LorentzField.random(rng, args.N, args.M)

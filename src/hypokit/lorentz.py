@@ -9,16 +9,31 @@ the diagonal.  On top of the modal generators this module provides the
 coercivity constant of the mixing form, Lyapunov-weight decay certificates,
 the uniform short-time constant pipeline, and full-field simulation.
 
-Norms and smallest eigenvalues are computed in a parity basis.  The diagonal
-similarity D = diag(i^j) makes R and J10 real, and both commute with the
-signed reflection e_j -> (-1)^j e_(-j).  Its orthonormal eigenvectors, even
-(j = 0..M) then odd (j = 1..M), form the columns of U = D Q, and every
-matrix built from R and J10 (the generators sigma R - n J10, the mixing
-forms R + J R J*, R + C* R C, J* R J) is block diagonal in it, with real
-blocks of sizes M+1 and M (tridiagonal for the generators).  As U is
-unitary, ||exp(-C t)|| is the larger of the two block norms and lambda_min
-the smaller of the two block minima, at half the dimension and in real
-arithmetic.
+Norms and smallest eigenvalues are computed on real parity blocks, built
+directly.  The diagonal similarity D = diag(i^j) makes R and J10 real, and
+both commute with the signed reflection e_j -> (-1)^j e_(-j).  In the
+unitary basis U = D Q of its eigenvectors, even (e_0 and
+(e_j + (-1)^j e_(-j))/sqrt 2, j = 1..M) then odd ((e_j - (-1)^j e_(-j))/sqrt 2),
+R and J10 are block diagonal.  The even blocks, of size M+1, are
+R_e = diag(0, 1, ..., 1) and the skew tridiagonal K_e with superdiagonal
+(1/sqrt 2, 1/2, ..., 1/2); the odd blocks are R_e[1:, 1:] = I and K_e[1:, 1:].
+The odd block of the generators sigma R - n J10 and of the forms R + J R J*,
+R + C* R C, J* R J and R - delta I is likewise the even one without its
+first row and column: index 0 is the only even index without an odd partner,
+R vanishes there, and in each product R stands between the factors of J10,
+so every path through index 0 has weight zero.
+Hence lambda_min of a form is that of its even block E alone, as
+lambda_min(E) <= lambda_min(E[1:, 1:]) by Cauchy interlacing, while
+||exp(-C t)|| takes the larger norm of G and G[1:, 1:]: interlacing proves
+nothing about norms.
+
+Truncated products of banded operators are wrong in their outermost rows.
+Each product has one factor of J10 on either side of R, so a form built at
+cutoff M+1 without the last row and column of its even block (indices
++-(M+1)) has the entries of the untruncated operator at |j| <= M.  The
+complex (2M+1)-dimensional matrices stay as the reference, used by
+``build_velocity_operators``, ``modal_generator``, ``lyapunov_margin`` (the
+weight Y has no parity symmetry) and ``simulate_curve``.
 
 The scalar solves of the constant pipeline are small private routines:
 bisection to adjacent floats for the monotone time limits and the crossover
@@ -28,7 +43,7 @@ magnitude, and Brent's bounded minimization for the mixing dual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -111,10 +126,14 @@ class LyapunovWeight:
     Y: np.ndarray
 
 
-def build_velocity_operators(M: int) -> VelocityOperators:
-    """Velocity-space matrices at Fourier cutoff M (indices j = -M..M)."""
+def _check_cutoff(M: int) -> None:
     if M < 1:
         raise DimensionError("M must be at least 1 (the j = +-1 couplings are essential)")
+
+
+def build_velocity_operators(M: int) -> VelocityOperators:
+    """Velocity-space matrices at Fourier cutoff M (indices j = -M..M)."""
+    _check_cutoff(M)
     dim = 2 * M + 1
     R = np.eye(dim, dtype=complex)
     R[M, M] = 0.0
@@ -172,57 +191,25 @@ def essential_block(n_abs: float, alpha: float = 0.5) -> np.ndarray:
     )
 
 
-def _reflection_columns(X: np.ndarray, M: int) -> np.ndarray:
-    """X Q, where the columns of Q are the orthonormal eigenvectors of the
-    signed reflection e_j -> (-1)^j e_(-j): first the even ones e_0 and
-    (e_j + (-1)^j e_(-j))/sqrt 2, then the odd ones (e_j - (-1)^j e_(-j))/sqrt 2,
-    for j = 1..M.  Each has at most two nonzeros, so this is a column sum."""
-    pos = X[:, M + 1:] / math.sqrt(2.0)
-    neg = X[:, M - 1::-1] * ((-1.0) ** np.arange(1, M + 1) / math.sqrt(2.0))
-    return np.hstack([X[:, M:M + 1], pos + neg, pos - neg])
+def _even_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real even parity blocks R_e and K_e of R and J10 at cutoff M.
 
-
-def _parity_blocks(A: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real even (M+1) and odd (M) diagonal blocks of U* A U.
-
-    U = D Q is the parity basis of the module docstring; D is applied
-    entrywise and Q by ``_reflection_columns``, so no dense product is formed.
-
-    Valid for matrices that commute with the reflection after the similarity
-    by D, as every form in R and J10 does; raises ``NumericalError`` when the
-    imaginary or off-block part exceeds 1e-13 * max(max|A|, 1), for instance
-    on the Lyapunov weight, which couples j = 0 with j = 1 only.
+    Both are (M+1)x(M+1); the odd blocks are R_e[1:, 1:] and K_e[1:, 1:]
+    (module docstring).
     """
-    d = np.array([1, 1j, -1, -1j])[np.arange(-M, M + 1) % 4]  # i^j, exactly
-    B = _reflection_columns(_reflection_columns(d.conj()[:, None] * A * d, M).T, M).T
-    k = M + 1
-    leak = max(np.abs(B.imag).max(), np.abs(B[:k, k:]).max(), np.abs(B[k:, :k]).max())
-    tol = 1e-13 * max(float(np.abs(A).max()), 1.0)
-    if leak > tol:
-        raise NumericalError(
-            f"matrix has no real parity split: residual {leak:.3g} exceeds {tol:.3g}"
-        )
-    return np.ascontiguousarray(B.real[:k, :k]), np.ascontiguousarray(B.real[k:, k:])
+    _check_cutoff(M)
+    R = np.eye(M + 1)
+    R[0, 0] = 0.0
+    upper = np.full(M, 0.5)
+    upper[0] = math.sqrt(0.5)  # 1/sqrt 2 correctly rounded; 1/math.sqrt(2) is not
+    return R, np.diag(upper, 1) - np.diag(upper, -1)
 
 
-def _min_eig_over_blocks(A: np.ndarray, M: int) -> float:
-    """lambda_min of a Hermitian form in R and J10: the min over its parity blocks."""
-    return min(core.min_eig_hermitian(B) for B in _parity_blocks(A, M))
-
-
-def _windowed(M: int, depth: int, form) -> np.ndarray:
-    """Evaluate ``form(R, J10)`` at cutoff M+depth and keep the central window.
-
-    Products of truncated banded operators are wrong in the outermost rows;
-    building at a padded cutoff and windowing reproduces the entries of the
-    doubly-infinite operator exactly whenever ``form`` couples indices at
-    distance <= depth.
-    """
-    ops = build_velocity_operators(M + depth)
-    full = form(ops.R, ops.J10)
-    if depth == 0:
-        return full
-    return full[depth:-depth, depth:-depth]
+def _even_form(M: int, form) -> np.ndarray:
+    """Even block of the form ``form(R_e, K_e)`` at cutoff M: built at cutoff
+    M+1, without its last row and column (module docstring)."""
+    _check_cutoff(M)
+    return form(*_even_blocks(M + 1))[:-1, :-1]
 
 
 def kappa_truncated(M: int) -> float:
@@ -231,18 +218,17 @@ def kappa_truncated(M: int) -> float:
     Monotone nonincreasing in M and converging (exponentially fast, the
     minimizer is localized at j = 0) to (3 - sqrt 5)/2.
     """
-    W = _windowed(M, 1, lambda R, J: R + J @ R @ J.conj().T)
-    return _min_eig_over_blocks(W, M)
+    return core.min_eig_hermitian(_even_form(M, lambda R, K: R + K @ R @ K.T))
 
 
 def kappa3_truncated(M: int, n_abs: float = 1.0) -> float:
     """Smallest eigenvalue of R + C* R C for the magnitude-n_abs generator."""
 
-    def form(R, J):
-        C = R - n_abs * J
-        return R + C.conj().T @ R @ C
+    def form(R, K):
+        C = R - n_abs * K
+        return R + C.T @ R @ C
 
-    return _min_eig_over_blocks(_windowed(M, 1, form), M)
+    return core.min_eig_hermitian(_even_form(M, form))
 
 
 def _bounded_minimum(f, lo: float, hi: float, xatol: float) -> float:
@@ -325,7 +311,8 @@ def constrained_mixing_infimum(M: int, delta: float) -> float:
     Evaluated through the concave dual mu -> lambda_min(J10* R J10 +
     mu (R - delta I)), whose maximum equals the constrained minimum for this
     pair of quadratic forms; cross-checked against sampled feasible vectors
-    in the tests.  Every mu >= 0 gives a lower bound.  ``_bounded_minimum``
+    in the tests.  lambda_min is read off the even parity block (module
+    docstring).  Every mu >= 0 gives a lower bound.  ``_bounded_minimum``
     with xatol = 1e-10 stops at sqrt(eps)|mu| + xatol/3, which is 1.8e-8 at
     the optimum mu = 1.2047 of M = 96 (delta = 0.0764): mu is known to that
     width, not to 1e-10.  The dual is flat there (it moves by 2e-16 over
@@ -333,12 +320,11 @@ def constrained_mixing_infimum(M: int, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must lie in (0, 1)")
-    A = _parity_blocks(_windowed(M, 1, lambda R, J: J.conj().T @ R @ J), M)
-    R = build_velocity_operators(M).R
-    shift = _parity_blocks(R - delta * np.eye(2 * M + 1), M)
+    A = _even_form(M, lambda R, K: K.T @ R @ K)
+    shift = _even_blocks(M)[0] - delta * np.eye(M + 1)
 
     def dual(mu: float) -> float:
-        return min(core.min_eig_hermitian(a + mu * s) for a, s in zip(A, shift))
+        return core.min_eig_hermitian(A + mu * shift)
 
     mu = _bounded_minimum(lambda mu: -dual(mu), 0.0, 1e3, xatol=1e-10)
     best = max(dual(0.0), dual(mu))
@@ -372,11 +358,11 @@ class ModalDecayResult:
 
 
 def _modal_norm_curve(n_abs: float, M: int, times) -> decay.DecayCurve:
-    """||exp(-C t)|| of the magnitude-n_abs mode: the max over its parity blocks."""
-    even, odd = (
-        decay.propagator_norm_curve(B, times)
-        for B in _parity_blocks(modal_generator(n_abs, M).C, M)
-    )
+    """||exp(-C t)|| of the magnitude-n_abs mode: the larger of the norms of
+    its even block G and its odd block G[1:, 1:]."""
+    R, K = _even_blocks(M)
+    G = R - n_abs * K
+    even, odd = (decay.propagator_norm_curve(B, times) for B in (G, G[1:, 1:]))
     return decay.DecayCurve(
         times=even.times,
         norms=np.maximum(even.norms, odd.norms),
@@ -485,22 +471,10 @@ class AppendixCConstants:
         )
 
     def all_positive(self) -> bool:
-        return all(
-            v > 0.0
-            for v in (
-                self.kappa1, self.kappa3, self.delta, self.tau1, self.tau2,
-                self.tau3, self.tau, self.c1, self.c2, self.c3, self.c,
-                self.r, self.lambda0,
-            )
-        )
+        return all(v > 0.0 for v in astuple(self))
 
     def to_json_dict(self) -> dict:
-        return {
-            "kappa1": self.kappa1, "kappa3": self.kappa3, "delta": self.delta,
-            "tau1": self.tau1, "tau2": self.tau2, "tau3": self.tau3,
-            "tau": self.tau, "c1": self.c1, "c2": self.c2, "c3": self.c3,
-            "c": self.c, "r": self.r, "lambda0": self.lambda0,
-        }
+        return asdict(self)
 
 
 def appendix_constants(M: int) -> AppendixCConstants:
@@ -571,14 +545,7 @@ class CubicBoundReport:
     samples: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "worst_margin": self.worst_margin,
-            "worst_mode": self.worst_mode,
-            "worst_time": self.worst_time,
-            "modes": list(self.modes),
-            "samples": self.samples,
-        }
+        return asdict(self)
 
     @classmethod
     def from_sandwich(cls, sandwich: SandwichReport) -> CubicBoundReport:
@@ -708,9 +675,10 @@ class LorentzField:
 
     @classmethod
     def random(cls, rng: np.random.Generator, N: int, M: int) -> "LorentzField":
-        shape = (2 * N + 1, 2 * N + 1, 2 * M + 1)
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return cls(N, M, c)
+        field = cls(N, M)  # checks the cutoffs before drawing
+        shape = field.coeffs.shape
+        field.coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return field
 
 
 def field_to_json(field: LorentzField) -> dict:

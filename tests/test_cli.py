@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hypokit import cli, gallery, lorentz
 from hypokit import operator_core as core
@@ -74,3 +75,25 @@ def test_decay_overflow_is_a_numerical_failure(tmp_path, capsys):
     rc = _run(tmp_path, "decay", np.diag([-1.0, 1.0]), "--tmax", "1000", "--steps", "10")
     assert rc == 2
     assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lorentz", "kappa", "--M", "0"],
+        ["lorentz", "lyapunov", "--N", "0"],
+        ["lorentz", "lyapunov", "--N", "-2"],
+        ["decay", "--steps", "-5"],
+        ["lorentz", "simulate", "--random", "--steps", "-3"],
+        ["lorentz", "simulate", "--random", "--N", "-1"],
+        ["lorentz", "verify", "--steps", "-3"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_sizes_exit_1_without_traceback(tmp_path, capsys, argv):
+    if argv[0] == "decay":
+        src = tmp_path / "input.json"
+        src.write_text(json.dumps(core.matrix_to_json(gallery.ck_matrix(2))))
+        argv = [*argv, "--input", str(src)]
+    assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 1
+    assert "hypokit: invalid input:" in capsys.readouterr().err

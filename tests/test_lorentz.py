@@ -135,27 +135,48 @@ class TestParityBlocks:
         odd = tridiagonal([sigma] * M, np.full(M - 1, -n / 2), np.full(M - 1, n / 2))
         np.testing.assert_allclose(B[: M + 1, : M + 1].real, even, rtol=0, atol=1e-14)
         np.testing.assert_allclose(B[M + 1 :, M + 1 :].real, odd, rtol=0, atol=1e-14)
-        got_even, got_odd = lorentz._parity_blocks(C, M)
-        assert got_even.dtype == got_odd.dtype == np.float64
-        np.testing.assert_allclose(got_even, even, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(got_odd, odd, rtol=0, atol=1e-14)
+        R, K = lorentz._even_blocks(M)
+        G = sigma * R - n * K
+        assert G.dtype == np.float64
+        np.testing.assert_allclose(G, even, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(G[1:, 1:], odd, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("M", [1, 3, 10])
-    def test_recovers_any_real_block_pair(self, M):
-        # the Lorentz forms always have odd == even[1:, 1:]; unrelated blocks
-        # check the split itself
-        rng = np.random.default_rng(M)
-        even, odd = rng.standard_normal((M + 1, M + 1)), rng.standard_normal((M, M))
+    @pytest.mark.parametrize("M", [1, 2, 8, 40])
+    def test_hermitian_forms_are_even_block_and_its_submatrix(self, M):
+        # the identity behind taking lambda_min from the even block alone
+        def kappa3_form(n):
+            def form(R, J):
+                C = R - n * J
+                return R + C.conj().T @ R @ C
+
+            return form
+
+        forms = [
+            lambda R, J: R + J @ R @ J.conj().T,
+            kappa3_form(1.0),
+            kappa3_form(2.5),
+            lambda R, J: J.conj().T @ R @ J,
+            lambda R, J: R - 0.3 * np.eye(len(R)),
+        ]
         U = parity_basis(M)
-        A = U @ scipy.linalg.block_diag(even, odd) @ U.conj().T
-        got_even, got_odd = lorentz._parity_blocks(A, M)
-        np.testing.assert_allclose(got_even, even, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(got_odd, odd, rtol=0, atol=1e-14)
+        for form in forms:
+            B = U.conj().T @ self.dense_form(M, form) @ U
+            E = lorentz._even_form(M, form)
+            assert E.dtype == np.float64 and E.shape == (M + 1, M + 1)
+            np.testing.assert_allclose(
+                B, scipy.linalg.block_diag(E, E[1:, 1:]), rtol=0, atol=1e-14
+            )
 
-    def test_rejects_lyapunov_weight(self):
-        # Y couples j = 0 with j = 1 but not with j = -1: no parity symmetry
-        with pytest.raises(errors.NumericalError):
-            lorentz._parity_blocks(lorentz.lyapunov_weight(2.0, 0.5, 6).Y, 6)
+    def test_block_builders_reject_m0(self):
+        ts = np.linspace(0.0, 1.0, 3)
+        for call in (
+            lambda: lorentz.kappa_truncated(0),
+            lambda: lorentz.kappa3_truncated(0),
+            lambda: lorentz.constrained_mixing_infimum(0, 0.1),
+            lambda: lorentz.modal_propagator_norm(1, 0, ts),
+        ):
+            with pytest.raises(errors.DimensionError, match="M must be at least 1"):
+                call()
 
     def test_norms_match_dense_complex_expm(self, consts):
         # tau is raised so that the grid reaches well-decayed norms
@@ -342,13 +363,12 @@ class TestScalarSolvers:
 
     @pytest.mark.parametrize("M", [1, 8, 40, 96])
     def test_brent_port_matches_scipy_bounded(self, M):
-        A = lorentz._parity_blocks(lorentz._windowed(M, 1, lambda R, J: J.conj().T @ R @ J), M)
-        R = lorentz.build_velocity_operators(M).R
+        A = lorentz._even_form(M, lambda R, K: K.T @ R @ K)
         for delta in (0.0763932, 0.3):
-            shift = lorentz._parity_blocks(R - delta * np.eye(2 * M + 1), M)
+            shift = lorentz._even_blocks(M)[0] - delta * np.eye(M + 1)
 
             def neg_dual(mu):
-                return -min(core.min_eig_hermitian(a + mu * s) for a, s in zip(A, shift))
+                return -core.min_eig_hermitian(A + mu * shift)
 
             ref = scipy.optimize.minimize_scalar(
                 neg_dual, bounds=(0.0, 1e3), method="bounded", options={"xatol": 1e-10}

@@ -294,7 +294,9 @@ def _planted60() -> np.ndarray:
 
 
 def _lorentz_block(n: int, parity: int) -> np.ndarray:
-    return lorentz._parity_blocks(lorentz.modal_generator(n, 40).C, 40)[parity]
+    """Even (parity 0) or odd (parity 1) block of the magnitude-n generator at M = 40."""
+    R, K = lorentz._even_blocks(40)
+    return (R - n * K)[parity:, parity:]
 
 
 EXPM_CASES = {
