@@ -184,14 +184,23 @@ def _check_steps(steps: int) -> None:
         raise PreconditionError(f"--steps must be nonnegative, got {steps}")
 
 
-def _cmd_decay(args) -> int:
+def _uniform_times(tmax: float, steps: int):
+    """The grid of ``decay`` and ``lorentz simulate``: steps + 1 times on [0, tmax]."""
     import numpy as np
 
+    from .errors import PreconditionError
+
+    _check_steps(steps)
+    if not np.isfinite(tmax):
+        raise PreconditionError(f"--tmax must be finite, got {tmax}")
+    return np.linspace(0.0, tmax, steps + 1)
+
+
+def _cmd_decay(args) -> int:
     from . import decay
 
-    _check_steps(args.steps)
+    times = _uniform_times(args.tmax, args.steps)
     A = _load_matrix(args.input)
-    times = np.linspace(0.0, args.tmax, args.steps + 1)
     curve = decay.propagator_norm_curve(A, times)
     if args.format == "csv":
         _emit(curve.to_csv(), args.output)
@@ -232,7 +241,7 @@ def _cmd_lorentz(args) -> int:
         if args.N < 1:
             raise PreconditionError(f"--N must be at least 1, got {args.N}")
         margins = {
-            str(n): lorentz.lyapunov_margin(n, args.alpha, lorentz.LAMBDA0, args.M)
+            str(n): lorentz.lyapunov_margin(n, args.alpha, args.M)
             for n in range(1, args.N + 1)
         }
         worst = min(margins.values())
@@ -277,7 +286,7 @@ def _cmd_lorentz(args) -> int:
     if cmd == "simulate":
         import numpy as np
 
-        _check_steps(args.steps)
+        times = _uniform_times(args.tmax, args.steps)
         if args.random:
             rng = np.random.default_rng(args.seed)
             field0 = lorentz.LorentzField.random(rng, args.N, args.M)
@@ -286,15 +295,13 @@ def _cmd_lorentz(args) -> int:
                 field0 = lorentz.field_from_json(json.load(fh))
         else:
             raise PreconditionError("simulate needs --input or --random")
-        times = np.linspace(0.0, args.tmax, args.steps + 1)
         final, reports = lorentz.simulate_curve(field0, times)
         lines = ["t,distance,bound"]
         for rep in reports:
             lines.append(f"{rep.t:.17g},{rep.distance:.17g},{rep.bound:.17g}")
         _emit("\n".join(lines) + "\n", args.output)
         if args.final_field:
-            with open(args.final_field, "w", encoding="utf-8") as fh:
-                json.dump(lorentz.field_to_json(final), fh, indent=2, sort_keys=True)
+            _emit_json(lorentz.field_to_json(final), args.final_field)
         ok = all(rep.bound_ok and rep.mass_ok for rep in reports)
         return 0 if ok else 3
 
@@ -328,7 +335,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DimensionError, InvalidEntryError, PreconditionError) as exc:
+    except (DimensionError, InvalidEntryError, PreconditionError, MemoryError) as exc:
+        # a size too large to allocate is invalid input, not a crash
         print(f"hypokit: invalid input: {exc}", file=sys.stderr)
         return 1
     except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:

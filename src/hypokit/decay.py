@@ -52,7 +52,6 @@ class DecayCurve:
 
     times: np.ndarray
     norms: np.ndarray
-    generator_norm: float
 
     def to_csv(self) -> str:
         lines = ["t,norm"]
@@ -107,6 +106,19 @@ def is_uniform_grid(ts: np.ndarray) -> bool:
     )
 
 
+def _time_grid(times) -> np.ndarray:
+    """``times`` as a float array, checked to be a nonempty, finite, strictly
+    increasing and nonnegative 1-d grid."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise DimensionError("times must be a nonempty 1-d grid")
+    if not np.all(np.isfinite(ts)):
+        raise InvalidEntryError("times must be finite")
+    if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
+        raise PreconditionError("times must be strictly increasing and nonnegative")
+    return ts
+
+
 def propagator_norm_curve(C, times) -> DecayCurve:
     """Spectral norm of exp(-C t) at each grid time.
 
@@ -132,13 +144,7 @@ def propagator_norm_curve(C, times) -> DecayCurve:
     same box), so the choice is worth measuring again.
     """
     C = core.as_matrix(C, square=True)
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise DimensionError("times must be a nonempty 1-d grid")
-    if not np.all(np.isfinite(ts)):
-        raise InvalidEntryError("times must be finite")
-    if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
-        raise PreconditionError("times must be strictly increasing and nonnegative")
+    ts = _time_grid(times)
     if is_uniform_grid(ts):
         E = core.matrix_exponential(-C, ts[1] - ts[0])
         P = core.matrix_exponential(-C, ts[0]) if ts[0] > 0 else np.eye(C.shape[0], dtype=C.dtype)
@@ -155,30 +161,29 @@ def propagator_norm_curve(C, times) -> DecayCurve:
         A = -C
         core._check_exp_range(A, ts[-1])
         norms = np.array([core.spectral_norm(core._expm(A, t)) for t in ts])
-    return DecayCurve(times=ts, norms=norms, generator_norm=core.spectral_norm(C))
+    return DecayCurve(times=ts, norms=norms)
 
 
-def default_fit_times(C, num: int = 120) -> np.ndarray:
-    """Logarithmic grid on [1e-4, 1e-1] scaled by 1/||C||, inside the Taylor regime."""
+def default_fit_times(C) -> np.ndarray:
+    """120 logarithmically spaced times on [1e-4, 1e-1] scaled by 1/||C||,
+    inside the Taylor regime."""
     scale = max(core.spectral_norm(core.as_matrix(C, square=True)), 1e-300)
-    return np.geomspace(1e-4 / scale, 1e-1 / scale, num)
+    return np.geomspace(1e-4 / scale, 1e-1 / scale, 120)
 
 
-def fit_short_time(
-    curve: DecayCurve, drop_min: float = 1e-10, drop_max: float = 1e-2
-) -> ShortTimeFit:
+def fit_short_time(curve: DecayCurve) -> ShortTimeFit:
     """Least-squares fit of log(1 - ||P(t)||) = log c + a log t.
 
-    Only samples whose norm drop lies in [drop_min, drop_max] participate:
-    below drop_min the drop is roundoff, above drop_max the Taylor law no
-    longer dominates.
+    Only samples whose norm drop lies in [1e-10, 1e-2] participate: below
+    1e-10 the drop is roundoff, above 1e-2 the Taylor law no longer
+    dominates.
     """
     drop = 1.0 - curve.norms
-    mask = (drop >= drop_min) & (drop <= drop_max) & (curve.times > 0)
+    mask = (drop >= 1e-10) & (drop <= 1e-2) & (curve.times > 0)
     if int(mask.sum()) < 10:
         raise NoDecayError(
             f"only {int(mask.sum())} samples show a usable norm drop in "
-            f"[{drop_min:g}, {drop_max:g}]; cannot fit (skew generator or grid too narrow)"
+            "[1e-10, 0.01]; cannot fit (skew generator or grid too narrow)"
         )
     T = np.log(curve.times[mask])
     L = np.log(drop[mask])

@@ -174,8 +174,9 @@ class CkReport:
     ok: bool
 
 
-def ck_properties(k: int, t_grid=None) -> CkReport:
-    """Verify eigenvalues, the long-time envelope, and the exact cubic constant."""
+def ck_properties(k: int) -> CkReport:
+    """Verify eigenvalues, the long-time envelope on 2001 times in [0, 10],
+    and the exact cubic constant."""
     C = ck_matrix(k)
     ev = np.linalg.eigvals(C)
     ev = ev[np.argsort(ev.imag)]  # conjugate pair: real parts tie up to roundoff
@@ -183,8 +184,7 @@ def ck_properties(k: int, t_grid=None) -> CkReport:
     expected = np.array([0.5 - 1j * half_width, 0.5 + 1j * half_width])
     eig_err = float(np.abs(ev - expected).max())
 
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 10.0, 2001)
+    t_grid = np.linspace(0.0, 10.0, 2001)
     norms = ck_closed_form_norm(k, t_grid)
     envelope = float(np.max(norms * np.exp(t_grid / 2.0)))
     bound = math.sqrt((2.0 * k + 1.0) / (2.0 * k - 1.0))
@@ -253,25 +253,22 @@ class RescaleReport:
     ok: bool
 
 
-def ek_rescale_factor(k: int, t_grid=None) -> RescaleReport:
+def ek_rescale_factor(k: int) -> RescaleReport:
     """Rescaling r_k = (1 + log c_k)/mu_k making ||exp(-r_k E_k)|| <= 1/e.
 
     c_k is the empirical envelope constant sup_t ||exp(-E_k t)|| e^(mu_k t)
-    over the transient window; a maximum attained at the grid boundary is
-    flagged so the caller can widen the grid.
+    over the transient window, 2001 times in [0, 40/mu_k]; a maximum
+    attained at the last of them is flagged.
     """
     C = ek_matrix(k)
     gap = -core.spectral_abscissa(-C)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 40.0 / gap, 2001)
-    curve = decay.propagator_norm_curve(C, t_grid)
-    t_grid = curve.times
-    vals = curve.norms * np.exp(gap * t_grid)
+    curve = decay.propagator_norm_curve(C, np.linspace(0.0, 40.0 / gap, 2001))
+    vals = curve.norms * np.exp(gap * curve.times)
     c_env = float(vals.max())
     # earliest index within roundoff of the max, so a flat envelope does not
     # spuriously report a boundary maximum
     i = int(np.argmax(vals >= c_env * (1.0 - 1e-12)))
-    boundary = i == t_grid.size - 1 and t_grid.size > 1
+    boundary = i == vals.size - 1
     r = (1.0 + math.log(c_env)) / gap
     norm1 = core.spectral_norm(core.matrix_exponential(-r * C, 1.0))
     return RescaleReport(

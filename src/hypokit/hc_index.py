@@ -232,17 +232,17 @@ def kalman_kernel_defect(R, J, m: int, rank_tol: float = 1e-10) -> int:
     return _defect_sweep(staircase.build_staircase(R, J, rank_tol), m)[m]
 
 
-def eigenvector_obstruction(R, J, tol: float = WITNESS_RTOL) -> ObstructionWitness | None:
+def eigenvector_obstruction(R, J) -> ObstructionWitness | None:
     """Unit eigenvector of skew-Hermitian J killed by R, or None.
 
     Such a vector exists iff the staircase form of (J, R) has a nonzero
     terminal block; the witness is an eigenvector of J restricted to that
-    block, its residuals checked against max(tol, rank_tol).  In finite
-    dimensions a witness exists iff the Kalman spanning condition fails at
-    every level.
+    block, its residuals checked against max(WITNESS_RTOL, rank_tol) =
+    1e-8.  In finite dimensions a witness exists iff the Kalman spanning
+    condition fails at every level.
     """
     R, J = staircase._check_pair(R, J)
-    return _terminal_witness(staircase.build_staircase(R, J), R, J, tol)
+    return _terminal_witness(staircase.build_staircase(R, J), R, J, WITNESS_RTOL)
 
 
 @dataclass
@@ -304,10 +304,9 @@ def equivalence_audit(
     )
 
 
-def random_accretive(
-    rng: np.random.Generator, n: int, p_rank_deficient: float = 0.5
-) -> core.OperatorDecomposition:
-    """Random accretive test instance: R = G*G (optionally rank-deficient), J skew.
+def random_accretive(rng: np.random.Generator, n: int) -> core.OperatorDecomposition:
+    """Random accretive test instance: R = G*G (rank-deficient with probability
+    1/2), J skew.
 
     Rank deficiency is injected by zeroing a random number of eigenvalues of
     R, which spans both the generic and the degenerate branches of the index
@@ -315,7 +314,7 @@ def random_accretive(
     """
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     R = G.conj().T @ G / n
-    if rng.random() < p_rank_deficient:
+    if rng.random() < 0.5:
         w, V = np.linalg.eigh(R)
         k = int(rng.integers(1, n))
         w[:k] = 0.0

@@ -23,9 +23,16 @@ first row and column: index 0 is the only even index without an odd partner,
 R vanishes there, and in each product R stands between the factors of J10,
 so every path through index 0 has weight zero.
 Hence lambda_min of a form is that of its even block E alone, as
-lambda_min(E) <= lambda_min(E[1:, 1:]) by Cauchy interlacing, while
-||exp(-C t)|| takes the larger norm of G and G[1:, 1:]: interlacing proves
-nothing about norms.
+lambda_min(E) <= lambda_min(E[1:, 1:]) by Cauchy interlacing.
+
+The propagator norm of a mode is likewise that of its even block
+G = R_e - n K_e alone, for another reason.  The odd block is
+G[1:, 1:] = I - n K_o with K_o = K_e[1:, 1:] real and skew, so
+exp(-G[1:, 1:] t) = e^(-t) exp(n t K_o) has norm exactly e^(-t).  The even
+block is G = I - B with B = e_0 e_0^T + n K_e and B + B^T = 2 e_0 e_0^T >= 0,
+so along y = exp(t B) x the energy grows, d/dt ||y||^2 = 2 (e_0^T y)^2 >= 0,
+and ||exp(-G t)|| = e^(-t) ||exp(t B)|| >= e^(-t).  The larger of the two
+norms is always the even one.
 
 Truncated products of banded operators are wrong in their outermost rows.
 Each product has one factor of J10 on either side of R, so a form built at
@@ -172,14 +179,15 @@ def lyapunov_weight(n_abs: float, alpha: float, M: int) -> LyapunovWeight:
     return LyapunovWeight(n_abs=float(n_abs), alpha=float(alpha), M=M, Y=Y)
 
 
-def essential_block(n_abs: float, alpha: float = 0.5) -> np.ndarray:
-    """The 4x4 non-diagonal core of C*Y + YC on the j = -1..2 indices.
+def essential_block(n_abs: float) -> np.ndarray:
+    """The 4x4 non-diagonal core of C*Y + YC on the j = -1..2 indices, for the
+    weight with alpha = 1/2.
 
-    Its smallest eigenvalue at n_abs = 1 (with alpha = 1/2) equals three times
-    the certified rate LAMBDA0, and it only grows with n_abs.
+    Its smallest eigenvalue at n_abs = 1 equals three times the certified
+    rate LAMBDA0, and it only grows with n_abs.
     """
     n = float(n_abs)
-    a = float(alpha)
+    a = 0.5
     return np.array(
         [
             [2.0, 0.0, -a / 2.0, 0.0],
@@ -331,10 +339,10 @@ def constrained_mixing_infimum(M: int, delta: float) -> float:
     return math.sqrt(max(best, 0.0))
 
 
-def lyapunov_margin(n_abs: float, alpha: float, lambda0: float, M: int) -> float:
-    """lambda_min of C*Y + YC - 2 lambda0 Y for the magnitude-n_abs generator.
+def lyapunov_margin(n_abs: float, alpha: float, M: int) -> float:
+    """lambda_min of C*Y + YC - 2 LAMBDA0 Y for the magnitude-n_abs generator.
 
-    A margin >= -1e-10 certifies the decay rate lambda0 in the Y-weighted
+    A margin >= -1e-10 certifies the decay rate LAMBDA0 in the Y-weighted
     norm at this truncation; the truncated form coincides with the window of
     the full operator because the weight is banded.
     """
@@ -343,7 +351,7 @@ def lyapunov_margin(n_abs: float, alpha: float, lambda0: float, M: int) -> float
     gen = modal_generator(n_abs, M)
     Y = lyapunov_weight(n_abs, alpha, M).Y
     C = gen.C
-    S = C.conj().T @ Y + Y @ C - 2.0 * lambda0 * Y
+    S = C.conj().T @ Y + Y @ C - 2.0 * LAMBDA0 * Y
     return core.min_eig_hermitian(S)
 
 
@@ -358,16 +366,10 @@ class ModalDecayResult:
 
 
 def _modal_norm_curve(n_abs: float, M: int, times) -> decay.DecayCurve:
-    """||exp(-C t)|| of the magnitude-n_abs mode: the larger of the norms of
-    its even block G and its odd block G[1:, 1:]."""
+    """||exp(-C t)|| of the magnitude-n_abs mode: the norm of its even block
+    (module docstring)."""
     R, K = _even_blocks(M)
-    G = R - n_abs * K
-    even, odd = (decay.propagator_norm_curve(B, times) for B in (G, G[1:, 1:]))
-    return decay.DecayCurve(
-        times=even.times,
-        norms=np.maximum(even.norms, odd.norms),
-        generator_norm=max(even.generator_norm, odd.generator_norm),
-    )
+    return decay.propagator_norm_curve(R - n_abs * K, times)
 
 
 def modal_propagator_norm(n_abs: float, M: int, times) -> ModalDecayResult:
@@ -460,8 +462,9 @@ class AppendixCConstants:
     r: float
     lambda0: float
 
-    def relations_hold(self, rtol: float = 1e-12) -> bool:
-        close = lambda a, b: abs(a - b) <= rtol * max(abs(a), abs(b), 1e-300)
+    def relations_hold(self) -> bool:
+        """The fixed relations, each to 1e-12 relative."""
+        close = lambda a, b: abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300)
         return (
             close(self.delta, min(self.kappa1 / 5.0, self.kappa3 / 2.0))
             and close(self.tau, min(self.tau1, self.tau2, self.tau3, 1.0))
@@ -737,28 +740,29 @@ def _mode_groups(N: int) -> dict[float, list[tuple[int, int]]]:
     return groups
 
 
-def simulate(field0: LorentzField, t: float, sigma: float = 1.0) -> tuple[LorentzField, SimulationReport]:
+def simulate(field0: LorentzField, t: float) -> tuple[LorentzField, SimulationReport]:
     """Evolve every spatial mode independently for time t: ``simulate_curve`` on [t]."""
-    final, (report,) = simulate_curve(field0, [t], sigma)
+    final, (report,) = simulate_curve(field0, [t])
     return final, report
 
 
-def simulate_curve(
-    field0: LorentzField, times, sigma: float = 1.0
-) -> tuple[LorentzField, list[SimulationReport]]:
+def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[SimulationReport]]:
     """Evolve along an increasing time grid; return the final field and one
     report per grid time.
+
+    The relaxation rate is the unit rate of the module: the mode of
+    magnitude n has the generator R - n J10 (``modal_generator`` at
+    sigma = 1).  The grid must be nonempty, finite, strictly increasing and
+    nonnegative, as for ``decay.propagator_norm_curve``.
 
     Each step advances the previous state by the time since the last grid
     point (the first by ``times[0]``).  Modes of equal magnitude share one
     propagator, computed again only when the step length changes, so a
     uniform grid costs one ``expm`` per magnitude (two when it starts after
-    0).  The zero mode relaxes by the diagonal collision semigroup, which
-    fixes the mass exactly.
+    0).  The zero mode relaxes by the diagonal collision semigroup exp(-R t),
+    which fixes the mass exactly.
     """
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
-        raise PreconditionError("times must be strictly increasing and nonnegative")
+    ts = decay._time_grid(times)
     steps = np.diff(ts, prepend=0.0)
     if decay.is_uniform_grid(ts):
         steps[1:] = ts[1] - ts[0]
@@ -776,10 +780,10 @@ def simulate_curve(
         if h > 0:
             if h != h_prev:
                 props = [
-                    core.matrix_exponential(-(sigma * ops.R - mag * ops.J10), h)
+                    core.matrix_exponential(-(ops.R - mag * ops.J10), h)
                     for mag in groups
                 ]
-                diag = np.full(2 * M + 1, math.exp(-sigma * h), dtype=complex)
+                diag = np.full(2 * M + 1, math.exp(-h), dtype=complex)
                 diag[M] = 1.0
                 h_prev = h
             state.coeffs[N, N, :] *= diag

@@ -77,11 +77,17 @@ def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
 
     Guards against overflow using the logarithmic norm: ||exp(A t)|| is
     bounded by exp(t * lambda_max(A_H)), so evaluation is refused when that
-    exponent would leave double range.
+    exponent would leave double range.  A result that is still not finite
+    (the powers of A*t overflow before the scaling, as for a decaying
+    exp(A t) at t = 1e100) raises ``RangeError`` as well.
     """
     A = as_matrix(A, square=True)
     _check_exp_range(A, t)
-    return _expm(A, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _expm(A, t)
+    if not np.all(np.isfinite(E)):
+        raise RangeError(f"exp(A t) is not finite in double precision at t = {t:.6g}")
+    return E
 
 
 def _check_exp_range(A: np.ndarray, t: float) -> None:
@@ -226,19 +232,19 @@ def _asymmetry(A: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(A - A.conj().T)), float(np.linalg.norm(A, axis=0).max())
 
 
-def min_eig_hermitian(A, asym_tol: float = 1e-8) -> float:
+def min_eig_hermitian(A) -> float:
     """Smallest eigenvalue of the symmetrized matrix (A + A*) / 2.
 
-    Rejects input whose asymmetry ||A - A*||_F / 2 exceeds ``asym_tol`` times
-    its largest column norm; smaller asymmetries are treated as roundoff and
+    Rejects input whose asymmetry ||A - A*||_F / 2 exceeds 1e-8 times its
+    largest column norm; smaller asymmetries are treated as roundoff and
     symmetrized away.
     """
     A = as_matrix(A, square=True)
     asym, scale = _asymmetry(A)
-    if asym / 2.0 > asym_tol * scale:
+    if asym / 2.0 > 1e-8 * scale:
         raise ContractViolationError(
             f"matrix is not Hermitian: asymmetry {asym / 2.0:.3g} exceeds "
-            f"{asym_tol:g} * column norm {scale:.3g}"
+            f"1e-8 * column norm {scale:.3g}"
         )
     return float(np.linalg.eigvalsh(_symmetrized(A))[0])
 
@@ -277,14 +283,15 @@ def _psd_cut(R, rank_tol: float = 1e-10) -> _PsdCut:
     return _PsdCut(w=w, V=V, rank=int(np.count_nonzero(w >= cut)), ambiguous=bool(near.any()))
 
 
-def psd_sqrt(R, clip_tol: float = 1e-10) -> np.ndarray:
-    """Hermitian square root S >= 0 of a PSD Hermitian R, cut as ``_psd_cut``.
+def psd_sqrt(R) -> np.ndarray:
+    """Hermitian square root S >= 0 of a PSD Hermitian R, cut as ``_psd_cut``
+    at its default rank_tol of 1e-10.
 
-    With s = max|eigenvalue of R|, eigenvalues in (-clip_tol * s, clip_tol * s)
-    are read as zero, so S has the rank of that cut and S @ S = R up to
-    clip_tol * s.  An eigenvalue below -clip_tol * s raises ``NotPSDError``.
+    With s = max|eigenvalue of R|, eigenvalues in (-1e-10 s, 1e-10 s) are
+    read as zero, so S has the rank of that cut and S @ S = R up to 1e-10 s.
+    An eigenvalue below -1e-10 s raises ``NotPSDError``.
     """
-    return _psd_cut(R, clip_tol).root()
+    return _psd_cut(R).root()
 
 
 def spectral_abscissa(A) -> float:

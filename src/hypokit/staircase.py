@@ -152,11 +152,18 @@ class StaircaseReport:
         }
 
 
-def verify_staircase(form: StaircaseForm, R, J, tol: float = 1e-10) -> StaircaseReport:
+#: Scale-relative bound on the residuals that ``verify_staircase`` checks.
+VERIFY_RTOL = 1e-10
+
+
+def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     """Check all staircase invariants and the reconstruction of (R, J).
 
-    A nonzero terminal block implies the pair is not hypocoercive; the
-    converse direction is not decided by the staircase structure alone.
+    The J pattern, the R corner and both reconstructions must hold to
+    ``VERIFY_RTOL`` = 1e-10 times max(||J||, 1) resp. max(|eigenvalue of R|,
+    1), the basis must be unitary to 1e-12.  A nonzero terminal block
+    implies the pair is not hypocoercive; the converse direction is not
+    decided by the staircase structure alone.
     """
     R, J = _check_pair(R, J)
     n = R.shape[0]
@@ -182,12 +189,12 @@ def verify_staircase(form: StaircaseForm, R, J, tol: float = 1e-10) -> Staircase
                 blk = form.J_hat[slices[i], slices[j]]
                 if blk.size:
                     off = max(off, float(np.abs(blk).max()))
-    checks["J_pattern"] = (off <= tol * scale_J, off)
+    checks["J_pattern"] = (off <= VERIFY_RTOL * scale_J, off)
 
     corner = form.R_hat.copy()
     corner[slices[0], slices[0]] = 0.0
     res = float(np.abs(corner).max()) if corner.size else 0.0
-    checks["R_corner"] = (res <= tol * scale_R, res)
+    checks["R_corner"] = (res <= VERIFY_RTOL * scale_R, res)
 
     surj_ok, worst = True, np.inf
     for i in range(1, s - 1):
@@ -203,8 +210,8 @@ def verify_staircase(form: StaircaseForm, R, J, tol: float = 1e-10) -> Staircase
 
     rec_J = core.spectral_norm(Q @ form.J_hat @ Q.conj().T - J)
     rec_R = core.spectral_norm(Q @ form.R_hat @ Q.conj().T - R)
-    checks["reconstruct_J"] = (rec_J <= tol * scale_J, rec_J)
-    checks["reconstruct_R"] = (rec_R <= tol * scale_R, rec_R)
+    checks["reconstruct_J"] = (rec_J <= VERIFY_RTOL * scale_J, rec_J)
+    checks["reconstruct_R"] = (rec_R <= VERIFY_RTOL * scale_R, rec_R)
 
     kernel_dim = n - r_cut.rank
     count_ok = s <= kernel_dim + 2

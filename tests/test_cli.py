@@ -87,6 +87,12 @@ def test_decay_overflow_is_a_numerical_failure(tmp_path, capsys):
         ["lorentz", "simulate", "--random", "--steps", "-3"],
         ["lorentz", "simulate", "--random", "--N", "-1"],
         ["lorentz", "verify", "--steps", "-3"],
+        ["decay", "--tmax", "nan"],
+        ["decay", "--tmax", "inf"],
+        ["lorentz", "simulate", "--random", "--tmax", "nan"],
+        ["lorentz", "simulate", "--random", "--tmax", "inf"],
+        # about 71 PiB: numpy refuses the allocation at once
+        ["lorentz", "kappa", "--M", "100000000"],
     ],
     ids=" ".join,
 )
@@ -97,3 +103,12 @@ def test_invalid_sizes_exit_1_without_traceback(tmp_path, capsys, argv):
         argv = [*argv, "--input", str(src)]
     assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 1
     assert "hypokit: invalid input:" in capsys.readouterr().err
+
+
+def test_simulate_overflowing_time_is_a_numerical_failure(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["lorentz", "simulate", "--random", "--N", "1", "--M", "2", "--steps", "2",
+            "--tmax", "1e100", "--output", str(out)]
+    assert cli.main(argv) == 2
+    assert "hypokit: numerical failure:" in capsys.readouterr().err
+    assert not out.exists()
