@@ -77,17 +77,12 @@ def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
 
     Guards against overflow using the logarithmic norm: ||exp(A t)|| is
     bounded by exp(t * lambda_max(A_H)), so evaluation is refused when that
-    exponent would leave double range.  A result that is still not finite
-    (the powers of A*t overflow before the scaling, as for a decaying
-    exp(A t) at t = 1e100) raises ``RangeError`` as well.
+    exponent would leave double range.  ``_expm`` raises ``RangeError`` as
+    well where its result is not finite.
     """
     A = as_matrix(A, square=True)
     _check_exp_range(A, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = _expm(A, t)
-    if not np.all(np.isfinite(E)):
-        raise RangeError(f"exp(A t) is not finite in double precision at t = {t:.6g}")
-    return E
+    return _expm(A, t)
 
 
 def _check_exp_range(A: np.ndarray, t: float) -> None:
@@ -178,15 +173,31 @@ def _pade_degree(A: np.ndarray) -> tuple[int, int, list[np.ndarray]]:
 
 
 def _expm(A: np.ndarray, t: float) -> np.ndarray:
-    """exp(A*t) without the overflow guard; the caller has run ``_check_exp_range``.
+    """exp(A*t) without the logarithmic-norm guard; the caller has run
+    ``_check_exp_range``.
 
-    The scaling and squaring algorithm of Al-Mohy & Higham, "A new scaling
-    and squaring algorithm for the matrix exponential" (SIAM J. Matrix Anal.
-    Appl. 31(3), 2009): the [m/m] Pade approximant r_m(2^-s A t), with m and
-    s from ``_pade_degree``, squared s times.  Diagonal input is exponentiated
-    entrywise.  Real input gives a real result.
+    A result that is not finite raises ``RangeError``.  That happens even
+    where exp(A t) is tiny: the powers A^2 .. A^10 that choose the degree are
+    formed before the scaling and overflow once ||A t|| passes about 1e30
+    (for a decaying 2x2 exp(A t) at t = 1e50 the degree choice itself fails).
     """
-    X = A * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            E = _scaled_pade(A * t)
+        except OverflowError:  # an infinite power norm reached math.ceil
+            E = None
+    if E is None or not np.all(np.isfinite(E)):
+        raise RangeError(f"exp(A t) is not finite in double precision at t = {t:.6g}")
+    return E
+
+
+def _scaled_pade(X: np.ndarray) -> np.ndarray:
+    """exp(X) by the scaling and squaring algorithm of Al-Mohy & Higham, "A
+    new scaling and squaring algorithm for the matrix exponential" (SIAM J.
+    Matrix Anal. Appl. 31(3), 2009): the [m/m] Pade approximant r_m(2^-s X),
+    with m and s from ``_pade_degree``, squared s times.  Diagonal input is
+    exponentiated entrywise.  Real input gives a real result.
+    """
     d = np.diagonal(X)
     if np.array_equal(X, np.diag(d)):
         return np.diag(np.exp(d))

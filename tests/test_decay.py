@@ -61,6 +61,10 @@ class TestPropagatorNormCurve:
         ref = [core.spectral_norm(core.matrix_exponential(-dec.C, t)) for t in ts]
         assert curve.norms.tolist() == ref
 
+    def test_geometric_grid_raises_range_error_where_expm_overflows(self):
+        with pytest.raises(errors.RangeError):
+            decay.propagator_norm_curve(gallery.ck_matrix(1), np.geomspace(1.0, 1e50, 5))
+
     def test_geometric_grid_guard_covers_the_last_point(self):
         # log-norm of -C t is t: fine up to t = 700, overflow after it
         C = np.diag([-1.0, 1.0]).astype(complex)

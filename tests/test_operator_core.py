@@ -171,6 +171,14 @@ class TestMatrixExponential:
         with pytest.raises(errors.RangeError):
             core.matrix_exponential(np.eye(2) * 1000.0, 1.0)
 
+    @pytest.mark.parametrize("t", [1e50, 1e100])
+    def test_overflowing_powers_raise_range_error(self, t):
+        # exp(-C t) is tiny, but the powers of C t that choose the Pade
+        # degree overflow before the scaling
+        C = np.array([[0.0, 1.0], [-1.0, 1.0]])
+        with pytest.raises(errors.RangeError):
+            core.matrix_exponential(-C, t)
+
     def test_one_by_one(self):
         assert core.matrix_exponential([[2.0]], 0.5)[0, 0] == math.exp(1.0)
         z = 0.3 + 2.0j
