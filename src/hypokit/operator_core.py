@@ -186,7 +186,7 @@ def _expm(A: np.ndarray, t: float) -> np.ndarray:
             E = _scaled_pade(A * t)
         except OverflowError:  # an infinite power norm reached math.ceil
             E = None
-    if E is None or not np.all(np.isfinite(E)):
+    if E is None or not np.isfinite(E).all():
         raise RangeError(f"exp(A t) is not finite in double precision at t = {t:.6g}")
     return E
 
