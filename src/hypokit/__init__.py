@@ -19,17 +19,10 @@ _EXPORTS = {
             "DecayCurve",
             "ShortTimeFit",
             "StabilityReport",
-            "TaylorSeriesData",
-            "default_fit_times",
-            "energy_change",
             "fit_short_time",
-            "perturbation_coefficients",
-            "perturbed_initial",
             "propagator_norm_curve",
             "short_time_constant",
             "stability_check",
-            "sum_of_squares_residual",
-            "taylor_U",
         ),
         "decay",
     ),
@@ -51,9 +44,7 @@ _EXPORTS = {
         (
             "ck_closed_form_norm",
             "ck_matrix",
-            "ck_properties",
             "ek_matrix",
-            "ek_properties",
             "ek_rescale_factor",
             "make_example",
         ),
@@ -68,7 +59,6 @@ _EXPORTS = {
             "equivalence_audit",
             "index_via_powers",
             "kalman_kernel_defect",
-            "random_accretive",
         ),
         "hc_index",
     ),
@@ -86,7 +76,6 @@ _EXPORTS = {
             "lyapunov_margin",
             "lyapunov_weight",
             "modal_generator",
-            "modal_propagator_norm",
             "simulate",
             "simulate_curve",
         ),

@@ -3,15 +3,13 @@
 Covers sampled propagator-norm curves, the short-time law
 ``||P(t)|| = 1 - c t^(2m+1) + o(t^(2m+1))`` attached to the hypocoercivity
 index m, the analytic constant c evaluated on the exact kernel intersection,
-exponential-stability checks, the Taylor machinery for ||P(t)x||^2, and the
-worst-case initial-data perturbation that realizes the lower decay bound.
+and exponential-stability checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from .errors import (
     DimensionError,
     InvalidEntryError,
     NoDecayError,
-    NumericalError,
     PreconditionError,
     RangeError,
 )
@@ -30,19 +27,12 @@ from .errors import (
 __all__ = [
     "DecayCurve",
     "ShortTimeFit",
-    "TaylorSeriesData",
     "StabilityReport",
     "is_uniform_grid",
     "propagator_norm_curve",
-    "default_fit_times",
     "fit_short_time",
     "short_time_constant",
     "stability_check",
-    "taylor_U",
-    "sum_of_squares_residual",
-    "perturbation_coefficients",
-    "perturbed_initial",
-    "energy_change",
 ]
 
 
@@ -78,14 +68,6 @@ class ShortTimeFit:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class TaylorSeriesData:
-    """Coefficient matrices of the expansion exp(-C*t)exp(-Ct) = sum t^j/j! U_j."""
-
-    U: list[np.ndarray]
-    jmax: int
 
 
 @dataclass
@@ -164,13 +146,6 @@ def propagator_norm_curve(C, times) -> DecayCurve:
     return DecayCurve(times=ts, norms=norms)
 
 
-def default_fit_times(C) -> np.ndarray:
-    """120 logarithmically spaced times on [1e-4, 1e-1] scaled by 1/||C||,
-    inside the Taylor regime."""
-    scale = max(core.spectral_norm(core.as_matrix(C, square=True)), 1e-300)
-    return np.geomspace(1e-4 / scale, 1e-1 / scale, 120)
-
-
 def fit_short_time(curve: DecayCurve) -> ShortTimeFit:
     """Least-squares fit of log(1 - ||P(t)||) = log c + a log t.
 
@@ -244,161 +219,3 @@ def stability_check(C) -> StabilityReport:
     t0 = min(max(1.0, 3.0 / gap), 1e5) if gap > 1e-8 else 1.0
     norm = core.spectral_norm(core.matrix_exponential(-C, t0))
     return StabilityReport(stable=norm < 1.0 - 1e-12, t0=t0, norm_at_t0=norm, spectral_gap=gap)
-
-
-def taylor_U(C, jmax: int) -> TaylorSeriesData:
-    """Matrices U_j = (-1)^j sum_k binom(j,k) (C*)^k C^(j-k), j = 0..jmax.
-
-    Each U_j with j >= 1 is cross-validated against its factored form
-    -2 * (-1)^(j-1) sum_k binom(j-1,k) (C*)^k C_H C^(j-1-k); a mismatch would
-    indicate power accumulation error.
-    """
-    C = core.as_matrix(C, square=True)
-    if jmax < 1:
-        raise PreconditionError("jmax must be at least 1")
-    norm = core.spectral_norm(C)
-    if jmax * math.log(max(2.0 * norm, 1e-300)) > 700.0:
-        raise RangeError(f"(2||C||)^jmax overflows for jmax={jmax}, ||C||={norm:.3g}")
-    n = C.shape[0]
-    CH = (C + C.conj().T) / 2.0
-    Cp = [np.eye(n, dtype=complex)]
-    Sp = [np.eye(n, dtype=complex)]
-    for _ in range(jmax):
-        Cp.append(Cp[-1] @ C)
-        Sp.append(Sp[-1] @ C.conj().T)
-    U = []
-    for j in range(jmax + 1):
-        T = sum(math.comb(j, k) * (Sp[k] @ Cp[j - k]) for k in range(j + 1))
-        U.append((-1.0) ** j * T)
-    for j in range(1, jmax + 1):
-        alt = sum(math.comb(j - 1, k) * (Sp[k] @ CH @ Cp[j - 1 - k]) for k in range(j))
-        alt = 2.0 * (-1.0) ** j * alt
-        scale = max(float(np.abs(U[j]).max()), 1e-300)
-        if float(np.abs(U[j] - alt).max()) > 1e-10 * scale:
-            raise NumericalError(f"factored form of U_{j} disagrees beyond 1e-10 relative")
-    return TaylorSeriesData(U=U, jmax=jmax)
-
-
-def _delta_coefficient(m: int, j: int, k: int) -> float:
-    """Ratio binom(k,m)binom(j-k-1,m) / (binom(k+m,m)binom(j-k-1+m,m)); <= 1."""
-    num = math.comb(k, m) * math.comb(j - k - 1, m)
-    den = math.comb(k + m, m) * math.comb(j - k - 1 + m, m)
-    return num / den
-
-
-def sum_of_squares_residual(U, V, W, m: int, t: float, jmax: int) -> float:
-    """Max-norm gap between the two sides of the sum-of-squares rearrangement.
-
-    The double power series sum_j t^j/j! sum_k binom(j-1,k) U^k V W^(j-1-k)
-    is regrouped into m+1 weighted squares plus a tail with coefficients
-    bounded by one; both sides are evaluated truncated at jmax.
-    """
-    U = core.as_matrix(U, square=True)
-    V = core.as_matrix(V, square=True)
-    W = core.as_matrix(W, square=True)
-    if not (U.shape == V.shape == W.shape):
-        raise DimensionError("U, V, W must share one square shape")
-    if m < 0 or t < 0:
-        raise PreconditionError("m and t must be nonnegative")
-    nu = max(core.spectral_norm(U), core.spectral_norm(V), core.spectral_norm(W), 1.0)
-    if t > 0 and jmax * math.log(nu * t) - math.lgamma(jmax + 1) > math.log(1e-13):
-        raise RangeError(
-            f"series tail bound (max norm * t)^jmax / jmax! exceeds 1e-13 at jmax={jmax}"
-        )
-    n = U.shape[0]
-    Up = [np.eye(n, dtype=complex)]
-    Wp = [np.eye(n, dtype=complex)]
-    for _ in range(jmax + 1):
-        Up.append(Up[-1] @ U)
-        Wp.append(Wp[-1] @ W)
-
-    lhs = np.zeros_like(U)
-    for j in range(1, jmax + 1):
-        S = np.zeros_like(U)
-        for k in range(j):
-            S += math.comb(j - 1, k) * (Up[k] @ V @ Wp[j - 1 - k])
-        lhs += (t**j / math.factorial(j)) * S
-
-    rhs = np.zeros_like(U)
-    for j in range(m + 1):
-        SU = np.zeros_like(U)
-        SW = np.zeros_like(U)
-        for k in range(jmax - j + 1):
-            coef = (
-                math.factorial(2 * j + 1)
-                / math.factorial(k + 2 * j + 1)
-                * math.comb(k + j, j)
-            )
-            SU += coef * t**k * Up[k + j]
-            SW += coef * t**k * Wp[k + j]
-        rhs += (t ** (2 * j + 1) / math.factorial(2 * j + 1) / math.comb(2 * j, j)) * (
-            SU @ V @ SW
-        )
-    for j in range(2 * m + 3, jmax + 1):
-        S = np.zeros_like(U)
-        for k in range(m + 1, j - m - 1):
-            S += (
-                math.comb(j - 1, k)
-                * _delta_coefficient(m + 1, j, k)
-                * (Up[k] @ V @ Wp[j - 1 - k])
-            )
-        rhs += (t**j / math.factorial(j)) * S
-
-    return float(np.abs(lhs - rhs).max())
-
-
-def perturbation_coefficients(m: int) -> list[Fraction]:
-    """Exact coefficients b_0..b_m of the slow-direction perturbation.
-
-    They solve the lower-triangular system
-    sum_{r<=l} (-1)^(m-r) c_{l,l-r} b_r = 0 with b_0 = 1 and
-    c_{l,k} = (2(m-l)+1)!/(k+2(m-l)+1)! * binom(k+m-l, m-l); they depend only
-    on m, so exact rationals are both feasible and reproducible.
-    """
-    if m < 1:
-        raise PreconditionError("m must be at least 1")
-
-    def c(l: int, k: int) -> Fraction:
-        mm = m - l
-        return Fraction(
-            math.factorial(2 * mm + 1), math.factorial(k + 2 * mm + 1)
-        ) * math.comb(k + mm, mm)
-
-    b = [Fraction(1)]
-    for l in range(1, m + 1):
-        s = sum((-1) ** (m - r) * c(l, l - r) * b[r] for r in range(l))
-        b.append(-s / ((-1) ** (m - l) * c(l, 0)))
-    return b
-
-
-def perturbed_initial(
-    dec: core.OperatorDecomposition, m: int, x0, tau: float
-) -> np.ndarray:
-    """x_tau = x0 + sum_l b_l tau^l C^l x0, the near-worst-case initial datum.
-
-    Starting from x0 in the slow directions this perturbation pushes the
-    norm drop of exp(-C tau) x_tau down to its t^(2m+1) leading term.
-    """
-    x0 = np.asarray(x0, dtype=complex).ravel()
-    if x0.shape[0] != dec.dim:
-        raise DimensionError(f"x0 has length {x0.shape[0]}, expected {dec.dim}")
-    if np.linalg.norm(x0) == 0.0:
-        raise PreconditionError("x0 must be nonzero")
-    limit = min(1.0, 1.0 / max(core.spectral_norm(dec.C), 1e-300))
-    if not (0.0 <= tau < limit):
-        raise PreconditionError(f"tau must lie in [0, {limit:.6g})")
-    b = perturbation_coefficients(m)
-    x = x0.copy()
-    v = x0.copy()
-    for l in range(1, m + 1):
-        v = dec.C @ v
-        x = x + float(b[l]) * tau**l * v
-    return x
-
-
-def energy_change(C, x, t: float) -> float:
-    """||exp(-C t) x||^2 - ||x||^2 (nonpositive for accretive C)."""
-    C = core.as_matrix(C, square=True)
-    x = np.asarray(x, dtype=complex).ravel()
-    y = core.matrix_exponential(-C, t) @ x
-    return float(np.linalg.norm(y) ** 2 - np.linalg.norm(x) ** 2)

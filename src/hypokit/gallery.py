@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import decay, staircase
+from . import decay
 from . import operator_core as core
 from .errors import PreconditionError
 
@@ -25,24 +25,22 @@ __all__ = [
     "ck_matrix",
     "ek_matrix",
     "ck_closed_form_norm",
-    "ck_kink_time",
     "ck_short_time_constant_exact",
-    "CkReport",
-    "ck_properties",
-    "EkReport",
-    "ek_properties",
     "RescaleReport",
     "ek_rescale_factor",
 ]
 
-EXAMPLE_NAMES = (
-    "ck",
-    "ek",
-    "remark25_block_family",
-    "compact_R_family",
-    "ek_blockdiag",
-    "ek_rescaled",
-)
+#: Example name -> the one parameter it takes.
+_PARAMETER = {
+    "ck": "k",
+    "ek": "k",
+    "remark25_block_family": "blocks",
+    "compact_R_family": "dim",
+    "ek_blockdiag": "blocks",
+    "ek_rescaled": "blocks",
+}
+
+EXAMPLE_NAMES = tuple(_PARAMETER)
 
 
 def ck_matrix(k: int) -> np.ndarray:
@@ -83,8 +81,15 @@ def make_example(name: str, **params) -> np.ndarray:
 
     Parameters: ``ck``/``ek`` take k; ``remark25_block_family``,
     ``ek_blockdiag`` and ``ek_rescaled`` take blocks; ``compact_R_family``
-    takes dim.
+    takes dim.  Any other parameter raises ``PreconditionError``.
     """
+    if name not in _PARAMETER:
+        raise PreconditionError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
+    extra = sorted(set(params) - {_PARAMETER[name]})
+    if extra:
+        raise PreconditionError(
+            f"example {name!r} takes only {_PARAMETER[name]}, not {', '.join(extra)}"
+        )
     if name == "ck":
         return ck_matrix(int(params.get("k", 1)))
     if name == "ek":
@@ -118,7 +123,6 @@ def make_example(name: str, **params) -> np.ndarray:
             rep = ek_rescale_factor(k)
             scaled.append(rep.r * ek_matrix(k))
         return _blockdiag(scaled)
-    raise PreconditionError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
 
 
 def ck_closed_form_norm(k: int, t):
@@ -141,11 +145,6 @@ def ck_closed_form_norm(k: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def ck_kink_time(k: int) -> float:
-    """First positive time where the two norm branches touch: 2 pi / sqrt(4k^2-1)."""
-    return 2.0 * math.pi / math.sqrt(4.0 * k * k - 1.0)
-
-
 def ck_short_time_constant_exact(k: int) -> Fraction:
     """Exact rational short-time constant of the 2x2 family.
 
@@ -160,86 +159,6 @@ def ck_short_time_constant_exact(k: int) -> Fraction:
     v = [C[0][0] * x[0] + C[0][1] * x[1], C[1][0] * x[0] + C[1][1] * x[1]]
     quad = v[1] * v[1]  # <v, diag(0,1) v>
     return quad / (math.factorial(3) * math.comb(2, 1))
-
-
-@dataclass
-class CkReport:
-    k: int
-    eig_err: float
-    envelope_max: float
-    envelope_bound: float
-    short_time_exact: Fraction
-    short_time_float: float
-    kink_time: float
-    ok: bool
-
-
-def ck_properties(k: int) -> CkReport:
-    """Verify eigenvalues, the long-time envelope on 2001 times in [0, 10],
-    and the exact cubic constant."""
-    C = ck_matrix(k)
-    ev = np.linalg.eigvals(C)
-    ev = ev[np.argsort(ev.imag)]  # conjugate pair: real parts tie up to roundoff
-    half_width = 0.5 * math.sqrt(4 * k * k - 1)
-    expected = np.array([0.5 - 1j * half_width, 0.5 + 1j * half_width])
-    eig_err = float(np.abs(ev - expected).max())
-
-    t_grid = np.linspace(0.0, 10.0, 2001)
-    norms = ck_closed_form_norm(k, t_grid)
-    envelope = float(np.max(norms * np.exp(t_grid / 2.0)))
-    bound = math.sqrt((2.0 * k + 1.0) / (2.0 * k - 1.0))
-
-    exact = ck_short_time_constant_exact(k)
-    dec = core.hermitian_split(C)
-    flt = decay.short_time_constant(dec, 1)
-
-    ok = (
-        eig_err <= 1e-12
-        and envelope <= bound + 1e-9
-        and exact == Fraction(k * k, 12)
-        and abs(flt - float(exact)) <= 1e-10 * max(1.0, float(exact))
-    )
-    return CkReport(
-        k=k,
-        eig_err=eig_err,
-        envelope_max=envelope,
-        envelope_bound=bound,
-        short_time_exact=exact,
-        short_time_float=flt,
-        kink_time=ck_kink_time(k),
-        ok=ok,
-    )
-
-
-@dataclass
-class EkReport:
-    k_max: int
-    indices: list[int | None]
-    gaps: list[float]
-    assembly_gap: float
-    ok: bool
-
-
-def ek_properties(k_max: int) -> EkReport:
-    """Index ladder m(E_k) = k-1 (staircase index) and the trace-forced gap
-    decay mu_k <= 1/k."""
-    if k_max < 1:
-        raise PreconditionError("k_max must be at least 1")
-    indices: list[int | None] = []
-    gaps: list[float] = []
-    for k in range(1, k_max + 1):
-        C = ek_matrix(k)
-        dec = core.hermitian_split(C)
-        indices.append(staircase.build_staircase(dec.R, dec.J).index)
-        gaps.append(-core.spectral_abscissa(-C))
-    assembly = make_example("ek_blockdiag", blocks=k_max)
-    assembly_gap = -core.spectral_abscissa(-assembly)
-    ok = (
-        all(indices[k - 1] == k - 1 for k in range(1, k_max + 1))
-        and all(0.0 < gaps[k - 1] <= 1.0 / k + 1e-12 for k in range(1, k_max + 1))
-        and abs(assembly_gap - min(gaps)) <= 1e-10
-    )
-    return EkReport(k_max=k_max, indices=indices, gaps=gaps, assembly_gap=assembly_gap, ok=ok)
 
 
 @dataclass

@@ -16,6 +16,7 @@ they cross-check only the chain of J-steps, not the cut of R.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "kalman_kernel_defect",
     "eigenvector_obstruction",
     "equivalence_audit",
-    "random_accretive",
 ]
 
 #: The four equivalent coercivity families.
@@ -124,8 +124,10 @@ def _family_setup(
     sqrt(R) from the cut of R (which already checked that C is accretive)."""
     if kappa_threshold is None:
         kappa_threshold = DEFAULT_KAPPA_RTOL * max(core.spectral_norm(dec.C), 1.0)
-    if kappa_threshold <= 0.0:
-        raise PreconditionError("kappa_threshold must be positive")
+    if not 0.0 < kappa_threshold < math.inf:
+        raise PreconditionError(
+            f"kappa_threshold must be positive and finite, got {kappa_threshold}"
+        )
     if m_max is None:
         m_max = dec.dim
     if m_max < 0:
@@ -302,24 +304,3 @@ def equivalence_audit(
         obstruction=_terminal_witness(form, dec.R, dec.J, WITNESS_RTOL),
         agree=len(set(indices.values())) == 1,
     )
-
-
-def random_accretive(rng: np.random.Generator, n: int) -> core.OperatorDecomposition:
-    """Random accretive test instance: R = G*G (rank-deficient with probability
-    1/2), J skew.
-
-    Rank deficiency is injected by zeroing a random number of eigenvalues of
-    R, which spans both the generic and the degenerate branches of the index
-    theory.
-    """
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    R = G.conj().T @ G / n
-    if rng.random() < 0.5:
-        w, V = np.linalg.eigh(R)
-        k = int(rng.integers(1, n))
-        w[:k] = 0.0
-        R = (V * w) @ V.conj().T
-        R = (R + R.conj().T) / 2.0
-    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    J = (S - S.conj().T) / 2.0
-    return core.OperatorDecomposition(C=R - J, R=R, J=J)

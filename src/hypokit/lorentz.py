@@ -71,19 +71,16 @@ __all__ = [
     "LyapunovWeight",
     "AppendixCConstants",
     "LorentzField",
-    "ModalDecayResult",
     "CubicBoundReport",
     "SandwichReport",
     "SimulationReport",
     "build_velocity_operators",
     "modal_generator",
     "lyapunov_weight",
-    "essential_block",
     "kappa_truncated",
     "kappa3_truncated",
     "constrained_mixing_infimum",
     "lyapunov_margin",
-    "modal_propagator_norm",
     "appendix_constants",
     "cubic_bound_verify",
     "full_propagator_bounds",
@@ -94,6 +91,9 @@ __all__ = [
 ]
 
 #: Certified exponential decay rate of the weighted norms (not sharp).
+#: 3 * LAMBDA0 is lambda_min of the 4x4 essential block of C*Y + YC (indices
+#: j = -1..2) at n = 1 and alpha = 1/2; tests/test_lorentz.py
+#: ``test_essential_block_minimum`` checks it.
 LAMBDA0 = 0.5 - 1.0 / (6.0 * math.sqrt(2.0)) - math.sqrt(7.0 / 16.0 + 1.0 / math.sqrt(8.0)) / 3.0
 
 #: Large-cutoff limit of the mixing coercivity constant, (3 - sqrt 5) / 2.
@@ -177,26 +177,6 @@ def lyapunov_weight(n_abs: float, alpha: float, M: int) -> LyapunovWeight:
     Y[M, M + 1] = -1j * alpha / n_abs
     Y[M + 1, M] = 1j * alpha / n_abs
     return LyapunovWeight(n_abs=float(n_abs), alpha=float(alpha), M=M, Y=Y)
-
-
-def essential_block(n_abs: float) -> np.ndarray:
-    """The 4x4 non-diagonal core of C*Y + YC on the j = -1..2 indices, for the
-    weight with alpha = 1/2.
-
-    Its smallest eigenvalue at n_abs = 1 equals three times the certified
-    rate LAMBDA0, and it only grows with n_abs.
-    """
-    n = float(n_abs)
-    a = 0.5
-    return np.array(
-        [
-            [2.0, 0.0, -a / 2.0, 0.0],
-            [0.0, a, -1j * a / n, a / 2.0],
-            [-a / 2.0, 1j * a / n, 2.0 - a, 0.0],
-            [0.0, a / 2.0, 0.0, 2.0],
-        ],
-        dtype=complex,
-    )
 
 
 def _even_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,41 +335,11 @@ def lyapunov_margin(n_abs: float, alpha: float, M: int) -> float:
     return core.min_eig_hermitian(S)
 
 
-@dataclass
-class ModalDecayResult:
-    """Propagator-norm curve of one mode plus the uniform decay envelope."""
-
-    curve: decay.DecayCurve
-    bounds: np.ndarray
-    worst_margin: float
-    ok: bool
-
-
 def _modal_norm_curve(n_abs: float, M: int, times) -> decay.DecayCurve:
     """||exp(-C t)|| of the magnitude-n_abs mode: the norm of its even block
     (module docstring)."""
     R, K = _even_blocks(M)
     return decay.propagator_norm_curve(R - n_abs * K, times)
-
-
-def modal_propagator_norm(n_abs: float, M: int, times) -> ModalDecayResult:
-    """Norm curve of exp(-C_n t) checked against min(1, prefactor * e^(-lambda0 t)).
-
-    The prefactor sqrt((2n+1)/(2n-1)) is the condition number of the
-    Lyapunov weight; a violation beyond 1e-8 signals a too-small truncation.
-    """
-    if n_abs < 1:
-        raise PreconditionError("n_abs must be at least 1")
-    curve = _modal_norm_curve(n_abs, M, times)
-    pref = math.sqrt((2.0 * n_abs + 1.0) / (2.0 * n_abs - 1.0))
-    bounds = np.minimum(1.0, pref * np.exp(-LAMBDA0 * curve.times))
-    margins = bounds + 1e-8 - curve.norms
-    return ModalDecayResult(
-        curve=curve,
-        bounds=bounds,
-        worst_margin=float(margins.min()),
-        ok=bool(margins.min() >= 0.0),
-    )
 
 
 def _exp_tail(z: float, k0: int) -> float:

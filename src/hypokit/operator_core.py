@@ -20,6 +20,7 @@ from .errors import (
     InvalidEntryError,
     NotPSDError,
     NumericalError,
+    PreconditionError,
     RangeError,
 )
 
@@ -283,8 +284,11 @@ def _psd_cut(R, rank_tol: float = 1e-10) -> _PsdCut:
     With s = max|w| over the eigenvalues w of (R + R*)/2, an eigenvalue below
     -rank_tol * s raises ``NotPSDError`` and one at or above rank_tol * s is
     kept.  The staircase (its block 0 and its kernel count), the power
-    families' sqrt(R) and every accretivity check read this cut.
+    families' sqrt(R) and every accretivity check read this cut, so this is
+    where a ``rank_tol`` outside (0, 1) raises ``PreconditionError``.
     """
+    if not 0.0 < rank_tol < 1.0:
+        raise PreconditionError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     R = as_matrix(R, square=True)
     w, V = np.linalg.eigh(_symmetrized(R))
     cut = rank_tol * max(abs(w[0]), abs(w[-1]), 1e-300)

@@ -1,10 +1,16 @@
+import cProfile
+import importlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+import hypokit
 from hypokit import cli, gallery, lorentz
 from hypokit import operator_core as core
+
+from helpers import CLI_COMMANDS
 
 
 def test_simulate_final_field_is_the_last_csv_row(tmp_path):
@@ -93,11 +99,17 @@ def test_decay_overflow_is_a_numerical_failure(tmp_path, capsys):
         ["lorentz", "simulate", "--random", "--tmax", "inf"],
         # about 71 PiB: numpy refuses the allocation at once
         ["lorentz", "kappa", "--M", "100000000"],
+        # a relative rank cut outside (0, 1) and a threshold that is not
+        # positive and finite decide nothing
+        *([command, "--tol-rank", tol] for command in ("analyze", "staircase")
+          for tol in ("inf", "nan", "0", "-1", "1")),
+        ["analyze", "--tol-kappa", "nan"],
+        ["analyze", "--tol-kappa", "inf"],
     ],
     ids=" ".join,
 )
 def test_invalid_sizes_exit_1_without_traceback(tmp_path, capsys, argv):
-    if argv[0] == "decay":
+    if argv[0] in ("decay", "analyze", "staircase"):
         src = tmp_path / "input.json"
         src.write_text(json.dumps(core.matrix_to_json(gallery.ck_matrix(2))))
         argv = [*argv, "--input", str(src)]
@@ -112,3 +124,63 @@ def test_simulate_overflowing_time_is_a_numerical_failure(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "hypokit: numerical failure:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gallery_rejects_a_parameter_its_example_does_not_take(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    rc = cli.main(["gallery", "--name", "ek_rescaled", "--k", "4", "--output", str(out)])
+    assert rc == 1
+    assert "hypokit: invalid input: example 'ek_rescaled' takes only blocks, not k" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+#: Public functions that no command calls, each with the reason it stays.
+UNREACHED = {
+    # perfbench/tracer.py LAYERS installs these by name, and perfbench's
+    # tests run that install
+    "hc_index.index_via_powers": "benchmark layer",
+    "hc_index.kalman_kernel_defect": "benchmark layer",
+    "hc_index.eigenvector_obstruction": "benchmark layer",
+    "operator_core.psd_sqrt": "benchmark layer",
+    "lorentz.cubic_bound_verify": "benchmark layer",
+    "lorentz.simulate": "benchmark layer",
+    # exact values the tests check the computed ones against
+    "gallery.ck_closed_form_norm": "test oracle: exact propagator norm of ck",
+    "gallery.ck_short_time_constant_exact": "test oracle: exact rational c of ck",
+    "decay.short_time_constant": "test oracle of the fitted short-time constant",
+}
+
+
+def test_every_public_function_is_reached(tmp_path):
+    # every command shape at a tiny size, in-process under cProfile; a public
+    # function that none of them calls is dead code unless UNREACHED keeps it
+    ck2, field = tmp_path / "ck2.json", tmp_path / "field.json"
+    ck2.write_text(json.dumps(core.matrix_to_json(gallery.ck_matrix(2))))
+    commands = [
+        *CLI_COMMANDS,
+        ["staircase", "--input", "{ck2}"],
+        ["decay", "--input", "{ck2}", "--format", "json", "--steps", "4"],
+        *(["gallery", "--name", name, f"--{param}", "2"]
+          for name, param in gallery._PARAMETER.items()),
+        ["lorentz", "kappa", "--M", "4"],
+        ["lorentz", "lyapunov", "--N", "2", "--M", "4"],
+        ["lorentz", "simulate", "--random", "--N", "1", "--M", "2", "--final-field", str(field)],
+        ["lorentz", "simulate", "--input", str(field), "--steps", "2"],
+    ]
+    profile = cProfile.Profile()
+    for argv in commands:
+        argv = [str(ck2) if a == "{ck2}" else a for a in argv]
+        rc = profile.runcall(cli.main, [*argv, "--output", str(tmp_path / "out")])
+        assert rc == 0, argv
+    called = {entry.code for entry in profile.getstats()}
+
+    unreached = []
+    for module_name in sorted(hypokit._SUBMODULES):
+        module = importlib.import_module(f"hypokit.{module_name}")
+        for name in getattr(module, "__all__", ()):  # errors defines classes only
+            fn = getattr(module, name)
+            if inspect.isfunction(fn) and fn.__code__ not in called:
+                unreached.append(f"{module_name}.{name}")
+    assert sorted(unreached) == sorted(UNREACHED)

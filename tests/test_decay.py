@@ -9,12 +9,7 @@ import scipy.linalg
 from hypokit import decay, errors, gallery, hc_index
 from hypokit import operator_core as core
 
-
-def random_matrix(rng, n, cap=None):
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    if cap is not None:
-        A *= cap / max(np.linalg.norm(A, 2), 1e-300)
-    return A
+from helpers import random_accretive
 
 
 class TestPropagatorNormCurve:
@@ -48,14 +43,14 @@ class TestPropagatorNormCurve:
         [np.linspace(0.0, 3.0, 31), np.linspace(0.2, 3.0, 15), np.geomspace(1e-3, 3.0, 12)],
     )
     def test_real_generator_matches_complex(self, ts):
-        dec = hc_index.random_accretive(np.random.default_rng(12), 9)
+        dec = random_accretive(np.random.default_rng(12), 9)
         C = (dec.C + dec.C.conj()).real / 2  # a real accretive generator
         real = decay.propagator_norm_curve(C, ts)
         cplx = decay.propagator_norm_curve(C.astype(complex), ts)
         np.testing.assert_allclose(real.norms, cplx.norms, rtol=1e-14, atol=0.0)
 
     def test_geometric_grid_equals_pointwise_matrix_exponential(self):
-        dec = hc_index.random_accretive(np.random.default_rng(5), 12)
+        dec = random_accretive(np.random.default_rng(5), 12)
         ts = np.geomspace(1e-4, 10.0, 40)
         curve = decay.propagator_norm_curve(dec.C, ts)
         ref = [core.spectral_norm(core.matrix_exponential(-dec.C, t)) for t in ts]
@@ -85,7 +80,7 @@ class TestPropagatorNormCurve:
     def test_submultiplicative_norms(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            dec = hc_index.random_accretive(rng, 5)
+            dec = random_accretive(rng, 5)
             grid = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
             curve = decay.propagator_norm_curve(dec.C, grid)
             value = dict(zip(grid, curve.norms))
@@ -99,7 +94,9 @@ class TestShortTimeConstant:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_ck_family(self, k):
         dec = core.hermitian_split(gallery.ck_matrix(k))
-        assert decay.short_time_constant(dec, 1) == pytest.approx(k * k / 12.0, abs=1e-12)
+        exact = gallery.ck_short_time_constant_exact(k)
+        assert exact == Fraction(k * k, 12)
+        assert decay.short_time_constant(dec, 1) == pytest.approx(float(exact), abs=1e-12)
 
     def test_coercive_case_is_min_eig(self):
         dec = core.hermitian_split(np.diag([1.0, 2.0]))
@@ -134,8 +131,9 @@ class TestShortTimeConstant:
 class TestFitShortTime:
     def test_ck_grid(self):
         C = gallery.ck_matrix(1)
+        s = core.spectral_norm(C)
         fit = decay.fit_short_time(
-            decay.propagator_norm_curve(C, decay.default_fit_times(C))
+            decay.propagator_norm_curve(C, np.geomspace(1e-4 / s, 1e-1 / s, 120))
         )
         assert fit.a_rounded == 3
         assert not fit.flagged
@@ -143,8 +141,9 @@ class TestFitShortTime:
 
     def test_coercive_exponent_one(self):
         C = np.diag([1.0, 2.0])
+        s = core.spectral_norm(C)
         fit = decay.fit_short_time(
-            decay.propagator_norm_curve(C, decay.default_fit_times(C))
+            decay.propagator_norm_curve(C, np.geomspace(1e-4 / s, 1e-1 / s, 120))
         )
         assert fit.a_rounded == 1
         assert abs(fit.c_est - 1.0) <= 0.05
@@ -173,7 +172,8 @@ class TestFitShortTime:
         ]
         for C, m, grid in cases:
             if grid is None:
-                grid = decay.default_fit_times(C)
+                s = core.spectral_norm(C)
+                grid = np.geomspace(1e-4 / s, 1e-1 / s, 120)
             fit = decay.fit_short_time(decay.propagator_norm_curve(C, grid))
             assert abs(fit.a_est - (2 * m + 1)) <= 0.1
             c_ref = decay.short_time_constant(core.hermitian_split(C), m)
@@ -203,104 +203,11 @@ class TestStabilityCheck:
         assert rep.t0 == pytest.approx(3.0 / min(gaps), rel=1e-10)
 
 
-class TestTaylorSeries:
-    def test_first_terms(self):
-        rng = np.random.default_rng(1)
-        A = random_matrix(rng, 4, cap=2.0)
-        data = decay.taylor_U(A, 6)
-        np.testing.assert_allclose(data.U[0], np.eye(4), atol=1e-14)
-        CH = (A + A.conj().T) / 2
-        assert np.abs(data.U[1] + 2 * CH).max() <= 1e-13
-
-    def test_hermitian_diagonal(self):
-        d = np.array([0.5, 1.0, 2.0])
-        data = decay.taylor_U(np.diag(d), 5)
-        for j, Uj in enumerate(data.U):
-            np.testing.assert_allclose(Uj, np.diag((-2.0 * d) ** j), atol=1e-10)
-
-    def test_norm_growth_bound(self):
-        rng = np.random.default_rng(2)
-        A = random_matrix(rng, 5, cap=3.0)
-        data = decay.taylor_U(A, 8)
-        nrm = core.spectral_norm(A)
-        for j, Uj in enumerate(data.U):
-            assert core.spectral_norm(Uj) <= (2 * nrm) ** j * (1 + 1e-12)
-
-    def test_series_matches_propagator(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            A = random_matrix(rng, 4, cap=2.0)
-            data = decay.taylor_U(A, 12)
-            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            x /= np.linalg.norm(x)
-            for t in (0.1, 0.3, 0.5):
-                series = sum(
-                    (t**j / math.factorial(j)) * np.vdot(x, Uj @ x).real
-                    for j, Uj in enumerate(data.U)
-                )
-                exact = np.linalg.norm(core.matrix_exponential(-A, t) @ x) ** 2
-                assert abs(series - exact) <= 1e-9
-
-    def test_overflow_guard(self):
-        with pytest.raises(errors.RangeError):
-            decay.taylor_U(np.eye(2) * 40.0, 500)
-
-
-class TestSumOfSquares:
-    def test_random_instances(self):
-        rng = np.random.default_rng(4)
-        for m in (0, 1, 2):
-            U = random_matrix(rng, 4, cap=1.0)
-            V = random_matrix(rng, 4, cap=1.0)
-            W = random_matrix(rng, 4, cap=1.0)
-            assert decay.sum_of_squares_residual(U, V, W, m, 0.3, 30) <= 1e-10
-
-    def test_zero_middle_factor(self):
-        rng = np.random.default_rng(5)
-        U = random_matrix(rng, 3, cap=1.0)
-        W = random_matrix(rng, 3, cap=1.0)
-        assert decay.sum_of_squares_residual(U, np.zeros((3, 3)), W, 1, 0.2, 25) == 0.0
-
-    def test_m2_and_tail_coefficients(self):
-        rng = np.random.default_rng(6)
-        U = random_matrix(rng, 4, cap=1.0)
-        V = random_matrix(rng, 4, cap=1.0)
-        W = random_matrix(rng, 4, cap=1.0)
-        assert decay.sum_of_squares_residual(U, V, W, 2, 0.2, 30) <= 1e-10
-        for j in range(2, 30):
-            for k in range(2, j - 2):
-                assert decay._delta_coefficient(2, j, k) <= 1.0 + 1e-15
-
-    def test_tail_bound_guard(self):
-        big = np.eye(3) * 5.0
-        with pytest.raises(errors.RangeError):
-            decay.sum_of_squares_residual(big, big, big, 0, 2.0, 5)
-
-
 class TestPerturbedInitial:
-    def test_tau_zero_is_identity(self):
-        dec = core.hermitian_split(gallery.ck_matrix(1))
-        x0 = np.array([1.0, 0.0])
-        np.testing.assert_array_equal(decay.perturbed_initial(dec, 1, x0, 0.0), x0)
-
-    def test_exact_coefficients(self):
-        assert decay.perturbation_coefficients(1) == [Fraction(1), Fraction(1, 2)]
-        b = decay.perturbation_coefficients(2)
-        # verify the defining lower-triangular relations exactly
-        m = 2
-
-        def c(l, k):
-            mm = m - l
-            return Fraction(math.factorial(2 * mm + 1), math.factorial(k + 2 * mm + 1)) * math.comb(
-                k + mm, mm
-            )
-
-        for l in (1, 2):
-            assert sum((-1) ** (m - r) * c(l, l - r) * b[r] for r in range(l + 1)) == 0
-
     def test_ck_cubic_cancellation(self):
-        # for kernel data the perturbed datum realizes the cubic law up to
-        # a higher-order remainder
+        # for kernel data the perturbed datum x_tau = x0 + (tau/2) C x0 (the
+        # coefficients b = [1, 1/2] at m = 1) realizes the cubic law up to a
+        # higher-order remainder
         C = gallery.ck_matrix(1)
         dec = core.hermitian_split(C)
         x0 = np.array([1.0, 0.0], dtype=complex)
@@ -308,18 +215,12 @@ class TestPerturbedInitial:
         taus = np.array([0.2, 0.1, 0.05, 0.025])
         vals = []
         for tau in taus:
-            x_tau = decay.perturbed_initial(dec, 1, x0, float(tau))
-            g = decay.energy_change(C, x_tau, float(tau))
+            x_tau = x0 + 0.5 * tau * (C @ x0)
+            y = core.matrix_exponential(-C, float(tau)) @ x_tau
+            g = np.linalg.norm(y) ** 2 - np.linalg.norm(x_tau) ** 2
             vals.append(abs(g + 2 * c1 * tau**3))
         slopes = np.diff(np.log(vals)) / np.diff(np.log(taus))
         assert np.all(slopes >= 3.9)
-
-    def test_precondition_errors(self):
-        dec = core.hermitian_split(gallery.ck_matrix(1))
-        with pytest.raises(errors.PreconditionError):
-            decay.perturbed_initial(dec, 1, np.zeros(2), 0.1)
-        with pytest.raises(errors.PreconditionError):
-            decay.perturbed_initial(dec, 1, np.array([1.0, 0.0]), 0.99)
 
 
 class TestQuadraticFormFloor:

@@ -1,10 +1,9 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hypokit import errors, gallery, hc_index
+from hypokit import errors, gallery, hc_index, staircase
 from hypokit import operator_core as core
 
 
@@ -43,6 +42,23 @@ class TestMakeExample:
             gallery.make_example("ck", k=0)
         with pytest.raises(errors.PreconditionError):
             gallery.make_example("compact_R_family", dim=0)
+        with pytest.raises(errors.PreconditionError):
+            gallery.make_example("ek", k=0)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("ek_rescaled", {"k": 4}),
+            ("ck", {"blocks": 2}),
+            ("ek", {"k": 2, "dim": 3}),
+            ("remark25_block_family", {"dim": 3}),
+            ("compact_R_family", {"k": 2}),
+            ("ek_blockdiag", {"k": 2}),
+        ],
+    )
+    def test_rejects_a_parameter_the_example_does_not_take(self, name, params):
+        with pytest.raises(errors.PreconditionError, match="takes only"):
+            gallery.make_example(name, **params)
 
 
 class TestCkClosedForm:
@@ -61,59 +77,47 @@ class TestCkClosedForm:
         assert np.abs(oracle - direct).max() <= 1e-10
 
     def test_kink_location(self):
-        # at the kink time the two branches of the squared norm touch
+        # at the kink time 2 pi / sqrt(4k^2 - 1) the two branches of the
+        # squared norm touch
         for k in (1, 3):
-            tk = gallery.ck_kink_time(k)
             delta = math.sqrt(4 * k * k - 1)
+            tk = 2 * math.pi / delta
             alpha = 1 / (2 * k)
             A = (1 - alpha**2 * math.cos(delta * tk)) / (1 - alpha**2)
             assert A == pytest.approx(1.0, abs=1e-12)
-            assert tk == pytest.approx(2 * math.pi / delta, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_eigenvalues(self, k):
+        ev = np.linalg.eigvals(gallery.ck_matrix(k))
+        ev = ev[np.argsort(ev.imag)]  # conjugate pair: real parts tie up to roundoff
+        half_width = 0.5 * math.sqrt(4 * k * k - 1)
+        expected = np.array([0.5 - 1j * half_width, 0.5 + 1j * half_width])
+        assert np.abs(ev - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_long_time_envelope(self, k):
+        # ||P(t)|| e^(t/2) <= sqrt((2k+1)/(2k-1)) on 2001 times in [0, 10]
+        ts = np.linspace(0.0, 10.0, 2001)
+        envelope = np.max(gallery.ck_closed_form_norm(k, ts) * np.exp(ts / 2.0))
+        assert envelope <= math.sqrt((2.0 * k + 1.0) / (2.0 * k - 1.0)) + 1e-9
 
 
-class TestCkProperties:
-    def test_k1(self):
-        rep = gallery.ck_properties(1)
-        assert rep.ok
-        assert rep.short_time_exact == Fraction(1, 12)
-        ev = np.linalg.eigvals(gallery.ck_matrix(1))
-        assert sorted(e.imag for e in ev) == pytest.approx(
-            [-math.sqrt(3) / 2, math.sqrt(3) / 2], abs=1e-12
-        )
-
-    def test_k3_constant(self):
-        rep = gallery.ck_properties(3)
-        assert rep.ok
-        assert rep.short_time_exact == Fraction(9, 12) == Fraction(3, 4)
-        assert rep.short_time_float == pytest.approx(0.75, abs=1e-12)
-
-    def test_envelope_inequality_only(self):
-        rep = gallery.ck_properties(2)
-        assert rep.envelope_max <= rep.envelope_bound + 1e-9
-
-
-class TestEkProperties:
-    def test_ladder_up_to_five(self):
-        rep = gallery.ek_properties(5)
-        assert rep.ok
-        assert rep.indices == [0, 1, 2, 3, 4]
-        for k, gap in enumerate(rep.gaps, start=1):
-            assert 0.0 < gap <= 1.0 / k + 1e-12
-        assert rep.assembly_gap == pytest.approx(min(rep.gaps), abs=1e-12)
-
-    def test_k1_trivial(self):
-        rep = gallery.ek_properties(1)
-        assert rep.indices == [0]
-        assert rep.gaps[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_ladder_up_to_twenty_five(self):
-        rep = gallery.ek_properties(25)
-        assert rep.ok
-        assert rep.indices == list(range(25))
-
-    def test_rejects_k_zero(self):
-        with pytest.raises(errors.PreconditionError):
-            gallery.ek_properties(0)
+class TestEkLadder:
+    def test_index_and_gap_ladder(self):
+        # index m(E_k) = k - 1 and the trace-forced gap decay mu_k <= 1/k; a
+        # block assembly has the smallest gap of its blocks
+        gaps = []
+        for k in range(1, 26):
+            C = gallery.ek_matrix(k)
+            dec = core.hermitian_split(C)
+            assert staircase.build_staircase(dec.R, dec.J).index == k - 1
+            gaps.append(-core.spectral_abscissa(-C))
+            assert 0.0 < gaps[-1] <= 1.0 / k + 1e-12
+        assert gaps[0] == pytest.approx(1.0, abs=1e-12)
+        for blocks, tol in ((5, 1e-12), (25, 1e-10)):
+            assembly = gallery.make_example("ek_blockdiag", blocks=blocks)
+            gap = -core.spectral_abscissa(-assembly)
+            assert gap == pytest.approx(min(gaps[:blocks]), abs=tol)
 
 
 class TestEkRescale:

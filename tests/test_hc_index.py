@@ -5,6 +5,8 @@ from hypokit import errors, gallery, hc_index
 from hypokit import operator_core as core
 from hypokit.staircase import StaircaseForm
 
+from helpers import random_accretive
+
 
 def _rj(C):
     dec = core.hermitian_split(C)
@@ -125,7 +127,7 @@ class TestIndexViaPowers:
     def test_monotone_partial_sums(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            dec = hc_index.random_accretive(rng, int(rng.integers(2, 8)))
+            dec = random_accretive(rng, int(rng.integers(2, 8)))
             for method in hc_index.METHODS:
                 rep = hc_index.index_via_powers(dec, method, kappa_threshold=1e30, m_max=dec.dim)
                 eigs = np.asarray(rep.per_m_min_eigs)
@@ -157,7 +159,7 @@ class TestKalmanKernelDefect:
         # m = dim ker R
         rng = np.random.default_rng(14)
         for _ in range(50):
-            dec = hc_index.random_accretive(rng, int(rng.integers(2, 8)))
+            dec = random_accretive(rng, int(rng.integers(2, 8)))
             n = dec.dim
             kdim = hc_index.kalman_kernel_defect(dec.R, dec.J, 0)
             if hc_index.kalman_kernel_defect(dec.R, dec.J, n) == 0:
@@ -170,7 +172,7 @@ class TestKalmanKernelDefect:
             if trial % 3 == 2:
                 R, J = forced_obstruction_pair(rng, n)
             else:
-                dec = hc_index.random_accretive(rng, n)
+                dec = random_accretive(rng, n)
                 R, J = dec.R, dec.J
             dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
             sweep = hc_index.equivalence_audit(dec).defect_sweep
@@ -228,7 +230,7 @@ class TestEigenvectorObstruction:
             if trial % 3 == 2:
                 R, J = forced_obstruction_pair(rng, n)
             else:
-                dec = hc_index.random_accretive(rng, n)
+                dec = random_accretive(rng, n)
                 R, J = dec.R, dec.J
             full_rank = stacked_svd_defect(R, J, n) == 0
             witness = hc_index.eigenvector_obstruction(R, J)
@@ -256,7 +258,7 @@ class TestEquivalenceAudit:
     def test_random_campaign_no_disagreement(self):
         rng = np.random.default_rng(18)
         for _ in range(60):
-            dec = hc_index.random_accretive(rng, 6)
+            dec = random_accretive(rng, 6)
             assert hc_index.equivalence_audit(dec).agree
 
     def test_planted_staircase_index_four(self):
@@ -319,7 +321,7 @@ class TestEquivalenceAudit:
     def test_families_share_one_setup(self, monkeypatch):
         # one eigendecomposition of R per audit: the staircase's cut, which
         # also checks accretivity and gives the families their sqrt(R)
-        dec = hc_index.random_accretive(np.random.default_rng(31), 10)
+        dec = random_accretive(np.random.default_rng(31), 10)
         expected = {m: hc_index.index_via_powers(dec, m) for m in hc_index.METHODS}
         calls = {"_psd_cut": 0, "psd_sqrt": 0, "min_eig_hermitian": 0}
         for name in calls:
@@ -383,7 +385,7 @@ def test_random_accretive_generator_contract():
     rng = np.random.default_rng(20)
     saw_deficient = saw_full = False
     for _ in range(40):
-        dec = hc_index.random_accretive(rng, 5)
+        dec = random_accretive(rng, 5)
         assert core.min_eig_hermitian(dec.R) >= -1e-12
         assert np.abs(dec.J + dec.J.conj().T).max() <= 1e-12
         kdim = hc_index.kalman_kernel_defect(dec.R, dec.J, 0)

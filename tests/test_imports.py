@@ -18,6 +18,8 @@ import hypokit
 from hypokit import gallery
 from hypokit import operator_core as core
 
+from helpers import CLI_COMMANDS
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -52,17 +54,6 @@ def _child(code: str, **env_vars):
 
 def _loaded_after(statements: str) -> set[str]:
     return set(_child(f"import json, sys\n{statements}\nprint(json.dumps(sorted(sys.modules)))"))
-
-
-#: Every command that evaluates a propagator, a modal norm or a constant.
-CLI_COMMANDS = [
-    ["lorentz", "verify", "--N", "2", "--M", "8", "--M-constants", "32", "--steps", "6"],
-    ["lorentz", "simulate", "--random", "--N", "2", "--M", "8"],
-    ["lorentz", "constants", "--M", "32"],
-    ["analyze", "--input", "{ck2}"],
-    ["decay", "--input", "{ck2}"],
-    ["gallery", "--name", "ek_rescaled", "--blocks", "2"],
-]
 
 
 def _is_scipy(name: str) -> bool:

@@ -185,7 +185,7 @@ class TestParityBlocks:
             lambda: lorentz.kappa_truncated(0),
             lambda: lorentz.kappa3_truncated(0),
             lambda: lorentz.constrained_mixing_infimum(0, 0.1),
-            lambda: lorentz.modal_propagator_norm(1, 0, ts),
+            lambda: lorentz._modal_norm_curve(1.0, 0, ts),
         ):
             with pytest.raises(errors.DimensionError, match="M must be at least 1"):
                 call()
@@ -198,8 +198,8 @@ class TestParityBlocks:
             C = lorentz.modal_generator(float(n), 8).C
             ref = [np.linalg.norm(scipy.linalg.expm(-C * t), 2) for t in ts]
             np.testing.assert_allclose(rep.norms[n - 1], ref, rtol=0, atol=1e-13)
-        res = lorentz.modal_propagator_norm(2, 8, ts)
-        np.testing.assert_allclose(res.curve.norms, rep.norms[1], rtol=0, atol=1e-15)
+        curve = lorentz._modal_norm_curve(2.0, 8, ts)
+        np.testing.assert_allclose(curve.norms, rep.norms[1], rtol=0, atol=1e-15)
 
     @staticmethod
     def dense_form(M, form):
@@ -250,30 +250,52 @@ class TestLyapunovWeight:
         assert lorentz.lyapunov_margin(1, 0.5, 64) >= -1e-10
         assert lorentz.lyapunov_margin(5, 0.5, 64) >= lorentz.lyapunov_margin(1, 0.5, 64) - 1e-12
 
+    @staticmethod
+    def essential_block(n):
+        """The 4x4 non-diagonal core of C*Y + YC on the indices j = -1..2,
+        for the weight with alpha = 1/2."""
+        a = 0.5
+        return np.array(
+            [
+                [2.0, 0.0, -a / 2.0, 0.0],
+                [0.0, a, -1j * a / n, a / 2.0],
+                [-a / 2.0, 1j * a / n, 2.0 - a, 0.0],
+                [0.0, a / 2.0, 0.0, 2.0],
+            ],
+            dtype=complex,
+        )
+
     def test_essential_block_minimum(self):
-        Z1 = lorentz.essential_block(1)
+        # its smallest eigenvalue is 3 LAMBDA0 at n = 1 and grows with n
+        Z1 = self.essential_block(1.0)
         assert np.linalg.eigvalsh(Z1)[0] == pytest.approx(3 * LAM0, abs=1e-10)
-        assert np.linalg.eigvalsh(lorentz.essential_block(3))[0] >= 3 * LAM0
+        assert np.linalg.eigvalsh(self.essential_block(3.0))[0] >= 3 * LAM0
 
 
 class TestModalPropagatorNorm:
+    @staticmethod
+    def within_envelope(n, curve):
+        """||P_n(t)|| <= min(1, sqrt((2n+1)/(2n-1)) e^(-LAMBDA0 t)) + 1e-8; the
+        prefactor is the condition number of the Lyapunov weight."""
+        pref = math.sqrt((2.0 * n + 1.0) / (2.0 * n - 1.0))
+        bounds = np.minimum(1.0, pref * np.exp(-LAM0 * curve.times))
+        return bool(np.all(curve.norms <= bounds + 1e-8))
+
     def test_time_zero(self):
-        res = lorentz.modal_propagator_norm(1, 8, np.linspace(0.0, 1.0, 5))
-        assert res.curve.norms[0] == pytest.approx(1.0, abs=1e-13)
-        assert res.ok
+        curve = lorentz._modal_norm_curve(1.0, 8, np.linspace(0.0, 1.0, 5))
+        assert curve.norms[0] == pytest.approx(1.0, abs=1e-13)
+        assert self.within_envelope(1, curve)
 
     def test_uniform_bound_small(self):
         ts = np.linspace(0.0, 20.0, 80)
         for n in (1, 2, 5):
-            res = lorentz.modal_propagator_norm(n, 32, ts)
-            assert res.ok
+            assert self.within_envelope(n, lorentz._modal_norm_curve(float(n), 32, ts))
             pref = math.sqrt((2 * n + 1) / (2 * n - 1))
             assert pref <= math.sqrt(3.0) + 1e-15
 
     def test_short_time_exponent_three(self):
         ts = np.geomspace(5e-3, 2.0, 120)
-        res = lorentz.modal_propagator_norm(1, 16, ts)
-        fit = decay.fit_short_time(res.curve)
+        fit = decay.fit_short_time(lorentz._modal_norm_curve(1.0, 16, ts))
         assert fit.a_rounded == 3
 
 
