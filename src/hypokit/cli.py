@@ -125,7 +125,9 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_json(obj, path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True), path)
+    # no indent: any indent selects json's pure-Python encoder, which took
+    # 0.70 of the 1.2 s of ``staircase`` at n = 200
+    _emit(json.dumps(obj, sort_keys=True), path)
 
 
 def _load_matrix(path: str):

@@ -101,6 +101,11 @@ def _time_grid(times) -> np.ndarray:
     return ts
 
 
+#: Size of the buffer of propagators that ``propagator_norm_curve`` norms in
+#: one call (at least one propagator).
+_CHUNK_BYTES = 2**20
+
+
 def propagator_norm_curve(C, times) -> DecayCurve:
     """Spectral norm of exp(-C t) at each grid time.
 
@@ -110,39 +115,55 @@ def propagator_norm_curve(C, times) -> DecayCurve:
       when t0 > 0) and P(t_k) = P(t_(k-1)) E is stepped.  After k steps the
       absolute error is at most k*eps*max_(s<=t) ||P(s)||^2, so at most
       k*eps for accretive C.  A product that overflows raises ``RangeError``
-      (a bound at the last time would refuse stable non-normal generators);
+      naming the first time where it does (a bound at the last time would
+      refuse stable non-normal generators);
     - on any other grid (the geometric short-time grids) every point gets
       its own ``expm``, and the overflow guard of ``core.matrix_exponential``
       runs once, at the last time, which bounds the logarithmic norm of
       every earlier point.
 
     A real generator is stepped in real arithmetic (``core.as_matrix`` keeps
-    its dtype).  The top singular value is ``core.spectral_norm`` (a full
-    SVD), not the Gram eigenvalue sqrt(lambda_max(P*P)): on a 220-point grid
-    at n = 60 (2-core box, OpenBLAS, two BLAS threads) expm + SVD took
-    0.84-0.98 s against 2.6-3.1 s for expm + Gram.  At one thread, the CLI
-    default, the 220 numpy expm (``core._expm``) take 0.12 s (scipy's took
-    0.13 s) and their norms 0.11 s by SVD against 0.06 s by Gram (best of 7,
-    same box), so the choice is worth measuring again.
+    its dtype).  Both paths write consecutive propagators into one buffer of
+    at most ``_CHUNK_BYTES`` (1 MiB; one propagator if a single one is
+    larger) and take the top singular values of each full buffer with one
+    batched ``core.spectral_norm`` call, so the memory is bounded whatever
+    the grid length and the per-call overhead, which dominates on small
+    blocks, is paid once per buffer.  The stepping is the sequential one
+    above, and LAPACK factors each slice of a stack exactly as that matrix
+    alone, so the norms are bitwise those of one ``spectral_norm`` call per
+    point.
     """
     C = core.as_matrix(C, square=True)
     ts = _time_grid(times)
+    n = C.shape[0]
+    rows = min(ts.size, max(1, _CHUNK_BYTES // (n * n * C.itemsize)))
+    buf = np.empty((rows, n, n), dtype=C.dtype)
+    norms = np.empty(ts.size)
     if is_uniform_grid(ts):
         E = core.matrix_exponential(-C, ts[1] - ts[0])
-        P = core.matrix_exponential(-C, ts[0]) if ts[0] > 0 else np.eye(C.shape[0], dtype=C.dtype)
-        norms = np.empty(ts.size)
+        P = core.matrix_exponential(-C, ts[0]) if ts[0] > 0 else np.eye(n, dtype=C.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(ts.size):
+            for start in range(0, ts.size, rows):
+                chunk = buf[: min(rows, ts.size - start)]
+                for k, out in enumerate(chunk):
+                    if start + k == 0:
+                        out[...] = P
+                    else:
+                        np.matmul(P, E, out=out)
+                    P = out
                 try:
-                    norms[i] = core.spectral_norm(P)
-                except InvalidEntryError:  # E and P(t0) are finite: the product overflowed
-                    raise RangeError(f"exp(-C t) overflows at t = {ts[i]:.6g}") from None
-                if i + 1 < ts.size:
-                    P = P @ E
+                    norms[start : start + len(chunk)] = core.spectral_norm(chunk)
+                except InvalidEntryError:  # E and P(t0) are finite: a product overflowed
+                    first = start + int(np.argmin(np.isfinite(chunk).all(axis=(1, 2))))
+                    raise RangeError(f"exp(-C t) overflows at t = {ts[first]:.6g}") from None
     else:
         A = -C
         core._check_exp_range(A, ts[-1])
-        norms = np.array([core.spectral_norm(core._expm(A, t)) for t in ts])
+        for start in range(0, ts.size, rows):
+            chunk = buf[: min(rows, ts.size - start)]
+            for k, out in enumerate(chunk):
+                out[...] = core._expm(A, ts[start + k])
+            norms[start : start + len(chunk)] = core.spectral_norm(chunk)
     return DecayCurve(times=ts, norms=norms)
 
 

@@ -650,18 +650,25 @@ def field_to_json(field: LorentzField) -> dict:
 
 def field_from_json(obj: dict) -> LorentzField:
     try:
-        N = int(obj["N"])
-        M = int(obj["M"])
-        items = obj["coeffs"]
+        N, M, items = obj["N"], obj["M"], obj["coeffs"]
     except (KeyError, TypeError) as exc:
         raise InvalidEntryError(f"malformed field object: {exc}") from exc
+    if type(N) is not int or type(M) is not int or type(items) is not list:
+        raise InvalidEntryError("malformed field object: N and M must be integers and coeffs a list")
     field = LorentzField(N, M)
-    for item in items:
-        n1, n2 = int(item["n"][0]), int(item["n"][1])
-        j = int(item["j"])
+    for i, item in enumerate(items):
+        try:
+            (n1, n2), j = item["n"], item["j"]
+            if not type(n1) is type(n2) is type(j) is int:
+                raise TypeError("n and j must be integers")
+            re, im = float(item["re"]), float(item["im"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidEntryError(f"coefficient {i} is malformed: {exc!r}") from None
         if abs(n1) > N or abs(n2) > N or abs(j) > M:
             raise DimensionError(f"coefficient index ({n1},{n2},{j}) outside cutoffs")
-        field[n1, n2, j] = complex(float(item["re"]), float(item["im"]))
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise InvalidEntryError(f"coefficient {i} is not finite")
+        field[n1, n2, j] = complex(re, im)
     return field
 
 

@@ -46,8 +46,13 @@ def as_matrix(A, square: bool = False) -> np.ndarray:
         raise DimensionError(f"expected a nonempty 2-d matrix, got shape {M.shape}")
     if square and M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    M = M.astype(np.float64 if M.dtype.kind in "biuf" else np.complex128, copy=True)
-    if not np.all(np.isfinite(M)):
+    return _finite(M, copy=True)
+
+
+def _finite(M: np.ndarray, copy: bool) -> np.ndarray:
+    """``M`` as float64 (real or integer input) or complex128, checked finite."""
+    M = M.astype(np.float64 if M.dtype.kind in "biuf" else np.complex128, copy=copy)
+    if not np.isfinite(M).all():
         raise InvalidEntryError("matrix contains NaN or infinite entries")
     return M
 
@@ -223,10 +228,21 @@ def _scaled_pade(X: np.ndarray) -> np.ndarray:
     return E
 
 
-def spectral_norm(A) -> float:
-    """Largest singular value of A."""
-    A = as_matrix(A)
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+def spectral_norm(A):
+    """Largest singular value of A: a ``float`` for a matrix.
+
+    A stack of shape (k, m, n) gives the array of its k top singular values,
+    from one finiteness check and one batched ``np.linalg.svd``.  LAPACK
+    factors each slice on its own, exactly as for that slice alone, so
+    ``spectral_norm(S)[i] == spectral_norm(S[i])``.  A slice that is not
+    finite raises ``InvalidEntryError``.
+    """
+    S = np.asarray(A)
+    if S.ndim != 3:
+        return float(np.linalg.svd(as_matrix(S), compute_uv=False)[0])
+    if S.size == 0:
+        raise DimensionError(f"expected a nonempty stack of matrices, got shape {S.shape}")
+    return np.linalg.svd(_finite(S, copy=False), compute_uv=False)[:, 0]
 
 
 def _symmetrized(A) -> np.ndarray:
@@ -330,14 +346,26 @@ def matrix_to_json(A) -> dict:
     return {"n_rows": int(n_rows), "n_cols": int(n_cols), "entries": entries}
 
 
+#: Python types of the JSON numbers (``bool``, a JSON true or false, is not one).
+_JSON_NUMBER = (int, float)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Parse the interchange dict; bare numbers are accepted for real entries."""
+    """Parse the interchange dict, as loaded by ``json``; bare numbers are
+    accepted for real entries.
+
+    Sizes that are not JSON integers, and an entry that is neither a number
+    nor an [re, im] pair of numbers, raise ``InvalidEntryError``; the latter
+    names the entry's row-major index.
+    """
     try:
-        n_rows = int(obj["n_rows"])
-        n_cols = int(obj["n_cols"])
-        raw = obj["entries"]
+        n_rows, n_cols, raw = obj["n_rows"], obj["n_cols"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise InvalidEntryError(f"malformed matrix object: {exc}") from exc
+    if type(n_rows) is not int or type(n_cols) is not int or type(raw) is not list:
+        raise InvalidEntryError(
+            "malformed matrix object: n_rows and n_cols must be integers and entries a list"
+        )
     if n_rows <= 0 or n_cols <= 0:
         raise DimensionError("n_rows and n_cols must be positive")
     if len(raw) != n_rows * n_cols:
@@ -346,9 +374,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         )
     flat = np.empty(n_rows * n_cols, dtype=np.complex128)
     for i, item in enumerate(raw):
-        if isinstance(item, (int, float)):
-            flat[i] = complex(item, 0.0)
-        else:
-            re, im = item
+        try:
+            re, im = item if type(item) is list else (item, 0.0)
+            if type(re) not in _JSON_NUMBER or type(im) not in _JSON_NUMBER:
+                raise TypeError
             flat[i] = complex(re, im)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an integer past double range
+            raise InvalidEntryError(
+                f"entry {i} is not a number or an [re, im] pair of numbers"
+            ) from None
     return as_matrix(flat.reshape(n_rows, n_cols))

@@ -117,6 +117,41 @@ def test_invalid_sizes_exit_1_without_traceback(tmp_path, capsys, argv):
     assert "hypokit: invalid input:" in capsys.readouterr().err
 
 
+_GOOD_COEFF = {"n": [0, 1], "j": 1, "re": 1.0, "im": 0.0}
+
+
+@pytest.mark.parametrize(
+    "argv, obj, message",
+    [
+        # a 2x2 matrix whose entry 2 is malformed; the other entries are valid
+        *((["decay"], {"n_rows": 2, "n_cols": 2, "entries": [1.0, [0.0, 1.0], bad, 2]},
+           "entry 2 is not a number")
+          for bad in ([1, 2, 3], "ab", None, True, [1.0, False], [1.0, "x"], 10**400)),
+        *((["decay"], {"n_rows": rows, "n_cols": 2, "entries": entries}, "malformed matrix object")
+          for rows, entries in (("x", []), (1, 5), (1.5, [1, 2]), (True, [1, 2]), (None, []))),
+        (["decay"], [1, 2], "malformed matrix object"),
+        # a field whose coefficient 1 is malformed
+        *((["lorentz", "simulate"], {"N": 1, "M": 2, "coeffs": [_GOOD_COEFF, bad]},
+           "coefficient 1 is")
+          for bad in ({**_GOOD_COEFF, "n": [0]}, {**_GOOD_COEFF, "re": "x"},
+                      {**_GOOD_COEFF, "j": None}, {**_GOOD_COEFF, "j": 1.5},
+                      {**_GOOD_COEFF, "n": [0, True]}, {**_GOOD_COEFF, "im": float("nan")},
+                      {"n": [0, 1], "j": 1}, 7)),
+        *((["lorentz", "simulate"], {"N": n, "M": 2, "coeffs": coeffs}, "malformed field object")
+          for n, coeffs in ((1, 3), ("x", []), (1.5, []), (False, []))),
+        (["lorentz", "simulate"], {"N": 1, "coeffs": []}, "malformed field object"),
+    ],
+)
+def test_malformed_json_entries_exit_1_without_traceback(tmp_path, capsys, argv, obj, message):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--input", str(src), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hypokit: invalid input:") and message in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_simulate_overflowing_time_is_a_numerical_failure(tmp_path, capsys):
     out = tmp_path / "out.csv"
     argv = ["lorentz", "simulate", "--random", "--N", "1", "--M", "2", "--steps", "2",
