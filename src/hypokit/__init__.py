@@ -69,7 +69,6 @@ _EXPORTS = {
             "AppendixCConstants",
             "LorentzField",
             "appendix_constants",
-            "build_velocity_operators",
             "cubic_bound_verify",
             "full_propagator_bounds",
             "kappa_truncated",

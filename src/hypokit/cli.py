@@ -290,6 +290,8 @@ def _cmd_lorentz(args) -> int:
 
         times = _uniform_times(args.tmax, args.steps)
         if args.random:
+            if args.seed < 0:
+                raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
             rng = np.random.default_rng(args.seed)
             field0 = lorentz.LorentzField.random(rng, args.N, args.M)
         elif args.input:

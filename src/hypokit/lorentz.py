@@ -1,26 +1,30 @@
 """Spectrally truncated Lorentz kinetic equation on the 2-torus with unit
 speed and unit relaxation rate.
 
-Velocity space is discretized by Fourier modes j in [-M, M]; the collision
-part acts as the projection complement R = diag(1 - delta_{j0}) and the
-transport part of a spatial mode of magnitude n acts (up to a rotation that
-does not affect norms) as n times the tridiagonal skew matrix with -i/2 off
-the diagonal.  On top of the modal generators this module provides the
-coercivity constant of the mixing form, Lyapunov-weight decay certificates,
-the uniform short-time constant pipeline, and full-field simulation.
+Velocity space is discretized by Fourier modes j in [-M, M], and every
+operator is built in one real basis.  The collision part is the projection
+complement R = diag(1 - delta_{j0}); the transport part of a spatial mode of
+magnitude n is (up to a rotation that does not affect norms) n K, with K real,
+skew and tridiagonal, +1/2 above the diagonal and -1/2 below, so the mode's
+generator is R - n K.  The physical transport is D K D* with D = diag(d),
+d_j = i^j, which commutes with R; a field passes into this basis and back by
+multiplying its coefficients by conj(d) and by d, exactly, as each d_j is one
+of 1, i, -1, -i.  Only the field coefficients are complex.  On top of the
+modal generators this module provides the coercivity constant of the mixing
+form, Lyapunov-weight decay certificates, the uniform short-time constant
+pipeline, and full-field simulation.
 
 Norms and smallest eigenvalues are computed on real parity blocks, built
-directly.  The diagonal similarity D = diag(i^j) makes R and J10 real, and
-both commute with the signed reflection e_j -> (-1)^j e_(-j).  In the
-unitary basis U = D Q of its eigenvectors, even (e_0 and
+directly.  R and K commute with the signed reflection e_j -> (-1)^j e_(-j).
+In the orthogonal basis Q of its eigenvectors, even (e_0 and
 (e_j + (-1)^j e_(-j))/sqrt 2, j = 1..M) then odd ((e_j - (-1)^j e_(-j))/sqrt 2),
-R and J10 are block diagonal.  The even blocks, of size M+1, are
+R and K are block diagonal.  The even blocks, of size M+1, are
 R_e = diag(0, 1, ..., 1) and the skew tridiagonal K_e with superdiagonal
 (1/sqrt 2, 1/2, ..., 1/2); the odd blocks are R_e[1:, 1:] = I and K_e[1:, 1:].
-The odd block of the generators sigma R - n J10 and of the forms R + J R J*,
-R + C* R C, J* R J and R - delta I is likewise the even one without its
+The odd block of the generators R - n K and of the forms R + K R K^T,
+R + C^T R C, K^T R K and R - delta I is likewise the even one without its
 first row and column: index 0 is the only even index without an odd partner,
-R vanishes there, and in each product R stands between the factors of J10,
+R vanishes there, and in each product R stands between the factors of K,
 so every path through index 0 has weight zero.
 Hence lambda_min of a form is that of its even block E alone, as
 lambda_min(E) <= lambda_min(E[1:, 1:]) by Cauchy interlacing.
@@ -35,12 +39,12 @@ and ||exp(-G t)|| = e^(-t) ||exp(t B)|| >= e^(-t).  The larger of the two
 norms is always the even one.
 
 Truncated products of banded operators are wrong in their outermost rows.
-Each product has one factor of J10 on either side of R, so a form built at
+Each product has one factor of K on either side of R, so a form built at
 cutoff M+1 without the last row and column of its even block (indices
 +-(M+1)) has the entries of the untruncated operator at |j| <= M.  The
-complex (2M+1)-dimensional matrices stay as the reference, used by
-``build_velocity_operators``, ``modal_generator``, ``lyapunov_margin`` (the
-weight Y has no parity symmetry) and ``simulate_curve``.
+full (2M+1)-dimensional generator is built by ``modal_generator``, for
+``lyapunov_margin`` (the weight Y has no parity symmetry) and
+``simulate_curve``.
 
 The scalar solves of the constant pipeline are small private routines:
 bisection to adjacent floats for the monotone time limits and the crossover
@@ -66,15 +70,11 @@ from .errors import (
 __all__ = [
     "LAMBDA0",
     "KAPPA_LIMIT",
-    "VelocityOperators",
-    "ModalGenerator",
-    "LyapunovWeight",
     "AppendixCConstants",
     "LorentzField",
     "CubicBoundReport",
     "SandwichReport",
     "SimulationReport",
-    "build_velocity_operators",
     "modal_generator",
     "lyapunov_weight",
     "kappa_truncated",
@@ -100,87 +100,43 @@ LAMBDA0 = 0.5 - 1.0 / (6.0 * math.sqrt(2.0)) - math.sqrt(7.0 / 16.0 + 1.0 / math
 KAPPA_LIMIT = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class VelocityOperators:
-    """Collision projection complement and unit transport matrix at cutoff M."""
-
-    M: int
-    R: np.ndarray
-    J10: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.M + 1
-
-
-@dataclass(frozen=True)
-class ModalGenerator:
-    """Generator sigma*R - n_abs*J10 of one spatial mode of magnitude n_abs."""
-
-    n_abs: float
-    M: int
-    sigma: float
-    C: np.ndarray
-
-
-@dataclass(frozen=True)
-class LyapunovWeight:
-    """Hermitian weight: identity plus an -i*alpha/n coupling between j=0 and j=1."""
-
-    n_abs: float
-    alpha: float
-    M: int
-    Y: np.ndarray
-
-
 def _check_cutoff(M: int) -> None:
     if M < 1:
         raise DimensionError("M must be at least 1 (the j = +-1 couplings are essential)")
 
 
-def build_velocity_operators(M: int) -> VelocityOperators:
-    """Velocity-space matrices at Fourier cutoff M (indices j = -M..M)."""
-    _check_cutoff(M)
-    dim = 2 * M + 1
-    R = np.eye(dim, dtype=complex)
-    R[M, M] = 0.0
-    J10 = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim - 1):
-        J10[i, i + 1] = -0.5j
-        J10[i + 1, i] = -0.5j
-    return VelocityOperators(M=M, R=R, J10=J10)
-
-
-def modal_generator(n_abs: float, M: int, sigma: float = 1.0) -> ModalGenerator:
-    """Truncated generator of the spatial mode with Euclidean magnitude n_abs.
+def modal_generator(n_abs: float, M: int) -> np.ndarray:
+    """Truncated generator R - n_abs K of the spatial mode with Euclidean
+    magnitude n_abs, in the real basis (module docstring), indices j = -M..M.
 
     Lattice modes sharing a magnitude evolve identically (the rotation that
     aligns them is unitary), so n_abs may be any positive real.
     """
     if n_abs <= 0:
         raise PreconditionError("n_abs must be positive")
-    if sigma <= 0:
-        raise PreconditionError("sigma must be positive")
-    ops = build_velocity_operators(M)
-    return ModalGenerator(n_abs=float(n_abs), M=M, sigma=float(sigma),
-                          C=sigma * ops.R - n_abs * ops.J10)
+    _check_cutoff(M)
+    half = np.full(2 * M, 0.5)
+    K = np.diag(half, 1) - np.diag(half, -1)
+    C = np.eye(2 * M + 1) - n_abs * K
+    C[M, M] = 0.0
+    return C
 
 
-def lyapunov_weight(n_abs: float, alpha: float, M: int) -> LyapunovWeight:
-    """Weight matrix with eigenvalues 1 and 1 +- alpha/n_abs (positive definite)."""
+def lyapunov_weight(n_abs: float, alpha: float, M: int) -> np.ndarray:
+    """Weight matrix with eigenvalues 1 and 1 +- alpha/n_abs (positive definite):
+    in the real basis (module docstring), the identity plus alpha/n_abs at
+    (j=0, j=1) and (j=1, j=0)."""
     if M < 2:
         raise DimensionError("M must be at least 2")
     if not 0.0 < alpha < n_abs:
         raise PreconditionError("need 0 < alpha < n_abs for a positive definite weight")
-    dim = 2 * M + 1
-    Y = np.eye(dim, dtype=complex)
-    Y[M, M + 1] = -1j * alpha / n_abs
-    Y[M + 1, M] = 1j * alpha / n_abs
-    return LyapunovWeight(n_abs=float(n_abs), alpha=float(alpha), M=M, Y=Y)
+    Y = np.eye(2 * M + 1)
+    Y[M, M + 1] = Y[M + 1, M] = alpha / n_abs
+    return Y
 
 
 def _even_blocks(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real even parity blocks R_e and K_e of R and J10 at cutoff M.
+    """The even parity blocks R_e and K_e of R and K at cutoff M.
 
     Both are (M+1)x(M+1); the odd blocks are R_e[1:, 1:] and K_e[1:, 1:]
     (module docstring).
@@ -201,7 +157,7 @@ def _even_form(M: int, form) -> np.ndarray:
 
 
 def kappa_truncated(M: int) -> float:
-    """Smallest eigenvalue of the mixing form R + J10 R J10* at cutoff M.
+    """Smallest eigenvalue of the mixing form R + K R K^T at cutoff M.
 
     Monotone nonincreasing in M and converging (exponentially fast, the
     minimizer is localized at j = 0) to (3 - sqrt 5)/2.
@@ -210,7 +166,7 @@ def kappa_truncated(M: int) -> float:
 
 
 def kappa3_truncated(M: int, n_abs: float = 1.0) -> float:
-    """Smallest eigenvalue of R + C* R C for the magnitude-n_abs generator."""
+    """Smallest eigenvalue of R + C^T R C for the magnitude-n_abs generator."""
 
     def form(R, K):
         C = R - n_abs * K
@@ -294,9 +250,9 @@ def _bounded_minimum(f, lo: float, hi: float, xatol: float) -> float:
 
 
 def constrained_mixing_infimum(M: int, delta: float) -> float:
-    """inf ||sqrt(R) J10 x|| over unit x with <x, R x> <= delta.
+    """inf ||sqrt(R) K x|| over unit x with <x, R x> <= delta.
 
-    Evaluated through the concave dual mu -> lambda_min(J10* R J10 +
+    Evaluated through the concave dual mu -> lambda_min(K^T R K +
     mu (R - delta I)), whose maximum equals the constrained minimum for this
     pair of quadratic forms; cross-checked against sampled feasible vectors
     in the tests.  lambda_min is read off the even parity block (module
@@ -320,7 +276,7 @@ def constrained_mixing_infimum(M: int, delta: float) -> float:
 
 
 def lyapunov_margin(n_abs: float, alpha: float, M: int) -> float:
-    """lambda_min of C*Y + YC - 2 LAMBDA0 Y for the magnitude-n_abs generator.
+    """lambda_min of C^T Y + Y C - 2 LAMBDA0 Y for the magnitude-n_abs generator.
 
     A margin >= -1e-10 certifies the decay rate LAMBDA0 in the Y-weighted
     norm at this truncation; the truncated form coincides with the window of
@@ -328,11 +284,9 @@ def lyapunov_margin(n_abs: float, alpha: float, M: int) -> float:
     """
     if n_abs < 1:
         raise PreconditionError("n_abs must be at least 1")
-    gen = modal_generator(n_abs, M)
-    Y = lyapunov_weight(n_abs, alpha, M).Y
-    C = gen.C
-    S = C.conj().T @ Y + Y @ C - 2.0 * LAMBDA0 * Y
-    return core.min_eig_hermitian(S)
+    C = modal_generator(n_abs, M)
+    Y = lyapunov_weight(n_abs, alpha, M)
+    return core.min_eig_hermitian(C.T @ Y + Y @ C - 2.0 * LAMBDA0 * Y)
 
 
 def _modal_norm_curve(n_abs: float, M: int, times) -> decay.DecayCurve:
@@ -661,7 +615,10 @@ def field_from_json(obj: dict) -> LorentzField:
             (n1, n2), j = item["n"], item["j"]
             if not type(n1) is type(n2) is type(j) is int:
                 raise TypeError("n and j must be integers")
-            re, im = float(item["re"]), float(item["im"])
+            re, im = item["re"], item["im"]
+            if type(re) not in core._JSON_NUMBER or type(im) not in core._JSON_NUMBER:
+                raise TypeError("re and im must be numbers")
+            re, im = float(re), float(im)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidEntryError(f"coefficient {i} is malformed: {exc!r}") from None
         if abs(n1) > N or abs(n2) > N or abs(j) > M:
@@ -708,38 +665,42 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
     report per grid time.
 
     The relaxation rate is the unit rate of the module: the mode of
-    magnitude n has the generator R - n J10 (``modal_generator`` at
-    sigma = 1).  The grid must be nonempty, finite, strictly increasing and
-    nonnegative, as for ``decay.propagator_norm_curve``.
+    magnitude n has the generator R - n K of ``modal_generator``.  The grid
+    must be nonempty, finite, strictly increasing and nonnegative, as for
+    ``decay.propagator_norm_curve``.
+
+    The field is stepped in the real basis: its coefficients are multiplied
+    by conj(d) once before the first step and by d once after the last
+    (module docstring).  Both are exact and keep every |coefficient|, so the
+    mass and the reported distances are those of the returned field.
 
     Each step advances the previous state by the time since the last grid
     point (the first by ``times[0]``).  Modes of equal magnitude share one
-    propagator, computed again only when the step length changes, so a
-    uniform grid costs one ``expm`` per magnitude (two when it starts after
-    0).  The zero mode relaxes by the diagonal collision semigroup exp(-R t),
-    which fixes the mass exactly.
+    generator and one propagator, computed again only when the step length
+    changes, so a uniform grid costs one ``expm`` per magnitude (two when it
+    starts after 0).  The zero mode relaxes by the diagonal collision
+    semigroup exp(-R t), which fixes the mass exactly.
     """
     ts = decay._time_grid(times)
     steps = np.diff(ts, prepend=0.0)
     if decay.is_uniform_grid(ts):
         steps[1:] = ts[1] - ts[0]
     N, M = field0.N, field0.M
-    ops = build_velocity_operators(M)
     groups = _mode_groups(N)
+    generators = [modal_generator(mag, M) for mag in groups]
     index = [tuple(np.array(modes).T + N) for modes in groups.values()]
+    phase = np.array([1, 1j, -1, -1j])[np.arange(-M, M + 1) % 4]  # d_j = i^j, exactly
 
     d0 = field0.distance_to_equilibrium()
     mass0 = field0.mass
     state = field0.copy()
+    state.coeffs *= phase.conj()
     reports = []
     h_prev = 0.0
     for t, h in zip(ts, steps):
         if h > 0:
             if h != h_prev:
-                props = [
-                    core.matrix_exponential(-(ops.R - mag * ops.J10), h)
-                    for mag in groups
-                ]
+                props = [core.matrix_exponential(-C, h) for C in generators]
                 diag = np.full(2 * M + 1, math.exp(-h), dtype=complex)
                 diag[M] = 1.0
                 h_prev = h
@@ -756,4 +717,5 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
                 mass_ok=drift <= 1e-14 * max(1.0, abs(mass0)),
             )
         )
+    state.coeffs *= phase
     return state, reports

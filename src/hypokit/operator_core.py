@@ -73,7 +73,7 @@ class OperatorDecomposition:
 def hermitian_split(C) -> OperatorDecomposition:
     """Split a square matrix as C = R - J with R = (C+C*)/2 and J = (C*-C)/2."""
     C = as_matrix(C, square=True)
-    R = (C + C.conj().T) / 2.0
+    R = _symmetrized(C)
     J = (C.conj().T - C) / 2.0
     return OperatorDecomposition(C=C, R=R, J=J)
 

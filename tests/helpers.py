@@ -1,4 +1,5 @@
-"""Shared test helpers: random accretive instances and the CLI command shapes."""
+"""Shared test helpers: random accretive instances, the CLI command shapes and
+the physical Lorentz velocity matrices."""
 
 import numpy as np
 
@@ -35,3 +36,21 @@ def random_accretive(rng: np.random.Generator, n: int) -> core.OperatorDecomposi
     S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     J = (S - S.conj().T) / 2.0
     return core.OperatorDecomposition(C=R - J, R=R, J=J)
+
+
+def lorentz_reference(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The physical (complex) Lorentz velocity matrices at cutoff M, indices
+    j = -M..M: the collision projection complement R = diag(1 - delta_j0) and
+    the unit transport J10 with -i/2 off the diagonal.
+
+    ``hypokit.lorentz`` builds everything in the real basis conj(d) . d with
+    d_j = i^j; these are the reference it is compared against.
+    """
+    dim = 2 * M + 1
+    R = np.eye(dim, dtype=complex)
+    R[M, M] = 0.0
+    J10 = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim - 1):
+        J10[i, i + 1] = -0.5j
+        J10[i + 1, i] = -0.5j
+    return R, J10

@@ -92,6 +92,7 @@ def test_decay_overflow_is_a_numerical_failure(tmp_path, capsys):
         ["decay", "--steps", "-5"],
         ["lorentz", "simulate", "--random", "--steps", "-3"],
         ["lorentz", "simulate", "--random", "--N", "-1"],
+        ["lorentz", "simulate", "--random", "--seed", "-1"],
         ["lorentz", "verify", "--steps", "-3"],
         ["decay", "--tmax", "nan"],
         ["decay", "--tmax", "inf"],
@@ -136,6 +137,8 @@ _GOOD_COEFF = {"n": [0, 1], "j": 1, "re": 1.0, "im": 0.0}
           for bad in ({**_GOOD_COEFF, "n": [0]}, {**_GOOD_COEFF, "re": "x"},
                       {**_GOOD_COEFF, "j": None}, {**_GOOD_COEFF, "j": 1.5},
                       {**_GOOD_COEFF, "n": [0, True]}, {**_GOOD_COEFF, "im": float("nan")},
+                      {**_GOOD_COEFF, "re": "1.5"}, {**_GOOD_COEFF, "re": True},
+                      {**_GOOD_COEFF, "im": False},
                       {"n": [0, 1], "j": 1}, 7)),
         *((["lorentz", "simulate"], {"N": n, "M": 2, "coeffs": coeffs}, "malformed field object")
           for n, coeffs in ((1, 3), ("x", []), (1.5, []), (False, []))),

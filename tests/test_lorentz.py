@@ -10,27 +10,31 @@ import scipy.optimize
 from hypokit import decay, errors, hc_index, lorentz
 from hypokit import operator_core as core
 
+from helpers import lorentz_reference
+
 KAPPA = lorentz.KAPPA_LIMIT
 LAM0 = lorentz.LAMBDA0
 
 
 class TestVelocityOperators:
+    """R and K, read off the real generator R - K."""
+
     def test_m1_entries(self):
-        ops = lorentz.build_velocity_operators(1)
-        np.testing.assert_array_equal(ops.R, np.diag([1.0, 0.0, 1.0]))
-        T = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-        np.testing.assert_array_equal(ops.J10, -0.5j * T)
+        C = lorentz.modal_generator(1.0, 1)
+        np.testing.assert_array_equal(C, [[1.0, -0.5, 0.0], [0.5, 0.0, -0.5], [0.0, 0.5, 1.0]])
 
     @pytest.mark.parametrize("M", [1, 3, 16])
     def test_structure(self, M):
-        ops = lorentz.build_velocity_operators(M)
-        np.testing.assert_array_equal(ops.R @ ops.R, ops.R)
-        np.testing.assert_array_equal(ops.J10.conj().T, -ops.J10)
-        assert core.spectral_norm(ops.J10) <= 1.0 + 1e-12
+        C = lorentz.modal_generator(1.0, M)
+        assert C.dtype == np.float64
+        R, K = (C + C.T) / 2, (C.T - C) / 2
+        np.testing.assert_array_equal(R @ R, R)
+        np.testing.assert_array_equal(K.T, -K)
+        assert core.spectral_norm(K) <= 1.0 + 1e-12
 
     def test_rejects_m0(self):
         with pytest.raises(errors.DimensionError):
-            lorentz.build_velocity_operators(0)
+            lorentz.modal_generator(1.0, 0)
 
 
 class TestKappaTruncated:
@@ -49,8 +53,8 @@ class TestKappaTruncated:
         # subtracting the shifted PSD 3x3 blocks leaves a diagonal remainder
         # with entries >= kappa
         M = 50
-        ops = lorentz.build_velocity_operators(M + 1)
-        Y = (ops.R + ops.J10 @ ops.R @ ops.J10.conj().T)[1:-1, 1:-1]
+        R, J10 = lorentz_reference(M + 1)
+        Y = (R + J10 @ R @ J10.conj().T)[1:-1, 1:-1]
         B = np.array(
             [[0.25 - KAPPA / 2, 0.0, 0.25], [0.0, 0.0, 0.0], [0.25, 0.0, 1.25 - KAPPA / 2]]
         )
@@ -71,33 +75,24 @@ class TestKappaTruncated:
 class TestModalGenerators:
     def test_index_one_with_uniform_kappa(self):
         M = 24
-        ops = lorentz.build_velocity_operators(M)
+        R, J10 = lorentz_reference(M)
         floor = lorentz.kappa_truncated(M)
         for n in (1, 2, 7):
-            dec = core.OperatorDecomposition(
-                C=ops.R - n * ops.J10, R=ops.R.astype(complex), J=n * ops.J10
-            )
+            dec = core.OperatorDecomposition(C=R - n * J10, R=R, J=n * J10)
             rep = hc_index.index_via_powers(dec, "j_powers")
             assert rep.index == 1
             assert rep.kappa >= floor - 1e-9
 
     def test_scaling_identity(self):
-        ops = lorentz.build_velocity_operators(12)
-        JRJ = ops.J10 @ ops.R @ ops.J10.conj().T
+        R, J10 = lorentz_reference(12)
+        JRJ = J10 @ R @ J10.conj().T
         for n in (2, 5):
             diff = n * n * JRJ - JRJ
             assert core.min_eig_hermitian(diff) >= -1e-12
 
-    def test_sigma_scaling_keeps_index(self):
-        M = 12
-        for sigma in (0.5, 1.0, 2.0):
-            gen = lorentz.modal_generator(3.0, M, sigma=sigma)
-            rep = hc_index.index_via_powers(core.hermitian_split(gen.C))
-            assert rep.index == 1
-
     def test_norm_bound(self):
-        gen = lorentz.modal_generator(4.0, 8)
-        assert core.spectral_norm(gen.C) <= 1.0 + 4.0 + 1e-12
+        C = lorentz.modal_generator(4.0, 8)
+        assert core.spectral_norm(C) <= 1.0 + 4.0 + 1e-12
 
 
 def parity_basis(M):
@@ -122,7 +117,8 @@ class TestParityBlocks:
         "n, M, sigma", [(1.0, 1, 1.0), (3.0, 2, 0.5), (2.5, 8, 2.0), (7.0, 17, 1.0)]
     )
     def test_generator_blocks_are_explicit_tridiagonals(self, n, M, sigma):
-        C = lorentz.modal_generator(n, M, sigma).C
+        R, J10 = lorentz_reference(M)
+        C = sigma * R - n * J10
         U = parity_basis(M)
         np.testing.assert_allclose(U.conj().T @ U, np.eye(2 * M + 1), rtol=0, atol=1e-14)
         B = U.conj().T @ C @ U
@@ -135,8 +131,8 @@ class TestParityBlocks:
         odd = tridiagonal([sigma] * M, np.full(M - 1, -n / 2), np.full(M - 1, n / 2))
         np.testing.assert_allclose(B[: M + 1, : M + 1].real, even, rtol=0, atol=1e-14)
         np.testing.assert_allclose(B[M + 1 :, M + 1 :].real, odd, rtol=0, atol=1e-14)
-        R, K = lorentz._even_blocks(M)
-        G = sigma * R - n * K
+        R_e, K_e = lorentz._even_blocks(M)
+        G = sigma * R_e - n * K_e
         assert G.dtype == np.float64
         np.testing.assert_allclose(G, even, rtol=0, atol=1e-14)
         np.testing.assert_allclose(G[1:, 1:], odd, rtol=0, atol=1e-14)
@@ -194,8 +190,9 @@ class TestParityBlocks:
         # tau is raised so that the grid reaches well-decayed norms
         ts = np.linspace(0.0, 3.0, 13)
         rep = lorentz.full_propagator_bounds(3, 8, dataclasses.replace(consts, tau=3.0), ts)
+        R, J10 = lorentz_reference(8)
         for n in (1, 2, 3):
-            C = lorentz.modal_generator(float(n), 8).C
+            C = R - n * J10
             ref = [np.linalg.norm(scipy.linalg.expm(-C * t), 2) for t in ts]
             np.testing.assert_allclose(rep.norms[n - 1], ref, rtol=0, atol=1e-13)
         curve = lorentz._modal_norm_curve(2.0, 8, ts)
@@ -203,8 +200,7 @@ class TestParityBlocks:
 
     @staticmethod
     def dense_form(M, form):
-        ops = lorentz.build_velocity_operators(M + 1)
-        return form(ops.R, ops.J10)[1:-1, 1:-1]
+        return form(*lorentz_reference(M + 1))[1:-1, 1:-1]
 
     @pytest.mark.parametrize("M", [1, 2, 8, 40])
     def test_kappas_match_dense_complex_eigvalsh(self, M):
@@ -222,7 +218,7 @@ class TestParityBlocks:
     def test_mixing_infimum_matches_dense_complex_dual(self, M):
         A = self.dense_form(M, lambda R, J: J.conj().T @ R @ J)
         for delta in (0.0763932, 0.3):
-            shift = lorentz.build_velocity_operators(M).R - delta * np.eye(2 * M + 1)
+            shift = lorentz_reference(M)[0] - delta * np.eye(2 * M + 1)
             dual = lambda mu: np.linalg.eigvalsh(A + mu * shift)[0]
             res = scipy.optimize.minimize_scalar(
                 lambda mu: -dual(mu), bounds=(0.0, 1e3), method="bounded",
@@ -236,7 +232,7 @@ class TestParityBlocks:
 class TestLyapunovWeight:
     def test_eigenvalues_exact(self):
         for n in (1, 2, 5):
-            Y = lorentz.lyapunov_weight(n, 0.5, 6).Y
+            Y = lorentz.lyapunov_weight(n, 0.5, 6)
             w = np.sort(np.linalg.eigvalsh(Y))
             assert abs(w[0] - (1 - 0.5 / n)) <= 1e-12
             assert abs(w[-1] - (1 + 0.5 / n)) <= 1e-12
@@ -329,15 +325,15 @@ class TestAppendixConstants:
         assert sig >= 2.0 * math.sqrt(consts.delta) - 1e-9
         # sampled feasible vectors give an upper bound
         rng = np.random.default_rng(0)
-        ops = lorentz.build_velocity_operators(32)
-        A = ops.J10.conj().T @ ops.R @ ops.J10
+        R, J10 = lorentz_reference(32)
+        A = J10.conj().T @ R @ J10
         best = np.inf
         dim = 2 * 32 + 1
         for _ in range(800):
             x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             x[32] = 30.0 * abs(x[32])
             x /= np.linalg.norm(x)
-            if np.real(np.vdot(x, ops.R @ x)) <= consts.delta:
+            if np.real(np.vdot(x, R @ x)) <= consts.delta:
                 best = min(best, math.sqrt(np.real(np.vdot(x, A @ x))))
         assert sig <= best + 1e-9
 
@@ -472,10 +468,10 @@ class TestSimulate:
         field = lorentz.LorentzField.random(rng, 2, 5)
         t = 1.7
         out, _ = lorentz.simulate(field, t)
-        ops = lorentz.build_velocity_operators(5)
+        R, J10 = lorentz_reference(5)
         for n1 in range(-2, 3):
             for n2 in range(-2, 3):
-                C = ops.R - math.hypot(n1, n2) * ops.J10
+                C = R - math.hypot(n1, n2) * J10
                 ref = scipy.linalg.expm(-C * t) @ field.coeffs[n1 + 2, n2 + 2]
                 np.testing.assert_allclose(out.coeffs[n1 + 2, n2 + 2], ref, rtol=0, atol=1e-12)
 

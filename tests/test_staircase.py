@@ -5,6 +5,8 @@ from hypokit import errors, hc_index
 from hypokit import operator_core as core
 from hypokit.staircase import build_staircase, verify_staircase
 
+from helpers import lorentz_reference
+
 
 def random_pair(rng, n, kernel_dim):
     """PSD R with prescribed kernel dimension plus a random skew J."""
@@ -149,16 +151,12 @@ class TestStaircaseProperties:
         assert found >= 10
 
     def test_lorentz_modal_pair_has_trivial_terminal_block(self):
-        from hypokit import lorentz
-
-        ops = lorentz.build_velocity_operators(8)
-        form = build_staircase(ops.R, ops.J10)
+        R, J10 = lorentz_reference(8)
+        form = build_staircase(R, J10)
         assert form.terminal_dim == 0
-        assert verify_staircase(form, ops.R, ops.J10).ok
+        assert verify_staircase(form, R, J10).ok
         # consistent with index 1 of the modal generators
-        dec = core.OperatorDecomposition(
-            C=ops.R - ops.J10, R=ops.R.astype(complex), J=ops.J10
-        )
+        dec = core.OperatorDecomposition(C=R - J10, R=R, J=J10)
         assert hc_index.index_via_powers(dec).index == 1
 
     def test_json_shape(self):
