@@ -22,6 +22,7 @@ _EXPORTS = {
             "fit_short_time",
             "propagator_norm_curve",
             "short_time_constant",
+            "short_time_curve",
             "stability_check",
         ),
         "decay",

@@ -153,7 +153,7 @@ def _cmd_analyze(args) -> int:
     scale = max(core.spectral_norm(A), 1e-300)
     times = np.geomspace(1e-4 / scale, 10.0 / scale, 220)
     try:
-        fit = decay.fit_short_time(decay.propagator_norm_curve(A, times)).to_json_dict()
+        fit = decay.fit_short_time(decay.short_time_curve(A, times)).to_json_dict()
     except NoDecayError:
         fit = None
     out = {

@@ -4,6 +4,17 @@ Covers sampled propagator-norm curves, the short-time law
 ``||P(t)|| = 1 - c t^(2m+1) + o(t^(2m+1))`` attached to the hypocoercivity
 index m, the analytic constant c evaluated on the exact kernel intersection,
 and exponential-stability checks.
+
+``analyze`` fits the law on a geometric grid, but the fit reads only the
+points whose drop 1 - ||P(t)|| lies in ``FIT_DROPS``.  ``short_time_curve``
+finds the part of the grid that can hold them by bisection and evaluates
+only that part.  Its certificate is the growth bound
+``||P(t)|| <= ||P(s)|| e^(mu (t - s))`` for t >= s, with
+mu = max(0, -lambda_min((C + C*)/2)) (mu = 0 for accretive C, where the norm
+does not increase).  A probe whose norm bounds every earlier drop below
+FIT_DROPS[0] / 10, or every later drop above 10 * FIT_DROPS[1], skips those
+points; the factor 10 on each side leaves room for roundoff in the computed
+norms.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ __all__ = [
     "StabilityReport",
     "is_uniform_grid",
     "propagator_norm_curve",
+    "short_time_curve",
     "fit_short_time",
     "short_time_constant",
     "stability_check",
@@ -105,11 +117,37 @@ def _time_grid(times) -> np.ndarray:
 #: one call (at least one propagator).
 _CHUNK_BYTES = 2**20
 
+#: The drops 1 - ||P(t)|| that ``fit_short_time`` reads: below the first the
+#: drop is roundoff, above the second the Taylor law no longer dominates.
+FIT_DROPS = (1e-10, 1e-2)
+
+
+def _buffer(C: np.ndarray, points: int) -> np.ndarray:
+    """An empty stack of propagators of C: ``points`` of them, capped at
+    ``_CHUNK_BYTES`` (at least one)."""
+    n = C.shape[0]
+    rows = min(points, max(1, _CHUNK_BYTES // (n * n * C.itemsize)))
+    return np.empty((rows, n, n), dtype=C.dtype)
+
+
+def _pointwise_norms(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """||exp(A t)|| at each of the (one or more) times ``ts``: one ``_expm``
+    per point, one batched ``core.spectral_norm`` per buffer.  The caller
+    has run ``core._check_exp_range`` at the largest time."""
+    buf = _buffer(A, ts.size)
+    norms = np.empty(ts.size)
+    for start in range(0, ts.size, len(buf)):
+        chunk = buf[: min(len(buf), ts.size - start)]
+        for k, out in enumerate(chunk):
+            out[...] = core._expm(A, ts[start + k])
+        norms[start : start + len(chunk)] = core.spectral_norm(chunk)
+    return norms
+
 
 def propagator_norm_curve(C, times) -> DecayCurve:
     """Spectral norm of exp(-C t) at each grid time.
 
-    This is the one evaluation of ||exp(-C t)|| on a grid, with two paths:
+    This evaluates ||exp(-C t)|| on a whole grid, with two paths:
 
     - on a uniform grid, E = exp(-C dt) is computed once (plus exp(-C t0)
       when t0 > 0) and P(t_k) = P(t_(k-1)) E is stepped.  After k steps the
@@ -117,10 +155,12 @@ def propagator_norm_curve(C, times) -> DecayCurve:
       k*eps for accretive C.  A product that overflows raises ``RangeError``
       naming the first time where it does (a bound at the last time would
       refuse stable non-normal generators);
-    - on any other grid (the geometric short-time grids) every point gets
-      its own ``expm``, and the overflow guard of ``core.matrix_exponential``
-      runs once, at the last time, which bounds the logarithmic norm of
-      every earlier point.
+    - on any other grid every point gets its own ``expm``, and the overflow
+      guard of ``core.matrix_exponential`` runs once, at the last time,
+      which bounds the logarithmic norm of every earlier point.  ``analyze``
+      reaches this path only through ``short_time_curve``, which evaluates
+      points the same way (``_pointwise_norms``), but only the run of its
+      geometric grid that the fit can read.
 
     A real generator is stepped in real arithmetic (``core.as_matrix`` keeps
     its dtype).  Both paths write consecutive propagators into one buffer of
@@ -135,51 +175,115 @@ def propagator_norm_curve(C, times) -> DecayCurve:
     """
     C = core.as_matrix(C, square=True)
     ts = _time_grid(times)
-    n = C.shape[0]
-    rows = min(ts.size, max(1, _CHUNK_BYTES // (n * n * C.itemsize)))
-    buf = np.empty((rows, n, n), dtype=C.dtype)
-    norms = np.empty(ts.size)
-    if is_uniform_grid(ts):
-        E = core.matrix_exponential(-C, ts[1] - ts[0])
-        P = core.matrix_exponential(-C, ts[0]) if ts[0] > 0 else np.eye(n, dtype=C.dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, ts.size, rows):
-                chunk = buf[: min(rows, ts.size - start)]
-                for k, out in enumerate(chunk):
-                    if start + k == 0:
-                        out[...] = P
-                    else:
-                        np.matmul(P, E, out=out)
-                    P = out
-                try:
-                    norms[start : start + len(chunk)] = core.spectral_norm(chunk)
-                except InvalidEntryError:  # E and P(t0) are finite: a product overflowed
-                    first = start + int(np.argmin(np.isfinite(chunk).all(axis=(1, 2))))
-                    raise RangeError(f"exp(-C t) overflows at t = {ts[first]:.6g}") from None
-    else:
+    if not is_uniform_grid(ts):
         A = -C
         core._check_exp_range(A, ts[-1])
-        for start in range(0, ts.size, rows):
-            chunk = buf[: min(rows, ts.size - start)]
+        return DecayCurve(times=ts, norms=_pointwise_norms(A, ts))
+    buf = _buffer(C, ts.size)
+    norms = np.empty(ts.size)
+    E = core.matrix_exponential(-C, ts[1] - ts[0])
+    P = core.matrix_exponential(-C, ts[0]) if ts[0] > 0 else np.eye(C.shape[0], dtype=C.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, ts.size, len(buf)):
+            chunk = buf[: min(len(buf), ts.size - start)]
             for k, out in enumerate(chunk):
-                out[...] = core._expm(A, ts[start + k])
-            norms[start : start + len(chunk)] = core.spectral_norm(chunk)
+                if start + k == 0:
+                    out[...] = P
+                else:
+                    np.matmul(P, E, out=out)
+                P = out
+            try:
+                norms[start : start + len(chunk)] = core.spectral_norm(chunk)
+            except InvalidEntryError:  # E and P(t0) are finite: a product overflowed
+                first = start + int(np.argmin(np.isfinite(chunk).all(axis=(1, 2))))
+                raise RangeError(f"exp(-C t) overflows at t = {ts[first]:.6g}") from None
     return DecayCurve(times=ts, norms=norms)
+
+
+def short_time_curve(C, times) -> DecayCurve:
+    """The points of the curve of ||exp(-C t)|| on ``times`` that can hold a
+    point of the ``fit_short_time`` window.
+
+    The result is a contiguous run of the grid.  Each point gets its own
+    ``_expm`` and a top singular value, and the overflow guard runs once, at
+    the grid's last time, as on the non-uniform path of
+    ``propagator_norm_curve``, whose norms these are bitwise on a grid that
+    is not uniform.  So ``fit_short_time`` gives the same fit (or the same
+    ``NoDecayError``) on it as on the full curve.
+
+    A bisection over the grid index finds the run.  With mu as in the module
+    docstring, a probe at t_l whose bound 1 - ||P(t_l)|| e^(-mu t_l) on every
+    earlier drop (and its own) is below FIT_DROPS[0] / 10 skips every point
+    up to l, and a probe at t_b whose bound 1 - ||P(t_b)|| e^(mu (t_N - t_b))
+    on every later drop is above 10 * FIT_DROPS[1] skips every point from b
+    on.  A first bisection, which probes the last point first, looks for a
+    point that neither bound skips; two more bisections narrow the run on
+    each side of it.  A probe's norm is reused if the run contains it.
+    Where no point survives, the curve is empty.
+    """
+    C = core.as_matrix(C, square=True)
+    ts = _time_grid(times)
+    A = -C
+    core._check_exp_range(A, ts[-1])
+    mu = max(0.0, float(np.linalg.eigvalsh(core._symmetrized(A))[-1]))
+    low, high = 0.1 * FIT_DROPS[0], 10.0 * FIT_DROPS[1]
+    norms = np.full(ts.size, np.nan)
+
+    def norm(i: int) -> float:
+        if np.isnan(norms[i]):
+            norms[i] = _pointwise_norms(A, ts[i : i + 1])[0]
+        return norms[i]
+
+    def skips_before(i: int) -> bool:
+        return 1.0 - norm(i) * math.exp(-mu * ts[i]) < low
+
+    def skips_after(i: int) -> bool:
+        return 1.0 - norm(i) * math.exp(mu * (ts[-1] - ts[i])) > high
+
+    lo, hi = -1, ts.size  # every point up to lo and from hi on is skipped
+    inside = None
+    probe = hi - 1  # settles a generator whose drop stays roundoff in one probe
+    while inside is None and hi - lo > 1:
+        if skips_before(probe):
+            lo = probe
+        elif skips_after(probe):
+            hi = probe
+        else:
+            inside = probe
+        probe = (lo + hi) // 2
+    if inside is not None:
+        a = b = inside
+        while a - lo > 1:
+            mid = (lo + a) // 2
+            if skips_before(mid):
+                lo = mid
+            else:
+                a = mid
+        while hi - b > 1:
+            mid = (b + hi) // 2
+            if skips_after(mid):
+                hi = mid
+            else:
+                b = mid
+    keep = np.arange(lo + 1, hi)
+    todo = keep[np.isnan(norms[keep])]
+    if todo.size:
+        norms[todo] = _pointwise_norms(A, ts[todo])
+    return DecayCurve(times=ts[keep], norms=norms[keep])
 
 
 def fit_short_time(curve: DecayCurve) -> ShortTimeFit:
     """Least-squares fit of log(1 - ||P(t)||) = log c + a log t.
 
-    Only samples whose norm drop lies in [1e-10, 1e-2] participate: below
-    1e-10 the drop is roundoff, above 1e-2 the Taylor law no longer
-    dominates.
+    Only samples at t > 0 whose norm drop lies in ``FIT_DROPS``,
+    [1e-10, 1e-2], participate.
     """
     drop = 1.0 - curve.norms
-    mask = (drop >= 1e-10) & (drop <= 1e-2) & (curve.times > 0)
+    mask = (drop >= FIT_DROPS[0]) & (drop <= FIT_DROPS[1]) & (curve.times > 0)
     if int(mask.sum()) < 10:
         raise NoDecayError(
             f"only {int(mask.sum())} samples show a usable norm drop in "
-            "[1e-10, 0.01]; cannot fit (skew generator or grid too narrow)"
+            f"[{FIT_DROPS[0]:g}, {FIT_DROPS[1]:g}]; cannot fit (skew generator or grid too narrow)"
         )
     T = np.log(curve.times[mask])
     L = np.log(drop[mask])

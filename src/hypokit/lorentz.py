@@ -706,7 +706,9 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
                 h_prev = h
             state.coeffs[N, N, :] *= diag
             for P, idx in zip(props, index):
-                state.coeffs[idx] = (P @ state.coeffs[idx].T).T
+                # P is real: one real GEMM on the coefficients as float pairs
+                X = np.ascontiguousarray(state.coeffs[idx].T).view(np.float64)
+                state.coeffs[idx] = (P @ X).view(complex).T
         d = state.distance_to_equilibrium()
         bound = math.sqrt(3.0) * math.exp(-LAMBDA0 * float(t)) * d0
         drift = abs(state.mass - mass0)

@@ -1,5 +1,9 @@
-"""Shared test helpers: random accretive instances, the CLI command shapes and
-the physical Lorentz velocity matrices."""
+"""Shared test helpers: random accretive instances, the benchmark's planted
+pairs, the CLI command shapes and the physical Lorentz velocity matrices."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +40,18 @@ def random_accretive(rng: np.random.Generator, n: int) -> core.OperatorDecomposi
     S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     J = (S - S.conj().T) / 2.0
     return core.OperatorDecomposition(C=R - J, R=R, J=J)
+
+
+def bench_planted_pair(seed: int, stream: int, n: int, block: int) -> np.ndarray:
+    """A planted pair of the benchmark's index-audit workloads
+    (perfbench/workloads.py, numpy only): ``index-audit`` draws (60, 12) from
+    stream 0, ``index-audit-known-wrong`` (50, 7) and (100, 11) from streams
+    0 and 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return workloads.planted_pair(workloads._rng(seed, stream), n, block)[0]
 
 
 def lorentz_reference(M: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import hypokit
-from hypokit import cli, gallery, lorentz
+from hypokit import cli, decay, gallery, lorentz
 from hypokit import operator_core as core
+from hypokit.errors import NoDecayError
 
 from helpers import CLI_COMMANDS
 
@@ -63,6 +64,25 @@ def test_analyze_ck2_all_methods_agree(tmp_path):
     assert audit["index_per_method"] == {
         "c_powers_right": 1, "c_powers_left": 1, "j_powers": 1, "commutators": 1, "staircase": 1,
     }
+
+
+@pytest.mark.parametrize("C", [gallery.ck_matrix(3), gallery.ek_matrix(8), gallery.ek_matrix(16)],
+                         ids=["ck_3", "ek_8", "ek_16"])
+def test_analyze_fit_is_the_full_grid_fit(tmp_path, C):
+    # analyze evaluates only the part of its grid that the fit can read;
+    # the fit must be the one of the whole 220-point grid
+    src, out = tmp_path / "input.json", tmp_path / "analyze.json"
+    src.write_text(json.dumps(core.matrix_to_json(C)))
+    cli.main(["analyze", "--input", str(src), "--output", str(out)])
+    A = core.matrix_from_json(json.loads(src.read_text()))
+    s = core.spectral_norm(A)
+    curve = decay.propagator_norm_curve(A, np.geomspace(1e-4 / s, 10.0 / s, 220))
+    try:
+        expected = json.loads(json.dumps(decay.fit_short_time(curve).to_json_dict()))
+    except NoDecayError:
+        expected = None
+    assert json.loads(out.read_text())["short_time_fit"] == expected
+    assert (expected is None) == (C.shape[0] == 16)
 
 
 def _run(tmp_path, command, C, *extra):

@@ -1,8 +1,5 @@
-import importlib.util
 import math
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +7,8 @@ import scipy.linalg
 
 from hypokit import errors, gallery, lorentz
 from hypokit import operator_core as core
+
+from helpers import bench_planted_pair
 
 
 def random_matrix(rng, n, norm_cap=None):
@@ -294,11 +293,7 @@ def _rel_error(X: np.ndarray, ref: _Exact) -> float:
 
 def _planted60() -> np.ndarray:
     """The planted n = 60, index-4 input of the benchmark's index-audit workload (seed 1)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(workloads)
-    return workloads.planted_pair(workloads._rng(1, 0), 60, 12)[0]
+    return bench_planted_pair(1, 0, 60, 12)
 
 
 def _lorentz_block(n: int, parity: int) -> np.ndarray:
