@@ -17,7 +17,7 @@ import numpy as np
 
 from . import decay
 from . import operator_core as core
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 
 __all__ = [
     "EXAMPLE_NAMES",
@@ -121,6 +121,11 @@ def make_example(name: str, **params) -> np.ndarray:
         scaled = []
         for k in range(1, blocks + 1):
             rep = ek_rescale_factor(k)
+            if not rep.ok or rep.boundary_warning:
+                raise NumericalError(
+                    f"rescaling of E_{k} failed: ||exp(-r E_k)|| = {rep.norm_at_unit_time:.6g}"
+                    f" (bound 1/e), envelope maximum at the window end: {rep.boundary_warning}"
+                )
             scaled.append(rep.r * ek_matrix(k))
         return _blockdiag(scaled)
 

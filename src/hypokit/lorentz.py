@@ -46,9 +46,9 @@ full (2M+1)-dimensional generator is built by ``modal_generator``, for
 ``lyapunov_margin`` (the weight Y has no parity symmetry) and
 ``simulate_curve``.
 
-The scalar solves of the constant pipeline are small private routines:
-bisection to adjacent floats for the monotone time limits and the crossover
-magnitude, and Brent's bounded minimization for the mixing dual.
+The constant pipeline uses one private routine, bisection to adjacent floats
+for every scalar solve: the time limits tau1 and tau3, the crossover
+magnitude r, and the multiplier mu of the mixing dual.
 """
 
 from __future__ import annotations
@@ -175,103 +175,46 @@ def kappa3_truncated(M: int, n_abs: float = 1.0) -> float:
     return core.min_eig_hermitian(_even_form(M, form))
 
 
-def _bounded_minimum(f, lo: float, hi: float, xatol: float) -> float:
-    """Minimizer of f on [lo, hi] by Brent's method (golden section plus
-    parabolic steps), as in Brent, "Algorithms for Minimization without
-    Derivatives" (1973), ch. 5, and in the same arithmetic as
-    ``scipy.optimize.minimize_scalar(method="bounded")``, so both return the
-    same x.
+def _mixing_multiplier(A: np.ndarray, delta: float) -> float:
+    """The maximizer mu >= 0 of the mixing dual (``constrained_mixing_infimum``)."""
+    a, V = np.linalg.eigh(A)
+    z2 = V[0] ** 2
 
-    It stops when the bracket [a, b] around the best point x has
-    |x - (a + b)/2| <= 2 tol - (b - a)/2 with tol = sqrt(eps)|x| + xatol/3,
-    so x is located to about sqrt(eps)|x|, not to ``xatol``, once
-    |x| > xatol / sqrt(eps); or after scipy's default of 500 evaluations.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = f(xf)
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    for _ in range(499):  # at most 500 evaluations of f, as scipy
-        if abs(xf - xm) <= tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf
+    def supergradient(lam: float) -> float:
+        w = z2 / (a - lam)
+        return float((1.0 - delta) - w.sum() ** 2 / (w / (a - lam)).sum())
+
+    lam = a[0] - 4.0 * math.ulp(1.0) * max(float(np.abs(a).max()), 1.0)
+    if supergradient(lam) > 0.0:
+        lam = _bracketed_root(supergradient, a[0] - 2.0 * A[0, 0] / delta, lam)
+    return float(1.0 / (z2 / (a - lam)).sum())
 
 
 def constrained_mixing_infimum(M: int, delta: float) -> float:
     """inf ||sqrt(R) K x|| over unit x with <x, R x> <= delta.
 
-    Evaluated through the concave dual mu -> lambda_min(K^T R K +
-    mu (R - delta I)), whose maximum equals the constrained minimum for this
-    pair of quadratic forms; cross-checked against sampled feasible vectors
-    in the tests.  lambda_min is read off the even parity block (module
-    docstring).  Every mu >= 0 gives a lower bound.  ``_bounded_minimum``
-    with xatol = 1e-10 stops at sqrt(eps)|mu| + xatol/3, which is 1.8e-8 at
-    the optimum mu = 1.2047 of M = 96 (delta = 0.0764): mu is known to that
-    width, not to 1e-10.  The dual is flat there (it moves by 2e-16 over
-    mu +- 2e-8), so the value is not affected.
+    The maximum over mu >= 0 of the concave dual lambda_min(A + mu (R - delta I)),
+    A = K^T R K, on the even parity blocks (module docstring), where
+    R_e - delta I = (1 - delta) I - e_0 e_0^T makes it mu (1 - delta) +
+    lambda_min(A - mu e_0 e_0^T), a rank-one update (Golub 1973, SIAM Rev. 15).
+    With A = V diag(a) V^T, a ascending, and z = V^T e_0, each lambda < a_1 is
+    that eigenvalue for 1/mu = f = sum z_k^2 / (a_k - lambda); its eigenvector
+    (A - lambda)^(-1) e_0 has e_0-weight x_0^2 = f^2 / sum z_k^2 / (a_k - lambda)^2.
+    The supergradient (1 - delta) - x_0^2 rises with lambda; bisection finds
+    its root on [a_1 - 2 A_00 / delta, a_1 - 4 eps max(|a|, 1)], O(M) a step.
+    It is negative at the lower end: there mu >= a_1 - lambda (Weyl), and
+    past mu = A_00 / delta the dual is below A_00 - mu delta < 0 <= dual(0).
+    If it is not positive at the upper end, that end is the optimum: mu ~ 0,
+    or, when z_1 = 0 (M = 1, odd M at larger delta), the kink where the
+    branch meets the line a_1 + mu (1 - delta).  Every mu >= 0 gives a lower
+    bound, so the value is the larger of dual(0) and dual(mu).
     """
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must lie in (0, 1)")
     A = _even_form(M, lambda R, K: K.T @ R @ K)
     shift = _even_blocks(M)[0] - delta * np.eye(M + 1)
-
-    def dual(mu: float) -> float:
-        return core.min_eig_hermitian(A + mu * shift)
-
-    mu = _bounded_minimum(lambda mu: -dual(mu), 0.0, 1e3, xatol=1e-10)
-    best = max(dual(0.0), dual(mu))
+    mu = _mixing_multiplier(A, delta)
+    best = max(core.min_eig_hermitian(A), core.min_eig_hermitian(A + mu * shift))
     return math.sqrt(max(best, 0.0))
 
 
@@ -440,6 +383,9 @@ def appendix_constants(M: int) -> AppendixCConstants:
     return consts
 
 
+_CUBIC_SLACK = 1e-9  # absolute slack of the cubic bound ||P_n(t)|| <= 1 - c t^3
+
+
 @dataclass
 class CubicBoundReport:
     """Worst margin of ||P_n(t)|| <= 1 - c t^3 over modes and the time grid."""
@@ -456,19 +402,14 @@ class CubicBoundReport:
 
     @classmethod
     def from_sandwich(cls, sandwich: SandwichReport) -> CubicBoundReport:
-        """Read the cubic check off the sandwich's (mode x time) norm stack.
-
-        The worst entry is the first minimal margin in (mode, time) order.
-        """
-        margins = sandwich.upper - sandwich.norms
-        n, i = np.unravel_index(int(np.argmin(margins)), margins.shape)
-        worst = float(margins[n, i])
+        """The cubic check as decided by the sandwich (``SandwichReport``)."""
+        n, i = sandwich.worst_entry
         return cls(
-            ok=worst >= -1e-9,
-            worst_margin=worst,
+            ok=sandwich.ok,
+            worst_margin=sandwich.worst_margin,
             worst_mode=float(n + 1),
             worst_time=float(sandwich.times[i]),
-            modes=[float(k) for k in range(1, margins.shape[0] + 1)],
+            modes=[float(k) for k in range(1, sandwich.norms.shape[0] + 1)],
             samples=int(sandwich.times.size),
         )
 
@@ -476,7 +417,7 @@ class CubicBoundReport:
 def cubic_bound_verify(
     N: int, M: int, consts: AppendixCConstants, samples: int = 50
 ) -> CubicBoundReport:
-    """Check ||P_n(t)|| <= 1 - c t^3 + 1e-9 on [0, tau] for n = 1..N."""
+    """Check ||P_n(t)|| <= 1 - c t^3 + _CUBIC_SLACK on [0, tau] for n = 1..N."""
     return CubicBoundReport.from_sandwich(
         full_propagator_bounds(N, M, consts, np.linspace(0.0, consts.tau, samples))
     )
@@ -486,7 +427,11 @@ def cubic_bound_verify(
 class SandwichReport:
     """Envelope of the modal norms against its cubic upper and modal lower bound.
 
-    ``norms`` is the (mode x time) stack ||P_n(t)|| for n = 1..N.
+    ``norms`` is the (mode x time) stack ||P_n(t)|| for n = 1..N; its first
+    smallest margin upper - norms is ``worst_margin``, at ``worst_entry``
+    (mode index, time index).  ``ok`` is the one verdict of the cubic bound,
+    worst_margin + _CUBIC_SLACK >= 0; the lower bound cannot fail, as the sup
+    over modes 1..N includes mode 1, and takes no part in it.
     """
 
     ok: bool
@@ -496,6 +441,8 @@ class SandwichReport:
     upper: np.ndarray
     worst_upper_margin: float
     worst_lower_margin: float
+    worst_margin: float
+    worst_entry: tuple[int, int]
 
     @property
     def lower(self) -> np.ndarray:
@@ -524,16 +471,19 @@ def full_propagator_bounds(
     stack = np.vstack([_modal_norm_curve(float(n), M, ts).norms for n in range(1, N + 1)])
     sup = stack.max(axis=0)
     upper = 1.0 - consts.c * ts**3
-    worst_upper = float((upper + 1e-9 - sup).min())
-    worst_lower = float((sup - stack[0]).min())
+    margins = upper - stack
+    n, i = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    worst_upper = float(upper[i] + _CUBIC_SLACK - stack[n, i])
     return SandwichReport(
-        ok=bool(worst_upper >= 0.0 and worst_lower >= -1e-12),
+        ok=worst_upper >= 0.0,
         times=ts,
         norms=stack,
         sup_norms=sup,
         upper=upper,
         worst_upper_margin=worst_upper,
-        worst_lower_margin=worst_lower,
+        worst_lower_margin=float((sup - stack[0]).min()),
+        worst_margin=float(margins[n, i]),
+        worst_entry=(int(n), int(i)),
     )
 
 

@@ -1,4 +1,5 @@
 import cProfile
+import dataclasses
 import importlib
 import inspect
 import json
@@ -36,9 +37,51 @@ def test_verify_cubic_bound_is_read_off_the_sandwich(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     cubic, sandwich = doc["cubic_bound"], doc["sandwich"]
-    assert abs(cubic["worst_margin"] - (sandwich["worst_upper_margin"] - 1e-9)) <= 1e-15
+    assert cubic["ok"] is sandwich["ok"] is True
+    slack = lorentz._CUBIC_SLACK
+    assert abs(cubic["worst_margin"] - (sandwich["worst_upper_margin"] - slack)) <= 1e-15
     assert cubic["samples"] == len(sandwich["times"]) == 6
     assert cubic["modes"] == [1.0, 2.0]
+
+
+def test_verify_fails_both_checks_together_when_c_is_too_large(tmp_path, monkeypatch):
+    # c t^3 at t = tau becomes about 1e-8: above the slack and the measured
+    # drop 1 - ||P(tau)||, so the cubic bound fails, and the sandwich with it
+    appendix_constants = lorentz.appendix_constants
+
+    def scaled_constants(M):
+        consts = appendix_constants(M)
+        return dataclasses.replace(consts, c=consts.c * 1e15)
+
+    monkeypatch.setattr(lorentz, "appendix_constants", scaled_constants)
+    out = tmp_path / "verify.json"
+    rc = cli.main([
+        "lorentz", "verify", "--N", "2", "--M", "8", "--M-constants", "32",
+        "--steps", "6", "--output", str(out),
+    ])
+    assert rc == 3
+    doc = json.loads(out.read_text())
+    assert doc["cubic_bound"]["ok"] is doc["sandwich"]["ok"] is False
+    assert doc["cubic_bound"]["worst_margin"] < -lorentz._CUBIC_SLACK
+    assert doc["sandwich"]["worst_upper_margin"] < 0.0
+
+
+def test_gallery_ek_rescaled_exits_2_when_a_block_fails_its_check(tmp_path, monkeypatch, capsys):
+    ek_rescale_factor = gallery.ek_rescale_factor
+    monkeypatch.setattr(
+        gallery, "ek_rescale_factor",
+        lambda k: dataclasses.replace(ek_rescale_factor(k), ok=k != 2),
+    )
+    out = tmp_path / "out.json"
+    assert cli.main(["gallery", "--name", "ek_rescaled", "--blocks", "3", "--output", str(out)]) == 2
+    assert "hypokit: numerical failure: rescaling of E_2 failed" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(
+        gallery, "ek_rescale_factor",
+        lambda k: dataclasses.replace(ek_rescale_factor(k), boundary_warning=True),
+    )
+    assert cli.main(["gallery", "--name", "ek_rescaled", "--blocks", "1", "--output", str(out)]) == 2
+    assert not out.exists()
 
 
 def _analyze(tmp_path, C):

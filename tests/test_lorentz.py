@@ -216,17 +216,22 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("M", [1, 2, 8, 40])
     def test_mixing_infimum_matches_dense_complex_dual(self, M):
+        # at M = 1 the exact value; elsewhere the dense dual at the returned
+        # multiplier, a lower bound, and the value of its eigenvector, which is
+        # feasible (<v, R v> = delta) up to roundoff and so an upper bound
         A = self.dense_form(M, lambda R, J: J.conj().T @ R @ J)
+        R = lorentz_reference(M)[0]
         for delta in (0.0763932, 0.3):
-            shift = lorentz_reference(M)[0] - delta * np.eye(2 * M + 1)
-            dual = lambda mu: np.linalg.eigvalsh(A + mu * shift)[0]
-            res = scipy.optimize.minimize_scalar(
-                lambda mu: -dual(mu), bounds=(0.0, 1e3), method="bounded",
-                options={"xatol": 1e-10},
-            )
-            ref = math.sqrt(max(dual(0.0), dual(float(res.x)), 0.0))
             got = lorentz.constrained_mixing_infimum(M, delta)
-            assert got == pytest.approx(ref, abs=1e-13)
+            if M == 1:
+                assert got == pytest.approx(math.sqrt(0.5 - delta / 4.0), abs=1e-13)
+                continue
+            mu = lorentz._mixing_multiplier(lorentz._even_form(M, lambda R, K: K.T @ R @ K), delta)
+            w, V = np.linalg.eigh(A + mu * (R - delta * np.eye(2 * M + 1)))
+            v = V[:, 0]
+            assert np.real(np.vdot(v, R @ v)) <= delta + 1e-15
+            assert got == pytest.approx(math.sqrt(w[0]), abs=1e-13)
+            assert got == pytest.approx(math.sqrt(np.real(np.vdot(v, A @ v))), abs=1e-13)
 
 
 class TestLyapunovWeight:
@@ -348,7 +353,7 @@ class TestAppendixConstants:
 
 
 class TestScalarSolvers:
-    """The pipeline's private bisection and Brent search against scipy."""
+    """The pipeline's private bisection against scipy."""
 
     @pytest.mark.parametrize(
         "fn, lo, hi",
@@ -386,20 +391,6 @@ class TestScalarSolvers:
             # brentq at its tightest tolerance: rtol = 4 eps and no absolute slack
             ref = scipy.optimize.brentq(fn, lo, up, xtol=1e-300, rtol=8.9e-16)
             assert abs(got - ref) <= 2.0 * math.ulp(ref)
-
-    @pytest.mark.parametrize("M", [1, 8, 40, 96])
-    def test_brent_port_matches_scipy_bounded(self, M):
-        A = lorentz._even_form(M, lambda R, K: K.T @ R @ K)
-        for delta in (0.0763932, 0.3):
-            shift = lorentz._even_blocks(M)[0] - delta * np.eye(M + 1)
-
-            def neg_dual(mu):
-                return -core.min_eig_hermitian(A + mu * shift)
-
-            ref = scipy.optimize.minimize_scalar(
-                neg_dual, bounds=(0.0, 1e3), method="bounded", options={"xatol": 1e-10}
-            )
-            assert lorentz._bounded_minimum(neg_dual, 0.0, 1e3, xatol=1e-10) == ref.x
 
 
 class TestCubicAndSandwich:

@@ -72,3 +72,90 @@ def test_simulate_matches_the_physical_modewise_evolution():
     # the report is that of the returned field, bit for bit
     assert out.mass == field.mass
     assert rep.distance == out.distance_to_equilibrium()
+
+
+def mixing_block(M):
+    """The even block A of K^T R K, the matrix of the mixing dual."""
+    return lorentz._even_form(M, lambda R, K: K.T @ R @ K)
+
+
+def mixing_dual(M, delta, mu):
+    """lambda_min(A + mu (R_e - delta I)) by a full eigenvalue evaluation."""
+    shift = lorentz._even_blocks(M)[0] - delta * np.eye(M + 1)
+    return np.linalg.eigvalsh(mixing_block(M) + mu * shift)[0]
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.0763932, 0.3, 0.6, 0.95])
+def test_mixing_infimum_at_m1_is_exact(delta):
+    # A = diag(1/2, 1/4): the dual mu (1 - delta) + min(1/2 - mu, 1/4) peaks
+    # at the kink mu = 1/4
+    assert lorentz._mixing_multiplier(mixing_block(1), delta) == pytest.approx(0.25, rel=1e-14)
+    got = lorentz.constrained_mixing_infimum(1, delta)
+    assert got == pytest.approx(math.sqrt(0.5 - delta / 4.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("M, delta", [(2, 0.3), (8, 0.6), (96, 0.0763932), (96, 0.95), (128, 0.3)])
+def test_interior_optimum_has_the_constrained_e0_weight(M, delta):
+    # at an interior optimum the supergradient (1 - delta) - x_0^2 vanishes
+    mu = lorentz._mixing_multiplier(mixing_block(M), delta)
+    shift = lorentz._even_blocks(M)[0] - delta * np.eye(M + 1)
+    w, V = np.linalg.eigh(mixing_block(M) + mu * shift)
+    assert mu > 1e-3
+    assert abs(V[0, 0] ** 2 - (1.0 - delta)) <= 1e-12
+    assert lorentz.constrained_mixing_infimum(M, delta) == pytest.approx(math.sqrt(w[0]), rel=1e-14)
+
+
+def test_kink_optimum():
+    # M = 3: A's smallest eigenvector has no e_0 part, so the dual is the
+    # line a_1 + mu (1 - delta) up to the kink where the secular branch
+    # starts, and at delta = 0.6 the branch falls from there on
+    M, delta = 3, 0.6
+    a, V = np.linalg.eigh(mixing_block(M))
+    assert abs(V[0, 0]) <= 1e-15
+    kink = 1.0 / np.sum(V[0, 1:] ** 2 / (a[1:] - a[0]))
+    mu = lorentz._mixing_multiplier(mixing_block(M), delta)
+    assert mu == pytest.approx(kink, rel=1e-12)
+    peak = a[0] + mu * (1.0 - delta)
+    got = lorentz.constrained_mixing_infimum(M, delta)
+    assert got == pytest.approx(math.sqrt(peak), rel=1e-14)
+    h = 1e-6 * mu
+    left, right = mixing_dual(M, delta, mu - h), mixing_dual(M, delta, mu + h)
+    assert (peak - left) / h == pytest.approx(1.0 - delta, rel=1e-6)
+    assert right < peak and left < peak
+
+
+def test_optimum_at_zero():
+    # M = 2 at delta = 0.6: x_0^2 of A's smallest eigenvector is 1/2 >= 1 - delta,
+    # so the dual falls from mu = 0 and the value is sqrt(lambda_min(A))
+    M, delta = 2, 0.6
+    mu = lorentz._mixing_multiplier(mixing_block(M), delta)
+    assert 0.0 <= mu <= 1e-14
+    assert mixing_dual(M, delta, 1e-6) < mixing_dual(M, delta, 0.0)
+    got = lorentz.constrained_mixing_infimum(M, delta)
+    assert got == math.sqrt(np.linalg.eigvalsh(mixing_block(M))[0])
+    assert got == pytest.approx(math.sin(math.pi / 8.0), rel=1e-15)
+
+
+#: sigma_inf at (M, delta) from the Brent search (scipy's bounded method,
+#: xatol = 1e-10) that the secular-equation solver replaced, for delta in
+#: MIXING_DELTAS.  Brent stops short at kink optima, so the new values may
+#: lie above these, by up to 1.1e-9 relative at M = 1.
+MIXING_DELTAS = (0.01, 0.0763932, 0.3, 0.6, 0.95)
+BRENT_MIXING_INFIMA = {
+    1: (0.7053367989648747, 0.6934707635483579, 0.6519202403115897, 0.5916079776776857, 0.5123475382690352),
+    2: (0.6554721684424508, 0.5587252558859024, 0.4194793976819446, 0.38268343236508984, 0.38268343236508984),
+    3: (0.6554721684424508, 0.5587252558859024, 0.4194793976819446, 0.36563383847171393, 0.31664819257543597),
+    8: (0.6553367990002801, 0.5552743624866835, 0.3782161836444874, 0.21201534175533138, 0.1564344650402311),
+    16: (0.6553367989832943, 0.5552741645337411, 0.37805911239074125, 0.20452289889143369, 0.08715574274765867),
+    33: (0.6553367989832943, 0.5552741645332487, 0.3780589617678236, 0.20430988088212276, 0.04597277076864123),
+    40: (0.6553367989832943, 0.5552741645332487, 0.378058961767682, 0.2043096516903514, 0.037437169870296695),
+    96: (0.6553367989832943, 0.5552741645332487, 0.3780589617676819, 0.20430964368922008, 0.025435264641680794),
+    97: (0.6553367989832943, 0.5552741645332487, 0.3780589617676819, 0.2043096436892201, 0.025435264641669758),
+    128: (0.6553367989832943, 0.5552741645332487, 0.3780589617676819, 0.20430964368922497, 0.025086403449481022),
+}
+
+
+@pytest.mark.parametrize("M", sorted(BRENT_MIXING_INFIMA))
+def test_mixing_infimum_never_below_the_brent_values(M):
+    for delta, ref in zip(MIXING_DELTAS, BRENT_MIXING_INFIMA[M]):
+        assert lorentz.constrained_mixing_infimum(M, delta) >= ref * (1.0 - 1e-12), delta
