@@ -5,9 +5,9 @@ Exit status: 0 success, 1 validation error (arguments, files, shapes),
 
 BLAS runs on one thread by default.  Importing this module sets
 OPENBLAS_NUM_THREADS=1 when none of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-MKL_NUM_THREADS is set and numpy is not loaded yet (the ``hypokit`` package
-loads its modules lazily, so ``python -m hypokit.cli`` and the ``hypokit``
-script qualify).  The matrices here are small (finite sections up to
+MKL_NUM_THREADS is set and numpy is not loaded yet (``import hypokit``
+loads no numpy, so ``python -m hypokit.cli`` and the ``hypokit`` script
+qualify).  The matrices here are small (finite sections up to
 n = 200, Lorentz blocks of size about M+1), and handing them to a second
 thread costs more than it saves.  On a 2-core box (OpenBLAS 0.3.31), at
 their defaults, one thread against two took ``analyze`` on a planted
@@ -35,6 +35,10 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in _THREAD_V
 
 class _UsageError(Exception):
     pass
+
+
+class _FileError(Exception):
+    """An input that cannot be read or an output that cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,13 +119,16 @@ def _build_parser() -> _Parser:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise _FileError(f"cannot write output: {exc}") from None
 
 
 def _emit_json(obj, path: str | None) -> None:
@@ -130,11 +137,18 @@ def _emit_json(obj, path: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True), path)
 
 
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _FileError(f"cannot read input: {exc}") from None
+
+
 def _load_matrix(path: str):
     from . import operator_core as core
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return core.matrix_from_json(json.load(fh))
+    return core.matrix_from_json(_read_json(path))
 
 
 def _cmd_analyze(args) -> int:
@@ -271,19 +285,11 @@ def _cmd_lorentz(args) -> int:
 
         _check_steps(args.steps)
         consts = lorentz.appendix_constants(args.M_constants)
-        sandwich = lorentz.full_propagator_bounds(
+        report = lorentz.full_propagator_bounds(
             args.N, args.M, consts, np.linspace(0.0, consts.tau, args.steps)
         )
-        cubic = lorentz.CubicBoundReport.from_sandwich(sandwich)
-        _emit_json(
-            {
-                "constants": consts.to_json_dict(),
-                "cubic_bound": cubic.to_json_dict(),
-                "sandwich": sandwich.to_json_dict(),
-            },
-            args.output,
-        )
-        return 0 if cubic.ok and sandwich.ok else 3
+        _emit_json({"constants": consts.to_json_dict(), **report.to_json_dict()}, args.output)
+        return 0 if report.ok else 3
 
     if cmd == "simulate":
         import numpy as np
@@ -295,8 +301,7 @@ def _cmd_lorentz(args) -> int:
             rng = np.random.default_rng(args.seed)
             field0 = lorentz.LorentzField.random(rng, args.N, args.M)
         elif args.input:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                field0 = lorentz.field_from_json(json.load(fh))
+            field0 = lorentz.field_from_json(_read_json(args.input))
         else:
             raise PreconditionError("simulate needs --input or --random")
         final, reports = lorentz.simulate_curve(field0, times)
@@ -343,8 +348,8 @@ def main(argv=None) -> int:
         # a size too large to allocate is invalid input, not a crash
         print(f"hypokit: invalid input: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
-        print(f"hypokit: cannot read input: {exc}", file=sys.stderr)
+    except _FileError as exc:
+        print(f"hypokit: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, RangeError, ContractViolationError, NoDecayError) as exc:
         print(f"hypokit: numerical failure: {exc}", file=sys.stderr)

@@ -1,5 +1,17 @@
 # Exception hierarchy shared by all hypokit modules.
 
+__all__ = [
+    "HypokitError",
+    "DimensionError",
+    "InvalidEntryError",
+    "PreconditionError",
+    "ContractViolationError",
+    "NotPSDError",
+    "RangeError",
+    "NumericalError",
+    "NoDecayError",
+]
+
 
 class HypokitError(Exception):
     """Base class for all errors raised by hypokit."""

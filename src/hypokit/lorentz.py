@@ -73,7 +73,6 @@ __all__ = [
     "AppendixCConstants",
     "LorentzField",
     "CubicBoundReport",
-    "SandwichReport",
     "SimulationReport",
     "modal_generator",
     "lyapunov_weight",
@@ -175,8 +174,9 @@ def kappa3_truncated(M: int, n_abs: float = 1.0) -> float:
     return core.min_eig_hermitian(_even_form(M, form))
 
 
-def _mixing_multiplier(A: np.ndarray, delta: float) -> float:
-    """The maximizer mu >= 0 of the mixing dual (``constrained_mixing_infimum``)."""
+def _mixing_multiplier(A: np.ndarray, delta: float) -> tuple[float, float]:
+    """The maximizer mu >= 0 of the mixing dual (``constrained_mixing_infimum``)
+    and dual(0) = lambda_min(A)."""
     a, V = np.linalg.eigh(A)
     z2 = V[0] ** 2
 
@@ -187,7 +187,7 @@ def _mixing_multiplier(A: np.ndarray, delta: float) -> float:
     lam = a[0] - 4.0 * math.ulp(1.0) * max(float(np.abs(a).max()), 1.0)
     if supergradient(lam) > 0.0:
         lam = _bracketed_root(supergradient, a[0] - 2.0 * A[0, 0] / delta, lam)
-    return float(1.0 / (z2 / (a - lam)).sum())
+    return float(1.0 / (z2 / (a - lam)).sum()), float(a[0])
 
 
 def constrained_mixing_infimum(M: int, delta: float) -> float:
@@ -213,8 +213,8 @@ def constrained_mixing_infimum(M: int, delta: float) -> float:
         raise PreconditionError("delta must lie in (0, 1)")
     A = _even_form(M, lambda R, K: K.T @ R @ K)
     shift = _even_blocks(M)[0] - delta * np.eye(M + 1)
-    mu = _mixing_multiplier(A, delta)
-    best = max(core.min_eig_hermitian(A), core.min_eig_hermitian(A + mu * shift))
+    mu, dual0 = _mixing_multiplier(A, delta)
+    best = max(dual0, core.min_eig_hermitian(A + mu * shift))
     return math.sqrt(max(best, 0.0))
 
 
@@ -388,80 +388,76 @@ _CUBIC_SLACK = 1e-9  # absolute slack of the cubic bound ||P_n(t)|| <= 1 - c t^3
 
 @dataclass
 class CubicBoundReport:
-    """Worst margin of ||P_n(t)|| <= 1 - c t^3 over modes and the time grid."""
+    """Modal norms ||P_n(t)||, n = 1..N, against the cubic bound 1 - c t^3.
 
-    ok: bool
-    worst_margin: float
-    worst_mode: float
-    worst_time: float
-    modes: list[float]
-    samples: int
+    ``norms`` is the (mode x time) stack, ``sup_norms`` its envelope and
+    ``lower`` = ||P_1(t)|| the modal lower bound of the envelope.  The first
+    smallest margin ``upper - norms`` is ``worst_margin``, at ``worst_entry``
+    (mode index, time index).  ``ok`` is the one verdict of the cubic bound,
+    worst_margin + _CUBIC_SLACK >= 0; the lower bound cannot fail, as the sup
+    over modes 1..N includes mode 1, and takes no part in it.
+    """
+
+    times: np.ndarray
+    norms: np.ndarray
+    upper: np.ndarray
+    worst_entry: tuple[int, int]
+
+    @property
+    def sup_norms(self) -> np.ndarray:
+        return self.norms.max(axis=0)
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self.norms[0]
+
+    @property
+    def worst_margin(self) -> float:
+        n, i = self.worst_entry
+        return float(self.upper[i] - self.norms[n, i])
+
+    @property
+    def worst_upper_margin(self) -> float:
+        n, i = self.worst_entry
+        return float(self.upper[i] + _CUBIC_SLACK - self.norms[n, i])
+
+    @property
+    def ok(self) -> bool:
+        return self.worst_upper_margin >= 0.0
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_sandwich(cls, sandwich: SandwichReport) -> CubicBoundReport:
-        """The cubic check as decided by the sandwich (``SandwichReport``)."""
-        n, i = sandwich.worst_entry
-        return cls(
-            ok=sandwich.ok,
-            worst_margin=sandwich.worst_margin,
-            worst_mode=float(n + 1),
-            worst_time=float(sandwich.times[i]),
-            modes=[float(k) for k in range(1, sandwich.norms.shape[0] + 1)],
-            samples=int(sandwich.times.size),
-        )
+        """The ``cubic_bound`` and ``sandwich`` sections of ``lorentz verify``."""
+        n, i = self.worst_entry
+        sup = self.sup_norms
+        return {
+            "cubic_bound": {
+                "ok": self.ok,
+                "worst_margin": self.worst_margin,
+                "worst_mode": float(n + 1),
+                "worst_time": float(self.times[i]),
+                "modes": [float(k) for k in range(1, self.norms.shape[0] + 1)],
+                "samples": int(self.times.size),
+            },
+            "sandwich": {
+                "ok": self.ok,
+                "times": [float(t) for t in self.times],
+                "sup_norms": [float(v) for v in sup],
+                "worst_upper_margin": self.worst_upper_margin,
+                "worst_lower_margin": float((sup - self.lower).min()),
+            },
+        }
 
 
 def cubic_bound_verify(
     N: int, M: int, consts: AppendixCConstants, samples: int = 50
 ) -> CubicBoundReport:
     """Check ||P_n(t)|| <= 1 - c t^3 + _CUBIC_SLACK on [0, tau] for n = 1..N."""
-    return CubicBoundReport.from_sandwich(
-        full_propagator_bounds(N, M, consts, np.linspace(0.0, consts.tau, samples))
-    )
-
-
-@dataclass
-class SandwichReport:
-    """Envelope of the modal norms against its cubic upper and modal lower bound.
-
-    ``norms`` is the (mode x time) stack ||P_n(t)|| for n = 1..N; its first
-    smallest margin upper - norms is ``worst_margin``, at ``worst_entry``
-    (mode index, time index).  ``ok`` is the one verdict of the cubic bound,
-    worst_margin + _CUBIC_SLACK >= 0; the lower bound cannot fail, as the sup
-    over modes 1..N includes mode 1, and takes no part in it.
-    """
-
-    ok: bool
-    times: np.ndarray
-    norms: np.ndarray
-    sup_norms: np.ndarray
-    upper: np.ndarray
-    worst_upper_margin: float
-    worst_lower_margin: float
-    worst_margin: float
-    worst_entry: tuple[int, int]
-
-    @property
-    def lower(self) -> np.ndarray:
-        """The modal lower bound ||P_1(t)||."""
-        return self.norms[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "times": [float(t) for t in self.times],
-            "sup_norms": [float(v) for v in self.sup_norms],
-            "worst_upper_margin": self.worst_upper_margin,
-            "worst_lower_margin": self.worst_lower_margin,
-        }
+    return full_propagator_bounds(N, M, consts, np.linspace(0.0, consts.tau, samples))
 
 
 def full_propagator_bounds(
     N: int, M: int, consts: AppendixCConstants, times
-) -> SandwichReport:
+) -> CubicBoundReport:
     """sup over modes 1..N of ||P_n(t)|| must lie in [||P_1(t)||, 1 - c t^3]."""
     ts = np.asarray(times, dtype=float)
     if N < 1 or ts.size < 2:
@@ -469,22 +465,9 @@ def full_propagator_bounds(
     if np.any(ts < 0) or np.any(ts > consts.tau + 1e-15):
         raise PreconditionError("times must lie in [0, tau]")
     stack = np.vstack([_modal_norm_curve(float(n), M, ts).norms for n in range(1, N + 1)])
-    sup = stack.max(axis=0)
     upper = 1.0 - consts.c * ts**3
-    margins = upper - stack
-    n, i = np.unravel_index(int(np.argmin(margins)), margins.shape)
-    worst_upper = float(upper[i] + _CUBIC_SLACK - stack[n, i])
-    return SandwichReport(
-        ok=worst_upper >= 0.0,
-        times=ts,
-        norms=stack,
-        sup_norms=sup,
-        upper=upper,
-        worst_upper_margin=worst_upper,
-        worst_lower_margin=float((sup - stack[0]).min()),
-        worst_margin=float(margins[n, i]),
-        worst_entry=(int(n), int(i)),
-    )
+    n, i = np.unravel_index(int(np.argmin(upper - stack)), stack.shape)
+    return CubicBoundReport(times=ts, norms=stack, upper=upper, worst_entry=(int(n), int(i)))
 
 
 class LorentzField:
@@ -540,15 +523,15 @@ class LorentzField:
 
 def field_to_json(field: LorentzField) -> dict:
     """Serialize nonzero coefficients, ordered by (n1, n2, j)."""
-    items = []
-    for n1 in range(-field.N, field.N + 1):
-        for n2 in range(-field.N, field.N + 1):
-            for j in range(-field.M, field.M + 1):
-                z = field[n1, n2, j]
-                if z != 0:
-                    items.append(
-                        {"n": [n1, n2], "j": j, "re": float(z.real), "im": float(z.imag)}
-                    )
+    n1, n2, j = np.nonzero(field.coeffs)
+    z = field.coeffs[n1, n2, j]
+    items = [
+        {"n": [a, b], "j": c, "re": re, "im": im}
+        for a, b, c, re, im in zip(
+            (n1 - field.N).tolist(), (n2 - field.N).tolist(), (j - field.M).tolist(),
+            z.real.tolist(), z.imag.tolist(),
+        )
+    ]
     return {"N": field.N, "M": field.M, "coeffs": items}
 
 

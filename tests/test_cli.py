@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import pkgutil
 
 import numpy as np
 import pytest
@@ -218,6 +219,35 @@ def test_malformed_json_entries_exit_1_without_traceback(tmp_path, capsys, argv,
     assert "Traceback" not in err and not out.exists()
 
 
+_CK2 = ["gallery", "--name", "ck", "--k", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        # {file} is a regular file, so a path under it is no path at all
+        ([*_CK2, "--output", "{file}/x.json"], "hypokit: cannot write output:"),
+        (["analyze", "--input", "{file}/x.json"], "hypokit: cannot read input:"),
+        (["lorentz", "simulate", "--random", "--N", "1", "--M", "2",
+          "--final-field", "{file}/f.json"], "hypokit: cannot write output:"),
+        (["analyze", "--input", "{latin1}"], "hypokit: cannot read input:"),
+        ([*_CK2, "--output", "{dir}/missing/x.json"], "hypokit: cannot write output:"),
+        ([*_CK2, "--output", "{dir}"], "hypokit: cannot write output:"),
+    ],
+    ids=["output-under-file", "input-under-file", "final-field-under-file",
+         "input-not-utf8", "output-in-missing-dir", "output-is-dir"],
+)
+def test_file_errors_exit_1_without_traceback(tmp_path, capsys, argv, prefix):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "latin1.json").write_bytes('{"n_rows": "\xe9"}'.encode("latin-1"))
+    paths = {"file": tmp_path / "file", "latin1": tmp_path / "latin1.json", "dir": tmp_path}
+    argv = [a.format(**paths) for a in argv]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
+
+
 def test_simulate_overflowing_time_is_a_numerical_failure(tmp_path, capsys):
     out = tmp_path / "out.csv"
     argv = ["lorentz", "simulate", "--random", "--N", "1", "--M", "2", "--steps", "2",
@@ -278,9 +308,9 @@ def test_every_public_function_is_reached(tmp_path):
     called = {entry.code for entry in profile.getstats()}
 
     unreached = []
-    for module_name in sorted(hypokit._SUBMODULES):
+    for module_name in sorted(m.name for m in pkgutil.iter_modules(hypokit.__path__)):
         module = importlib.import_module(f"hypokit.{module_name}")
-        for name in getattr(module, "__all__", ()):  # errors defines classes only
+        for name in getattr(module, "__all__", ()):  # cli has none
             fn = getattr(module, name)
             if inspect.isfunction(fn) and fn.__code__ not in called:
                 unreached.append(f"{module_name}.{name}")

@@ -226,7 +226,7 @@ class TestParityBlocks:
             if M == 1:
                 assert got == pytest.approx(math.sqrt(0.5 - delta / 4.0), abs=1e-13)
                 continue
-            mu = lorentz._mixing_multiplier(lorentz._even_form(M, lambda R, K: K.T @ R @ K), delta)
+            mu, _ = lorentz._mixing_multiplier(lorentz._even_form(M, lambda R, K: K.T @ R @ K), delta)
             w, V = np.linalg.eigh(A + mu * (R - delta * np.eye(2 * M + 1)))
             v = V[:, 0]
             assert np.real(np.vdot(v, R @ v)) <= delta + 1e-15

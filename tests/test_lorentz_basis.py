@@ -89,7 +89,7 @@ def mixing_dual(M, delta, mu):
 def test_mixing_infimum_at_m1_is_exact(delta):
     # A = diag(1/2, 1/4): the dual mu (1 - delta) + min(1/2 - mu, 1/4) peaks
     # at the kink mu = 1/4
-    assert lorentz._mixing_multiplier(mixing_block(1), delta) == pytest.approx(0.25, rel=1e-14)
+    assert lorentz._mixing_multiplier(mixing_block(1), delta)[0] == pytest.approx(0.25, rel=1e-14)
     got = lorentz.constrained_mixing_infimum(1, delta)
     assert got == pytest.approx(math.sqrt(0.5 - delta / 4.0), rel=1e-15)
 
@@ -97,7 +97,7 @@ def test_mixing_infimum_at_m1_is_exact(delta):
 @pytest.mark.parametrize("M, delta", [(2, 0.3), (8, 0.6), (96, 0.0763932), (96, 0.95), (128, 0.3)])
 def test_interior_optimum_has_the_constrained_e0_weight(M, delta):
     # at an interior optimum the supergradient (1 - delta) - x_0^2 vanishes
-    mu = lorentz._mixing_multiplier(mixing_block(M), delta)
+    mu, _ = lorentz._mixing_multiplier(mixing_block(M), delta)
     shift = lorentz._even_blocks(M)[0] - delta * np.eye(M + 1)
     w, V = np.linalg.eigh(mixing_block(M) + mu * shift)
     assert mu > 1e-3
@@ -113,7 +113,7 @@ def test_kink_optimum():
     a, V = np.linalg.eigh(mixing_block(M))
     assert abs(V[0, 0]) <= 1e-15
     kink = 1.0 / np.sum(V[0, 1:] ** 2 / (a[1:] - a[0]))
-    mu = lorentz._mixing_multiplier(mixing_block(M), delta)
+    mu, _ = lorentz._mixing_multiplier(mixing_block(M), delta)
     assert mu == pytest.approx(kink, rel=1e-12)
     peak = a[0] + mu * (1.0 - delta)
     got = lorentz.constrained_mixing_infimum(M, delta)
@@ -128,7 +128,7 @@ def test_optimum_at_zero():
     # M = 2 at delta = 0.6: x_0^2 of A's smallest eigenvector is 1/2 >= 1 - delta,
     # so the dual falls from mu = 0 and the value is sqrt(lambda_min(A))
     M, delta = 2, 0.6
-    mu = lorentz._mixing_multiplier(mixing_block(M), delta)
+    mu, _ = lorentz._mixing_multiplier(mixing_block(M), delta)
     assert 0.0 <= mu <= 1e-14
     assert mixing_dual(M, delta, 1e-6) < mixing_dual(M, delta, 0.0)
     got = lorentz.constrained_mixing_infimum(M, delta)
