@@ -5,6 +5,7 @@ the test process already holds numpy and scipy.
 """
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -106,12 +107,20 @@ class TestLayering:
         assert rc == 0
         assert not any(_is_scipy(m) for m in loaded)
 
-    def test_modules_import_from_the_package(self):
+    def test_every_public_name_resolves_to_its_module(self):
         from hypokit import cli, decay, errors, gallery, hc_index, lorentz, operator_core, staircase
 
-        for module in (cli, decay, errors, gallery, hc_index, lorentz, operator_core, staircase):
+        assert cli is sys.modules["hypokit.cli"]
+        for module in (decay, errors, gallery, hc_index, lorentz, operator_core, staircase):
             assert module is sys.modules[module.__name__]
+            assert len(set(module.__all__)) == len(module.__all__)
+            for name in module.__all__:
+                obj = getattr(module, name)
+                if inspect.isclass(obj) or inspect.isfunction(obj):
+                    assert obj.__module__ == module.__name__, name
         assert hypokit.__version__ == "0.1.0"
+
+    def test_unknown_name_raises(self):
         with pytest.raises(AttributeError):
             hypokit.no_such_name
 
