@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import operator_core as core
-from . import staircase
 from .errors import (
     ContractViolationError,
     DimensionError,
@@ -317,6 +316,8 @@ def short_time_constant(
     staircase form of (J, R): it is spanned by the basis columns after the
     first m blocks.  Building it raises ``NotPSDError`` when C is not accretive.
     """
+    from . import staircase  # here, so that decay alone does not load it
+
     if m < 0:
         raise PreconditionError("m must be nonnegative")
     form = staircase.build_staircase(dec.R, dec.J, rank_tol)

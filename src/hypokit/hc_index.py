@@ -12,6 +12,13 @@ arithmetic, and their achieved coercivity constants may differ.  They share
 the staircase's decision about ker R: sqrt(R) and the accretivity check come
 from the eigendecomposition of R that made block 0 (``core._psd_cut``), so
 they cross-check only the chain of J-steps, not the cut of R.
+
+Each family is a Gram matrix sum_{j<=m} F_j* F_j, and its smallest
+eigenvalue is the squared smallest singular value of the stacked factors.
+Neither the sum (which would lose half the digits below the index) nor the
+stack is formed: one n x n triangular factor with the same Gram matrix is
+updated by a QR per level, O(n^3) per level instead of an SVD of the whole
+(m+1) n x n stack (its floor: ``_family_search``).
 """
 
 from __future__ import annotations
@@ -88,32 +95,6 @@ class ObstructionWitness:
         }
 
 
-def _factor_generator(dec: core.OperatorDecomposition, method: str, S: np.ndarray):
-    """Yield factors F_0, F_1, ... with partial sums sum_j F_j* F_j.
-
-    ``S`` is sqrt(R).  Every coercivity family is a Gram matrix, so its
-    smallest eigenvalue is the squared smallest singular value of the stacked
-    factors.  Working on the factors keeps the noise floor near
-    machine-epsilon squared, where forming the sums explicitly would lose
-    half the digits on the singular levels below the index.
-    """
-    J = dec.J
-    if method == "commutators":
-        Cj = S
-        while True:
-            yield Cj
-            Cj = J @ Cj - Cj @ J
-    # (C*)^j R C^j, C^j R (C*)^j and J^j R (J*)^j have the factors S X^j
-    # with X = C, C* and J*
-    steps = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T, "j_powers": J.conj().T}
-    if method not in steps:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    P = np.eye(dec.dim, dtype=complex)
-    while True:
-        yield S @ P
-        P = steps[method] @ P
-
-
 def _family_setup(
     dec: core.OperatorDecomposition,
     kappa_threshold: float | None,
@@ -142,20 +123,36 @@ def _family_search(
     kappa_threshold: float,
     m_max: int,
 ) -> IndexReport:
-    """The search of ``index_via_powers`` on prepared inputs (see ``_family_setup``)."""
+    """The search of ``index_via_powers`` on prepared inputs (see ``_family_setup``).
+
+    F_0 = S = sqrt(R); F_m = F_{m-1} X with X = C, C* or J* gives the factors
+    of (C*)^j R C^j, C^j R (C*)^j and J^j R (J*)^j, and
+    F_m = J F_{m-1} - F_{m-1} J those of the commutators.  Level m replaces T
+    by the triangular factor of the QR of [T; F_m], so T* T = sum_{j<=m}
+    F_j* F_j, and reads lambda_m = sigma_min(T)^2.  Householder QR is
+    backward stable: sigma_min(T) is within delta = O((m+1) n eps ||stack||)
+    of sigma_min of the stack [F_0; ...; F_m], so lambda_m is within
+    delta (2 sqrt(lambda_m) + delta) <= 3 delta ||stack|| of its value, and a
+    level that is singular in exact arithmetic reads at most about delta^2.
+    ||stack|| grows like ||S|| ||X||^m, so this floor can pass the fixed
+    threshold on long chains.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    J = dec.J
+    powers = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T, "j_powers": J.conj().T}
+    X = powers.get(method)  # None for the commutators
+    F, T = S, np.empty((0, dec.dim), dtype=S.dtype)
     eigs: list[float] = []
-    rows: list[np.ndarray] = []
-    gen = _factor_generator(dec, method, S)
-    index = None
-    kappa = 0.0
+    index, kappa = None, 0.0
     for m in range(m_max + 1):
-        rows.append(next(gen))
-        sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
-        lam = float(sv[-1] ** 2)
+        T = np.linalg.qr(np.vstack([T, F]), mode="r")
+        lam = float(np.linalg.svd(T, compute_uv=False)[-1] ** 2)
         eigs.append(lam)
         if lam >= kappa_threshold:
             index, kappa = m, lam
             break
+        F = J @ F - F @ J if X is None else F @ X
     return IndexReport(
         index=index,
         kappa=kappa,

@@ -3,7 +3,11 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +250,45 @@ def test_file_errors_exit_1_without_traceback(tmp_path, capsys, argv, prefix):
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("existing", [None, "t,distance,bound\n"], ids=["new", "existing"])
+def test_failed_final_field_leaves_the_csv_as_it_was(tmp_path, capsys, existing):
+    # the CSV is written, then the final field fails: neither may land
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "out.csv"
+    if existing is not None:
+        out.write_text(existing)
+    argv = ["lorentz", "simulate", "--random", "--N", "1", "--M", "2",
+            "--output", str(out), "--final-field", str(tmp_path / "file" / "f.json")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("hypokit: cannot write output:")
+    assert (out.read_text() if out.exists() else None) == existing
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == (["file"] if existing is None else ["file", "out.csv"])
+
+
+def test_failed_write_keeps_the_existing_output(tmp_path):
+    # a file-size limit below the output's size makes the write itself fail
+    pytest.importorskip("resource")
+    out = tmp_path / "out.json"
+    out.write_text("old")
+    code = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16))\n"
+        "from hypokit import cli\n"
+        f"sys.exit(cli.main({[*_CK2, '--output', str(out)]!r}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 1
+    assert run.stderr.startswith("hypokit: cannot write output:")
+    assert out.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_simulate_overflowing_time_is_a_numerical_failure(tmp_path, capsys):

@@ -335,6 +335,98 @@ class TestEquivalenceAudit:
         assert audit.kappa_per_method == {m: r.kappa for m, r in expected.items()}
 
 
+class TestFactorUpdate:
+    """The power families keep one n x n triangular factor per family."""
+
+    @staticmethod
+    def _stack(dec, method, m):
+        """[F_0; ...; F_m] built directly: S X^j or the j-fold commutator."""
+        S = core._psd_cut(dec.R).root()
+        J = dec.J
+        X = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T, "j_powers": J.conj().T}
+        blocks, F = [], S
+        for j in range(m + 1):
+            if method == "commutators":
+                blocks.append(F)
+                F = J @ F - F @ J
+            else:
+                blocks.append(S @ np.linalg.matrix_power(X[method], j))
+        return np.vstack(blocks)
+
+    def test_factor_stays_n_by_n(self, monkeypatch):
+        n, index = 60, 4
+        R, J = planted_staircase_pair(np.random.default_rng(22), [12] * (index + 1))
+        dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
+        active, svd_rows, qr_calls = [], [], {m: 0 for m in hc_index.METHODS}
+        search, svd, qr = hc_index._family_search, np.linalg.svd, np.linalg.qr
+
+        def traced_search(dec, method, *args):
+            active.append(method)
+            try:
+                return search(dec, method, *args)
+            finally:
+                active.pop()
+
+        def traced_svd(a, *args, **kwargs):
+            if active:
+                svd_rows.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        def traced_qr(a, *args, **kwargs):
+            if active:
+                qr_calls[active[-1]] += 1
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(hc_index, "_family_search", traced_search)
+        monkeypatch.setattr(np.linalg, "svd", traced_svd)
+        monkeypatch.setattr(np.linalg, "qr", traced_qr)
+        audit = hc_index.equivalence_audit(dec)
+        assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), index)
+        assert svd_rows and max(svd_rows) <= n
+        assert qr_calls == dict.fromkeys(hc_index.METHODS, index + 1)
+
+    def test_levels_match_the_explicit_stack(self):
+        # the QR update is backward stable: each level is sigma_min^2 of the
+        # explicit stack up to 10 (m+1) n eps ||stack||^2
+        rng = np.random.default_rng(41)
+        decs = [random_accretive(rng, int(rng.integers(2, 9))) for _ in range(40)]
+        decs += [core.hermitian_split(gallery.ek_matrix(k)) for k in range(2, 13)]
+        R, J = planted_staircase_pair(np.random.default_rng(22), [6] * 4)
+        decs.append(core.OperatorDecomposition(C=R - J, R=R, J=J))
+        eps = np.finfo(float).eps
+        for dec in decs:
+            for method in hc_index.METHODS:
+                rep = hc_index.index_via_powers(dec, method, kappa_threshold=1e30)
+                for m, lam in enumerate(rep.per_m_min_eigs):
+                    sv = np.linalg.svd(self._stack(dec, method, m), compute_uv=False)
+                    tol = 10 * (m + 1) * dec.dim * eps * sv[0] ** 2
+                    assert abs(lam - sv[-1] ** 2) <= tol, (dec.dim, method, m)
+
+    @pytest.mark.parametrize(
+        "C",
+        [gallery.ck_matrix(k) for k in (1, 2, 3)] + [gallery.ek_matrix(k) for k in range(2, 7)],
+        ids=[f"ck_{k}" for k in (1, 2, 3)] + [f"ek_{k}" for k in range(2, 7)],
+    )
+    def test_kappa_matches_a_50_digit_gram_sum(self, C):
+        mp = pytest.importorskip("mpmath")
+        n = C.shape[0]
+        # R is a 0/1 diagonal here, so sqrt(R) = R exactly
+        assert not C.imag.any() and set(np.diag(C.real + C.real.T) / 2) <= {0.0, 1.0}
+        dec = core.hermitian_split(C)
+        for method in hc_index.METHODS:
+            rep = hc_index.index_via_powers(dec, method)
+            with mp.workdps(50):
+                Cm = mp.matrix(C.real.tolist())
+                Rm, Jm = (Cm + Cm.T) / 2, (Cm.T - Cm) / 2
+                X = {"c_powers_right": Cm, "c_powers_left": Cm.T, "j_powers": Jm.T}.get(method)
+                gram, F = mp.zeros(n, n), Rm
+                for _ in range(rep.index + 1):
+                    gram += F.T * F
+                    F = Jm * F - F * Jm if X is None else F * X
+                exact = min(mp.eigsy(gram, eigvals_only=True))
+            assert abs(rep.kappa - exact) <= 1e-10 * exact, method
+
+
 class TestVanishingFormEquivalence:
     """Kernel-intersection vectors annihilate all four quadratic-form families
     below the index level, and the four level-m forms coincide."""

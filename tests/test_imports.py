@@ -60,6 +60,24 @@ def _is_scipy(name: str) -> bool:
     return name == "scipy" or name.startswith("scipy.")
 
 
+def _run_command(tmp_path, argv, block=""):
+    """Run ``cli.main(argv)`` in a fresh interpreter after ``block``; return its
+    exit code and the modules it loaded."""
+    path = tmp_path / "ck2.json"
+    path.write_text(json.dumps(core.matrix_to_json(gallery.ck_matrix(2))))
+    argv = [str(path) if a == "{ck2}" else a for a in argv] + ["--output", os.devnull]
+    return _child(
+        f"import json, os, sys\n{block}\n"
+        "from hypokit import cli\n"
+        f"rc = cli.main({argv!r})\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))"
+    )
+
+
+#: The commands of ``CLI_COMMANDS`` that compute no index and need no staircase.
+_NO_INDEX = [argv for argv in CLI_COMMANDS if argv[0] != "analyze"]
+
+
 class TestLayering:
     def test_package_loads_no_numpy_or_scipy(self):
         loaded = _loaded_after("import hypokit")
@@ -80,20 +98,20 @@ class TestLayering:
         "argv", CLI_COMMANDS, ids=[" ".join(w for w in a[:2] if w[0] != "-") for a in CLI_COMMANDS]
     )
     def test_command_needs_no_scipy(self, tmp_path, argv):
-        path = tmp_path / "ck2.json"
-        path.write_text(json.dumps(core.matrix_to_json(gallery.ck_matrix(2))))
-        argv = [str(path) if a == "{ck2}" else a for a in argv] + ["--output", os.devnull]
-        run = (
-            "import json, os, sys\n{block}\n"
-            "from hypokit import cli\n"
-            f"rc = cli.main({argv!r})\n"
-            "print(json.dumps([rc, sorted(sys.modules)]))"
-        )
-        rc, _ = _child(run.format(block='sys.modules["scipy"] = None'))
+        rc, _ = _run_command(tmp_path, argv, block='sys.modules["scipy"] = None')
         assert rc == 0
-        rc, loaded = _child(run.format(block=""))
+        rc, loaded = _run_command(tmp_path, argv)
         assert rc == 0
         assert not any(_is_scipy(m) for m in loaded)
+
+    @pytest.mark.parametrize(
+        "argv", _NO_INDEX, ids=[" ".join(w for w in a[:2] if w[0] != "-") for a in _NO_INDEX]
+    )
+    def test_command_loads_no_staircase(self, tmp_path, argv):
+        rc, loaded = _run_command(tmp_path, argv)
+        assert rc == 0
+        assert "hypokit.decay" in loaded
+        assert "hypokit.staircase" not in loaded
 
     def test_staircase_command_loads_no_scipy(self, tmp_path):
         path = tmp_path / "ek4.json"
