@@ -124,8 +124,8 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
     A regular or new file is first written in full to a temporary file in
     its directory; the temporary files replace their targets (``os.replace``)
     only after every output is written, so a failed write leaves each
-    existing file as it was and creates none.  Other paths (devices,
-    directories) are opened directly.
+    existing file as it was and creates none.  A replaced file keeps its
+    permission bits.  Other paths (devices, directories) are opened directly.
     """
     staged: dict[str, str] = {}  # output path -> its temporary file
     path = None  # the output being written, named in the error
@@ -137,6 +137,8 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
                 with open(tmp, "x", encoding="utf-8") as fh:
                     staged[path] = tmp
                     fh.write(text)
+                if os.path.isfile(path):  # keep the permission bits of the file it replaces
+                    os.chmod(tmp, os.stat(path).st_mode & 0o7777)
         for text, path in outputs:
             if path is None:
                 sys.stdout.write(text if text.endswith("\n") else text + "\n")

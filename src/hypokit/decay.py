@@ -7,14 +7,14 @@ and exponential-stability checks.
 
 ``analyze`` fits the law on a geometric grid, but the fit reads only the
 points whose drop 1 - ||P(t)|| lies in ``FIT_DROPS``.  ``short_time_curve``
-finds the part of the grid that can hold them by bisection and evaluates
-only that part.  Its certificate is the growth bound
+finds the part of the grid that can hold them with one bisection per edge
+and evaluates only that part.  Its certificate is the growth bound
 ``||P(t)|| <= ||P(s)|| e^(mu (t - s))`` for t >= s, with
 mu = max(0, -lambda_min((C + C*)/2)) (mu = 0 for accretive C, where the norm
-does not increase).  A probe whose norm bounds every earlier drop below
-FIT_DROPS[0] / 10, or every later drop above 10 * FIT_DROPS[1], skips those
-points; the factor 10 on each side leaves room for roundoff in the computed
-norms.
+does not increase).  The lower edge is certified where the norm at a probe
+bounds every earlier drop below FIT_DROPS[0] / 10, the upper edge where it
+bounds every later drop above 10 * FIT_DROPS[1]; the factor 10 on each side
+leaves room for roundoff in the computed norms.
 """
 
 from __future__ import annotations
@@ -210,14 +210,14 @@ def short_time_curve(C, times) -> DecayCurve:
     is not uniform.  So ``fit_short_time`` gives the same fit (or the same
     ``NoDecayError``) on it as on the full curve.
 
-    A bisection over the grid index finds the run.  With mu as in the module
-    docstring, a probe at t_l whose bound 1 - ||P(t_l)|| e^(-mu t_l) on every
-    earlier drop (and its own) is below FIT_DROPS[0] / 10 skips every point
-    up to l, and a probe at t_b whose bound 1 - ||P(t_b)|| e^(mu (t_N - t_b))
-    on every later drop is above 10 * FIT_DROPS[1] skips every point from b
-    on.  A first bisection, which probes the last point first, looks for a
-    point that neither bound skips; two more bisections narrow the run on
-    each side of it.  A probe's norm is reused if the run contains it.
+    One bisection over the grid index finds each edge of the run, with mu
+    as in the module docstring.  The run starts at the first index l where
+    1 - ||P(t_l)|| e^(-mu t_l), a bound on every drop up to l, is not below
+    FIT_DROPS[0] / 10.  It stops at the first later index b where
+    1 - ||P(t_b)|| e^(mu (t_N - t_b)), a bound on every drop from b on, is
+    above 10 * FIT_DROPS[1].  Each bisection probes its last candidate
+    first, so a generator whose drop stays roundoff costs one ``_expm``.
+    Probe norms are reused, and the rest of the run is normed in one batch.
     Where no point survives, the curve is empty.
     """
     C = core.as_matrix(C, square=True)
@@ -228,47 +228,26 @@ def short_time_curve(C, times) -> DecayCurve:
     low, high = 0.1 * FIT_DROPS[0], 10.0 * FIT_DROPS[1]
     norms = np.full(ts.size, np.nan)
 
-    def norm(i: int) -> float:
-        if np.isnan(norms[i]):
-            norms[i] = _pointwise_norms(A, ts[i : i + 1])[0]
-        return norms[i]
-
-    def skips_before(i: int) -> bool:
-        return 1.0 - norm(i) * math.exp(-mu * ts[i]) < low
-
-    def skips_after(i: int) -> bool:
-        return 1.0 - norm(i) * math.exp(mu * (ts[-1] - ts[i])) > high
-
-    lo, hi = -1, ts.size  # every point up to lo and from hi on is skipped
-    inside = None
-    probe = hi - 1  # settles a generator whose drop stays roundoff in one probe
-    while inside is None and hi - lo > 1:
-        if skips_before(probe):
-            lo = probe
-        elif skips_after(probe):
-            hi = probe
-        else:
-            inside = probe
-        probe = (lo + hi) // 2
-    if inside is not None:
-        a = b = inside
-        while a - lo > 1:
-            mid = (lo + a) // 2
-            if skips_before(mid):
-                lo = mid
+    def edge(lo: int, hi: int, below) -> int:
+        """Bisect (lo, hi), hi - 1 first: lo moves up to each probe i where
+        ``below(||P(t_i)||, t_i)``, hi down to the others; returns hi."""
+        probe = hi - 1
+        while hi - lo > 1:
+            if np.isnan(norms[probe]):
+                norms[probe] = _pointwise_norms(A, ts[probe : probe + 1])[0]
+            if below(norms[probe], ts[probe]):
+                lo = probe
             else:
-                a = mid
-        while hi - b > 1:
-            mid = (b + hi) // 2
-            if skips_after(mid):
-                hi = mid
-            else:
-                b = mid
-    keep = np.arange(lo + 1, hi)
-    todo = keep[np.isnan(norms[keep])]
-    if todo.size:
+                hi = probe
+            probe = (lo + hi) // 2
+        return hi
+
+    first = edge(-1, ts.size, lambda v, t: 1.0 - v * math.exp(-mu * t) < low)
+    stop = edge(first - 1, ts.size, lambda v, t: 1.0 - v * math.exp(mu * (ts[-1] - t)) <= high)
+    todo = [i for i in range(first, stop) if np.isnan(norms[i])]
+    if todo:
         norms[todo] = _pointwise_norms(A, ts[todo])
-    return DecayCurve(times=ts[keep], norms=norms[keep])
+    return DecayCurve(times=ts[first:stop], norms=norms[first:stop])
 
 
 def fit_short_time(curve: DecayCurve) -> ShortTimeFit:

@@ -10,6 +10,7 @@ compact-collision counterexamples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,9 @@ _PARAMETER = {
     "ek_blockdiag": "blocks",
     "ek_rescaled": "blocks",
 }
+
+#: Parameter -> its value when it is not given; every one is an integer >= 1.
+_DEFAULT = {"k": 1, "blocks": 1, "dim": 4}
 
 EXAMPLE_NAMES = tuple(_PARAMETER)
 
@@ -81,53 +85,48 @@ def make_example(name: str, **params) -> np.ndarray:
 
     Parameters: ``ck``/``ek`` take k; ``remark25_block_family``,
     ``ek_blockdiag`` and ``ek_rescaled`` take blocks; ``compact_R_family``
-    takes dim.  Any other parameter raises ``PreconditionError``.
+    takes dim, which defaults to 4; the others default to 1.  Any other
+    parameter, or a value that is not an integer of at least 1, raises
+    ``PreconditionError``.
     """
     if name not in _PARAMETER:
         raise PreconditionError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
-    extra = sorted(set(params) - {_PARAMETER[name]})
+    param = _PARAMETER[name]
+    extra = sorted(set(params) - {param})
     if extra:
-        raise PreconditionError(
-            f"example {name!r} takes only {_PARAMETER[name]}, not {', '.join(extra)}"
-        )
+        raise PreconditionError(f"example {name!r} takes only {param}, not {', '.join(extra)}")
+    value = params.get(param, _DEFAULT[param])
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{param} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise PreconditionError(f"{param} must be at least 1")
     if name == "ck":
-        return ck_matrix(int(params.get("k", 1)))
+        return ck_matrix(value)
     if name == "ek":
-        return ek_matrix(int(params.get("k", 1)))
+        return ek_matrix(value)
     if name == "remark25_block_family":
-        blocks = int(params.get("blocks", 1))
-        if blocks < 1:
-            raise PreconditionError("blocks must be at least 1")
-        return _blockdiag([_remark25_block(n) for n in range(1, blocks + 1)])
+        return _blockdiag([_remark25_block(n) for n in range(1, value + 1)])
     if name == "compact_R_family":
-        dim = int(params.get("dim", 4))
-        if dim < 1:
-            raise PreconditionError("dim must be at least 1")
-        R = np.diag([1.0 / (i + 1) for i in range(dim)]).astype(complex)
-        J = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim - 1):
+        R = np.diag([1.0 / (i + 1) for i in range(value)]).astype(complex)
+        J = np.zeros((value, value), dtype=complex)
+        for i in range(value - 1):
             J[i + 1, i] = 1.0
             J[i, i + 1] = -1.0
         return R - J
     if name == "ek_blockdiag":
-        blocks = int(params.get("blocks", 1))
-        if blocks < 1:
-            raise PreconditionError("blocks must be at least 1")
-        return _blockdiag([ek_matrix(k) for k in range(1, blocks + 1)])
-    if name == "ek_rescaled":
-        blocks = int(params.get("blocks", 1))
-        if blocks < 1:
-            raise PreconditionError("blocks must be at least 1")
-        scaled = []
-        for k in range(1, blocks + 1):
-            rep = ek_rescale_factor(k)
-            if not rep.ok or rep.boundary_warning:
-                raise NumericalError(
-                    f"rescaling of E_{k} failed: ||exp(-r E_k)|| = {rep.norm_at_unit_time:.6g}"
-                    f" (bound 1/e), envelope maximum at the window end: {rep.boundary_warning}"
-                )
-            scaled.append(rep.r * ek_matrix(k))
-        return _blockdiag(scaled)
+        return _blockdiag([ek_matrix(k) for k in range(1, value + 1)])
+    scaled = []  # ek_rescaled
+    for k in range(1, value + 1):
+        rep = ek_rescale_factor(k)
+        if not rep.ok or rep.boundary_warning:
+            raise NumericalError(
+                f"rescaling of E_{k} failed: ||exp(-r E_k)|| = {rep.norm_at_unit_time:.6g}"
+                f" (bound 1/e), envelope maximum at the window end: {rep.boundary_warning}"
+            )
+        scaled.append(rep.r * ek_matrix(k))
+    return _blockdiag(scaled)
 
 
 def ck_closed_form_norm(k: int, t):

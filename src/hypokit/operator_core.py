@@ -342,7 +342,7 @@ def matrix_to_json(A) -> dict:
     """
     A = as_matrix(A)
     n_rows, n_cols = A.shape
-    entries = [[float(z.real), float(z.imag)] for z in A.ravel()]
+    entries = np.stack((A.real, A.imag), -1).reshape(-1, 2).tolist()
     return {"n_rows": int(n_rows), "n_cols": int(n_cols), "entries": entries}
 
 

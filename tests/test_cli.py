@@ -291,6 +291,18 @@ def test_failed_write_keeps_the_existing_output(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+@pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+def test_replaced_output_keeps_its_mode(tmp_path, mode):
+    # two modes: whatever the umask, a new file's default mode differs from one
+    out = tmp_path / "out.json"
+    out.write_text("old")
+    out.chmod(mode)
+    assert cli.main([*_CK2, "--output", str(out)]) == 0
+    assert core.matrix_from_json(json.loads(out.read_text())).shape == (2, 2)
+    assert out.stat().st_mode & 0o7777 == mode
+
+
 def test_simulate_overflowing_time_is_a_numerical_failure(tmp_path, capsys):
     out = tmp_path / "out.csv"
     argv = ["lorentz", "simulate", "--random", "--N", "1", "--M", "2", "--steps", "2",

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hypokit import decay, errors, gallery, hc_index
 from hypokit import operator_core as core
@@ -31,11 +30,12 @@ class TestPropagatorNormCurve:
     def test_uniform_grid_tail_matches_pointwise_expm(self):
         # the envelope constant of ek_rescale_factor multiplies these norms by
         # up to e^40, so stepping must stay accurate relative to the decayed norm
+        scipy_linalg = pytest.importorskip("scipy.linalg")
         C = gallery.ek_matrix(5)
         gap = -core.spectral_abscissa(-C)
         ts = np.linspace(0.0, 40.0 / gap, 2001)
         curve = decay.propagator_norm_curve(C, ts)
-        ref = np.array([np.linalg.norm(scipy.linalg.expm(-C * t), 2) for t in ts])
+        ref = np.array([np.linalg.norm(scipy_linalg.expm(-C * t), 2) for t in ts])
         np.testing.assert_allclose(curve.norms, ref, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize(

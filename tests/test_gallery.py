@@ -45,6 +45,12 @@ class TestMakeExample:
         with pytest.raises(errors.PreconditionError):
             gallery.make_example("ek", k=0)
 
+    @pytest.mark.parametrize("value", [2.7, 2.0, "3", None])
+    def test_parameter_must_be_an_integer(self, value):
+        with pytest.raises(errors.PreconditionError, match="k must be an integer"):
+            gallery.make_example("ck", k=value)
+        assert gallery.make_example("ck", k=np.int64(2)).tolist() == [[0, 2], [-2, 1]]
+
     @pytest.mark.parametrize(
         "name, params",
         [

@@ -20,6 +20,9 @@ from helpers import bench_planted_pair, random_accretive
 #: Points of the ``analyze`` grid.
 GRID_POINTS = 220
 
+#: Sizes of the seeded random cases.
+RANDOM_SIZES = (2, 3, 5, 8)
+
 
 def _analyze_grid(C) -> np.ndarray:
     """The geometric grid of ``analyze``: t * ||C|| from 1e-4 to 10."""
@@ -59,6 +62,14 @@ CASES = {
     "skew": lambda: _skew(np.random.default_rng(2), 6),
     "near_psd": lambda: _with_min_eig(np.random.default_rng(3), 12, -5e-11),
     "non_accretive": _oscillating,
+    # seeded small random pairs: accretive, lambda_min(R) just below 0 (inside
+    # the default rank tolerance), and non-accretive beyond it (inside 0.1)
+    **{f"random{n}_accretive":
+       (lambda n=n: random_accretive(np.random.default_rng(100 + n), n).C) for n in RANDOM_SIZES},
+    **{f"random{n}_near_psd":
+       (lambda n=n: _with_min_eig(np.random.default_rng(200 + n), n, -5e-11)) for n in RANDOM_SIZES},
+    **{f"random{n}_non_accretive":
+       (lambda n=n: _with_min_eig(np.random.default_rng(300 + n), n, -0.05)) for n in RANDOM_SIZES},
 }
 
 
@@ -112,6 +123,16 @@ class TestWindowEqualsFullGrid:
             core._psd_cut(R, 1e-10)
         full = decay.propagator_norm_curve(_oscillating(), _analyze_grid(_oscillating()))
         assert full.norms.max() > 1.0 and full.norms[-1] > full.norms.min()
+
+    @pytest.mark.parametrize("n", RANDOM_SIZES)
+    def test_random_cases_are_of_their_kind(self, n):
+        def min_eig_ratio(kind):
+            w = np.linalg.eigvalsh(core.hermitian_split(CASES[f"random{n}_{kind}"]()).R)
+            return w[0] / np.abs(w).max()
+
+        assert min_eig_ratio("accretive") > -1e-12
+        assert -1e-10 < min_eig_ratio("near_psd") < 0.0
+        assert -0.1 < min_eig_ratio("non_accretive") < -1e-10
 
 
 class TestCost:
