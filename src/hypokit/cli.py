@@ -46,6 +46,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+#: The one rank rule of the staircase (``staircase`` module docstring).
+_TOL_RANK_HELP = (
+    "rank cut (default 1e-10): R keeps its eigenvalues >= tol * max|eig R|, each "
+    "staircase block its singular values >= tol * ||J||; a value within 10x of "
+    "its cut is reported as ambiguous. The power families share the cut of R"
+)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="hypokit", description="hypocoercivity analysis toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -56,14 +64,13 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("analyze", help="index audit + stability + short-time fit")
     sp.add_argument("--input", required=True)
     sp.add_argument("--tol-kappa", type=float, default=None)
-    sp.add_argument("--tol-rank", type=float, default=1e-10, help="relative rank cut of R "
-                    "and of each staircase block; the power families share the cut of R")
+    sp.add_argument("--tol-rank", type=float, default=1e-10, help=_TOL_RANK_HELP)
     sp.add_argument("--m-max", type=int, default=None)
     common(sp)
 
     sp = sub.add_parser("staircase", help="staircase form of the input pair")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--tol-rank", type=float, default=1e-10)
+    sp.add_argument("--tol-rank", type=float, default=1e-10, help=_TOL_RANK_HELP)
     common(sp)
 
     sp = sub.add_parser("decay", help="propagator norm curve as CSV")
@@ -125,8 +132,14 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
     its directory; the temporary files replace their targets (``os.replace``)
     only after every output is written, so a failed write leaves each
     existing file as it was and creates none.  A replaced file keeps its
-    permission bits.  Other paths (devices, directories) are opened directly.
+    permission bits, and an existing file that the user may not write is
+    refused before anything is staged, as a direct ``open`` would refuse it
+    (``os.replace`` needs only write permission on the directory).  Other
+    paths (devices, directories) are opened directly.
     """
+    for _, path in outputs:
+        if path is not None and os.path.isfile(path) and not os.access(path, os.W_OK):
+            raise _FileError(f"cannot write output: {path}: Permission denied")
     staged: dict[str, str] = {}  # output path -> its temporary file
     path = None  # the output being written, named in the error
     try:
@@ -303,9 +316,9 @@ def _cmd_lorentz(args) -> int:
     if cmd == "constants":
         consts = lorentz.appendix_constants(args.M)
         out = consts.to_json_dict()
-        out["relations_hold"] = consts.relations_hold()
+        ok = out["relations_hold"] = consts.relations_hold()
         _emit_json(out, args.output)
-        return 0 if consts.relations_hold() else 3
+        return 0 if ok else 3
 
     if cmd == "verify":
         import numpy as np

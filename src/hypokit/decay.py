@@ -93,9 +93,16 @@ class StabilityReport:
 
 
 def is_uniform_grid(ts: np.ndarray) -> bool:
-    """Whether an increasing grid of three or more times is equally spaced."""
+    """Whether an increasing grid of three or more times is equally spaced.
+
+    Each spacing may differ from the first by 1e-12 of it plus 8 eps |t_max|,
+    the rounding of ``np.linspace`` on [0, t_max] with room to spare; the
+    slack scales with the grid, so a grid on [0, 1e-15] is judged as one on
+    [0, 1].
+    """
     return ts.size > 2 and bool(
-        np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-12, atol=1e-14)
+        np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-12,
+                    atol=8.0 * np.finfo(float).eps * abs(ts[-1]))
     )
 
 
@@ -223,8 +230,7 @@ def short_time_curve(C, times) -> DecayCurve:
     C = core.as_matrix(C, square=True)
     ts = _time_grid(times)
     A = -C
-    core._check_exp_range(A, ts[-1])
-    mu = max(0.0, float(np.linalg.eigvalsh(core._symmetrized(A))[-1]))
+    mu = max(0.0, core._check_exp_range(A, ts[-1])[1])
     low, high = 0.1 * FIT_DROPS[0], 10.0 * FIT_DROPS[1]
     norms = np.full(ts.size, np.nan)
 

@@ -19,6 +19,14 @@ Neither the sum (which would lose half the digits below the index) nor the
 stack is formed: one n x n triangular factor with the same Gram matrix is
 updated by a QR per level, O(n^3) per level instead of an SVD of the whole
 (m+1) n x n stack (its floor: ``_family_search``).
+
+The staircase's rank decisions are scale-free (``staircase`` module
+docstring); the families' default threshold 1e-9 * max(||C||, 1) is not.
+Under C -> sC the level values lambda_m scale like s^(2m+1) while the
+threshold scales like s (or not at all below ||C|| = 1), so on a strongly
+scaled input the families read another index than the staircase, or none,
+and ``analyze`` reports the disagreement (exit 3), until the families
+decide against a scale-free threshold.
 """
 
 from __future__ import annotations
@@ -171,7 +179,7 @@ def index_via_powers(
 ) -> IndexReport:
     """Smallest m <= m_max whose partial sum has min-eigenvalue >= threshold.
 
-    ``kappa_threshold`` defaults to 1e-9 * ||C|| (an exact-zero test is
+    ``kappa_threshold`` defaults to 1e-9 * max(||C||, 1) (an exact-zero test is
     meaningless in floating point); ``m_max`` defaults to the dimension,
     beyond which the rank conditions cannot improve.  sqrt(R) is cut at the
     staircase's default rank_tol of 1e-10.
@@ -195,8 +203,8 @@ def _terminal_witness(
 ) -> ObstructionWitness | None:
     """Eigenvector of J on the terminal block (J-invariant, killed by R).
 
-    Residuals above max(tol, rank_tol) times max(||J||, 1) resp. max(||R||, 1)
-    mean a wrong rank decision and raise NumericalError.
+    Residuals above max(tol, rank_tol) times ||J|| resp. ||R|| mean a wrong
+    rank decision and raise NumericalError.
     """
     if form.terminal_dim == 0:
         return None
@@ -208,7 +216,8 @@ def _terminal_witness(
     residual_J = float(np.linalg.norm(J @ v - lam * v))
     residual_R = float(np.linalg.norm(R @ v))
     bound = max(tol, form.rank_tol)
-    scale_J, scale_R = max(core.spectral_norm(J), 1.0), max(core.spectral_norm(R), 1.0)
+    scale_J = max(core.spectral_norm(J), 1e-300)
+    scale_R = max(core.spectral_norm(R), 1e-300)
     if residual_J > bound * scale_J or residual_R > bound * scale_R:
         raise NumericalError(
             f"terminal-block witness fails its residual check "

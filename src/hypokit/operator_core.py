@@ -91,20 +91,24 @@ def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
     return _expm(A, t)
 
 
-def _check_exp_range(A: np.ndarray, t: float) -> None:
-    """The overflow guard of ``matrix_exponential``.
+def _check_exp_range(A: np.ndarray, t: float) -> tuple[float, float]:
+    """The overflow guard of ``matrix_exponential``; returns the extreme
+    eigenvalues (lambda_min, lambda_max) of A_H = (A + A*)/2.
 
-    The logarithmic norm of A*t is t * lambda_max(A_H) for t >= 0, so a
-    check at the largest time of a grid covers every point of it.
+    The logarithmic norm of A*t is t * lambda_max(A_H) for t >= 0 and
+    t * lambda_min(A_H) for t < 0, so a check at the largest time of a grid
+    covers every point of it.
     """
     if not np.isfinite(t):
         raise InvalidEntryError("time must be finite")
-    At = A * t
-    mu = np.linalg.eigvalsh((At + At.conj().T) / 2.0)[-1]
+    w = np.linalg.eigvalsh(_symmetrized(A))
+    lo, hi = float(w[0]), float(w[-1])
+    mu = t * (hi if t >= 0 else lo)
     if mu > 700.0:
         raise RangeError(
             f"exp(A t) may overflow: logarithmic norm of A*t is {mu:.3g} > 700"
         )
+    return lo, hi
 
 
 #: Largest eta for which the degree-m Pade approximant has backward error
@@ -294,12 +298,25 @@ class _PsdCut:
         return _symmetrized(S)
 
 
+def _rank_cut(values: np.ndarray, cut: float) -> tuple[int, bool]:
+    """The one rank rule: how many ``values`` reach ``cut``, and whether any
+    |value| lies within a factor 10 of it (in [cut / 10, 10 cut]).
+
+    Every cut is ``rank_tol`` times the norm of the operator the values come
+    from (Paige 1981), so a decision does not change when the pair is scaled.
+    ``_psd_cut`` applies it to the eigenvalues of R, and the staircase builder
+    and its verifier to the singular values of each subdiagonal block.
+    """
+    near = (np.abs(values) >= 0.1 * cut) & (np.abs(values) <= 10.0 * cut)
+    return int(np.count_nonzero(values >= cut)), bool(near.any())
+
+
 def _psd_cut(R, rank_tol: float = 1e-10) -> _PsdCut:
     """The one decision "is R PSD, and which of its eigenvalues are zero".
 
     With s = max|w| over the eigenvalues w of (R + R*)/2, an eigenvalue below
-    -rank_tol * s raises ``NotPSDError`` and one at or above rank_tol * s is
-    kept.  The staircase (its block 0 and its kernel count), the power
+    -rank_tol * s raises ``NotPSDError`` and the rank is ``_rank_cut`` at
+    rank_tol * s.  The staircase (its block 0 and its kernel count), the power
     families' sqrt(R) and every accretivity check read this cut, so this is
     where a ``rank_tol`` outside (0, 1) raises ``PreconditionError``.
     """
@@ -310,8 +327,8 @@ def _psd_cut(R, rank_tol: float = 1e-10) -> _PsdCut:
     cut = rank_tol * max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[0] < -cut:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {w[0]:.3g} < -{cut:.3g}")
-    near = (np.abs(w) >= 0.1 * cut) & (np.abs(w) <= 10.0 * cut)
-    return _PsdCut(w=w, V=V, rank=int(np.count_nonzero(w >= cut)), ambiguous=bool(near.any()))
+    rank, ambiguous = _rank_cut(w, cut)
+    return _PsdCut(w=w, V=V, rank=rank, ambiguous=ambiguous)
 
 
 def psd_sqrt(R) -> np.ndarray:

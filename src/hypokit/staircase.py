@@ -8,6 +8,18 @@ image of the current connecting block and its complement, until that block
 vanishes.  A nontrivial final block means the pair cannot be hypocoercive
 (the skew restriction to it has purely imaginary spectrum and its space is
 invariant).
+
+One rank rule (``core._rank_cut``) decides every rank, against the norm of
+the operator in question, so the form does not change when (R, J) is scaled
+by s > 0:
+
+- R keeps the eigenvalues at or above rank_tol * max|eigenvalue of R|;
+- a subdiagonal block keeps the singular values at or above
+  rank_tol * ||J||, and a block of rank 0 ends the chain;
+- a value within a factor 10 of its cut (in [cut / 10, 10 cut]) is reported
+  in ``warnings`` as ambiguous.
+
+``verify_staircase`` checks the subdiagonal blocks with the same rule.
 """
 
 from __future__ import annotations
@@ -73,26 +85,25 @@ def _check_pair(R, J):
     if R.shape != J.shape:
         raise DimensionError(f"shape mismatch: R is {R.shape}, J is {J.shape}")
     asym, scale = core._asymmetry(R)
-    if asym > 1e-8 * max(scale, 1.0):
+    if asym > 1e-8 * max(scale, 1e-300):
         raise ContractViolationError("R is not Hermitian")
     asym, scale = core._asymmetry(1j * J)
-    if asym > 1e-8 * max(scale, 1.0):
+    if asym > 1e-8 * max(scale, 1e-300):
         raise ContractViolationError("J is not skew-Hermitian")
     return R, J
 
 
 def build_staircase(R, J, rank_tol: float = 1e-10) -> StaircaseForm:
-    """Construct the staircase form of (J, R) with thresholded rank decisions.
+    """Construct the staircase form of (J, R) by the rank rule of the module
+    docstring.
 
-    Rank cuts compare singular values against ``rank_tol`` times the largest
-    singular value of the block under inspection; values within a factor 10 of
-    the cut are flagged as ambiguous rather than silently resolved.  Block 0 is
-    the kept range of R from ``core._psd_cut``, which rejects an R that is not
-    PSD at the same tolerance.
+    Block 0 is the kept range of R from ``core._psd_cut``, which rejects an R
+    that is not PSD at the same tolerance.  Each later block is the range of
+    the connecting block, cut at rank_tol * ||J||.
     """
     R, J = _check_pair(R, J)
     n = R.shape[0]
-    scale_J = max(core.spectral_norm(J), 1.0)
+    cut_J = rank_tol * max(core.spectral_norm(J), 1e-300)
     warnings: list[str] = []
 
     r_cut = core._psd_cut(R, rank_tol)
@@ -108,19 +119,18 @@ def build_staircase(R, J, rank_tol: float = 1e-10) -> StaircaseForm:
             blocks.append(trailing)
             break
         U, s, _ = np.linalg.svd(trailing.conj().T @ J @ prev)
-        if s[0] <= rank_tol * scale_J:
-            blocks.append(trailing)
-            break
-        rank = int(np.count_nonzero(s >= rank_tol * s[0]))
-        amb = (s >= 0.1 * rank_tol * s[0]) & (s <= 10.0 * rank_tol * s[0])
-        if np.any(amb):
+        rank, ambiguous = core._rank_cut(s, cut_J)
+        if ambiguous:
             warnings.append(
                 f"rank decision at block {len(blocks) + 1} is within 10x of rank_tol"
             )
+        if rank == 0:
+            blocks.append(trailing)
+            break
         blocks.append(trailing @ U[:, :rank])
         trailing = trailing @ U[:, rank:]
 
-    Q = np.hstack(blocks) if blocks else np.eye(n, dtype=complex)
+    Q = np.hstack(blocks)
     J_hat = Q.conj().T @ J @ Q
     R_hat = Q.conj().T @ R @ Q
     return StaircaseForm(
@@ -160,17 +170,18 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     """Check all staircase invariants and the reconstruction of (R, J).
 
     The J pattern, the R corner and both reconstructions must hold to
-    ``VERIFY_RTOL`` = 1e-10 times max(||J||, 1) resp. max(|eigenvalue of R|,
-    1), the basis must be unitary to 1e-12.  A nonzero terminal block
-    implies the pair is not hypocoercive; the converse direction is not
-    decided by the staircase structure alone.
+    ``VERIFY_RTOL`` = 1e-10 times ||J|| resp. max|eigenvalue of R|, the basis
+    must be unitary to 1e-12, and each subdiagonal block must keep full row
+    rank under the builder's rank rule (module docstring).  A nonzero
+    terminal block implies the pair is not hypocoercive; the converse
+    direction is not decided by the staircase structure alone.
     """
     R, J = _check_pair(R, J)
     n = R.shape[0]
     Q = form.basis
-    scale_J = max(core.spectral_norm(J), 1.0)
+    scale_J = max(core.spectral_norm(J), 1e-300)
     r_cut = core._psd_cut(R, form.rank_tol)
-    scale_R = max(float(np.abs(r_cut.w).max()), 1.0)
+    scale_R = max(float(np.abs(r_cut.w).max()), 1e-300)
     checks: dict[str, tuple[bool, float]] = {}
 
     res = core.spectral_norm(Q.conj().T @ Q - np.eye(n))
@@ -203,8 +214,7 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
             continue
         sv = np.linalg.svd(blk, compute_uv=False)
         smin = float(sv[min(blk.shape) - 1]) if min(blk.shape) > 0 else 0.0
-        full_row_rank = blk.shape[0] <= blk.shape[1] and smin > form.rank_tol * scale_J
-        surj_ok &= full_row_rank
+        surj_ok &= core._rank_cut(sv, form.rank_tol * scale_J)[0] == blk.shape[0]
         worst = min(worst, smin)
     checks["subdiagonal_surjective"] = (surj_ok, 0.0 if np.isinf(worst) else worst)
 

@@ -303,6 +303,39 @@ def test_replaced_output_keeps_its_mode(tmp_path, mode):
     assert out.stat().st_mode & 0o7777 == mode
 
 
+@pytest.mark.parametrize("second", [False, True], ids=["only", "second"])
+def test_output_the_user_may_not_write_is_refused(tmp_path, capsys, monkeypatch, second):
+    # root may write any file, so the missing write permission is simulated
+    locked = (tmp_path / "locked.json").resolve()
+    locked.write_text("old")
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda path, mode: Path(path).resolve() != locked and access(path, mode)
+    )
+    if second:  # the CSV is fine, the final field is locked: neither may land
+        argv = ["lorentz", "simulate", "--random", "--N", "1", "--M", "2",
+                "--output", str(tmp_path / "out.csv"), "--final-field", str(locked)]
+    else:
+        argv = [*_CK2, "--output", str(locked)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"hypokit: cannot write output: {locked}:")
+    assert locked.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["locked.json"]
+
+
+def test_constants_decides_the_relations_once(tmp_path, monkeypatch):
+    calls = []
+    relations_hold = lorentz.AppendixCConstants.relations_hold
+    monkeypatch.setattr(
+        lorentz.AppendixCConstants, "relations_hold",
+        lambda self: calls.append(self) or relations_hold(self),
+    )
+    out = tmp_path / "constants.json"
+    assert cli.main(["lorentz", "constants", "--M", "32", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["relations_hold"] is True
+    assert len(calls) == 1
+
+
 def test_simulate_overflowing_time_is_a_numerical_failure(tmp_path, capsys):
     out = tmp_path / "out.csv"
     argv = ["lorentz", "simulate", "--random", "--N", "1", "--M", "2", "--steps", "2",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypokit import decay, errors, gallery, hc_index
+from hypokit import decay, errors, gallery, hc_index, lorentz
 from hypokit import operator_core as core
 
 from helpers import random_accretive
@@ -88,6 +88,43 @@ class TestPropagatorNormCurve:
                 for t in (0.25, 0.5, 1.0):
                     if s + t in value:
                         assert value[s + t] <= value[s] * value[t] + 1e-10
+
+
+class TestUniformGrid:
+    def test_grid_far_below_unit_time_is_normed_pointwise(self):
+        # spacings 1e-15 and 4e-15 are not equal; a fixed absolute slack of
+        # 1e-14 read them as equal and stepped the second point by 1e-15
+        C, ts = 1e14 * gallery.ck_matrix(1), np.array([0.0, 1e-15, 5e-15])
+        assert not decay.is_uniform_grid(ts)
+        curve = decay.propagator_norm_curve(C, ts)
+        ref = [core.spectral_norm(core.matrix_exponential(-C, t)) for t in ts]
+        assert curve.norms.tolist() == ref
+        np.testing.assert_allclose(
+            curve.norms, gallery.ck_closed_form_norm(1, 1e14 * ts), rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "tmax, points",
+        [
+            (3.0, 100001),
+            (1e-13, 301),
+            (3.0, 151),  # decay --steps 150, the norm-curves grid
+            (30.0, 21),  # lorentz simulate at its defaults
+            ("tau", 25),  # lorentz verify --M-constants 96 --steps 25
+        ],
+    )
+    def test_linspace_grids_stay_uniform(self, tmax, points):
+        if tmax == "tau":
+            tmax = lorentz.appendix_constants(96).tau
+        assert decay.is_uniform_grid(np.linspace(0.0, tmax, points))
+
+    def test_short_time_curve_takes_mu_from_the_guard(self, monkeypatch):
+        # one eigvalsh of (A + A*)/2 serves the overflow guard and mu
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(A) or eigvalsh(A))
+        decay.short_time_curve(-np.diag([1.0, -0.5]), np.geomspace(1e-3, 1.0, 20))
+        assert len(calls) == 1
 
 
 class TestShortTimeConstant:
