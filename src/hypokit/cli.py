@@ -65,7 +65,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--tol-kappa", type=float, default=None)
     sp.add_argument("--tol-rank", type=float, default=1e-10, help=_TOL_RANK_HELP)
-    sp.add_argument("--m-max", type=int, default=None)
     common(sp)
 
     sp = sub.add_parser("staircase", help="staircase form of the input pair")
@@ -200,9 +199,7 @@ def _cmd_analyze(args) -> int:
 
     A = _load_matrix(args.input)
     dec = core.hermitian_split(A)
-    audit = hc_index.equivalence_audit(
-        dec, kappa_threshold=args.tol_kappa, m_max=args.m_max, rank_tol=args.tol_rank
-    )
+    audit = hc_index.equivalence_audit(dec, kappa_threshold=args.tol_kappa, rank_tol=args.tol_rank)
     stab = decay.stability_check(A)
     scale = max(core.spectral_norm(A), 1e-300)
     times = np.geomspace(1e-4 / scale, 10.0 / scale, 220)

@@ -20,6 +20,13 @@ stack is formed: one n x n triangular factor with the same Gram matrix is
 updated by a QR per level, O(n^3) per level instead of an SVD of the whole
 (m+1) n x n stack (its floor: ``_family_search``).
 
+All four families vanish on the Kalman kernel, the intersection over j <= m
+of ker(sqrt(R) J^j) (for the commutators by induction on j), whose
+dimension is at least n - (m+1) r for a cut of R of rank r.  So every level
+below the counting bound m0 = ceil(n / r) - 1 is singular and needs no
+decision: the families read it as exactly 0.0, the index is at least m0, and
+when r = 0 no level is decided and there is no index.
+
 The staircase's rank decisions are scale-free (``staircase`` module
 docstring); the families' default threshold 1e-9 * max(||C||, 1) is not.
 Under C -> sC the level values lambda_m scale like s^(2m+1) while the
@@ -32,7 +39,7 @@ decide against a scale-free threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,26 +70,20 @@ WITNESS_RTOL = 1e-8
 
 @dataclass
 class IndexReport:
-    """Outcome of an index search up to m_max.
+    """Outcome of an index search over the levels 0..n.
 
-    ``index`` is None when no partial sum reached the threshold ("none up to
-    m_max"); ``kappa`` is the smallest eigenvalue achieved at the reported
-    index (0.0 when no index was found).
+    ``index`` is None when no partial sum reached the threshold; ``kappa`` is
+    the smallest eigenvalue achieved at the reported index (0.0 when no index
+    was found).  ``rank_bound`` is the counting bound m0 (module docstring):
+    ``per_m_min_eigs`` is exactly 0.0 below it.
     """
 
     index: int | None
     kappa: float
     method: str
     per_m_min_eigs: list[float]
-    m_max: int
+    rank_bound: int
     kappa_threshold: float
-
-    @property
-    def found(self) -> bool:
-        return self.index is not None
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "index": self.index if self.found else "none-up-to-m_max"}
 
 
 @dataclass
@@ -106,22 +107,19 @@ class ObstructionWitness:
 def _family_setup(
     dec: core.OperatorDecomposition,
     kappa_threshold: float | None,
-    m_max: int | None,
     r_cut: core._PsdCut,
 ) -> tuple[np.ndarray, float, int]:
-    """What every power family shares: the default threshold and m_max, and
-    sqrt(R) from the cut of R (which already checked that C is accretive)."""
+    """What every power family shares: the default threshold, and sqrt(R) and
+    the counting bound from the cut of R (which already checked that C is
+    accretive).  The bound of r = 0 is n + 1, past every level."""
     if kappa_threshold is None:
         kappa_threshold = DEFAULT_KAPPA_RTOL * max(core.spectral_norm(dec.C), 1.0)
     if not 0.0 < kappa_threshold < math.inf:
         raise PreconditionError(
             f"kappa_threshold must be positive and finite, got {kappa_threshold}"
         )
-    if m_max is None:
-        m_max = dec.dim
-    if m_max < 0:
-        raise PreconditionError("m_max must be nonnegative")
-    return r_cut.root(), kappa_threshold, m_max
+    r, n = r_cut.rank, dec.dim
+    return r_cut.root(), kappa_threshold, -(-n // r) - 1 if r else n + 1
 
 
 def _family_search(
@@ -129,7 +127,7 @@ def _family_search(
     method: str,
     S: np.ndarray,
     kappa_threshold: float,
-    m_max: int,
+    m0: int,
 ) -> IndexReport:
     """The search of ``index_via_powers`` on prepared inputs (see ``_family_setup``).
 
@@ -144,6 +142,11 @@ def _family_search(
     level that is singular in exact arithmetic reads at most about delta^2.
     ||stack|| grows like ||S|| ||X||^m, so this floor can pass the fixed
     threshold on long chains.
+
+    The stack vanishes on the Kalman kernel (module docstring), so a level
+    below the counting bound m0 is singular: it only updates T and reads 0.0,
+    with no SVD whose roundoff the threshold could misread.  The search ends
+    at level n.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -153,49 +156,43 @@ def _family_search(
     F, T = S, np.empty((0, dec.dim), dtype=S.dtype)
     eigs: list[float] = []
     index, kappa = None, 0.0
-    for m in range(m_max + 1):
+    for m in range(dec.dim + 1):
         T = np.linalg.qr(np.vstack([T, F]), mode="r")
-        lam = float(np.linalg.svd(T, compute_uv=False)[-1] ** 2)
+        lam = float(np.linalg.svd(T, compute_uv=False)[-1] ** 2) if m >= m0 else 0.0
         eigs.append(lam)
         if lam >= kappa_threshold:
             index, kappa = m, lam
             break
         F = J @ F - F @ J if X is None else F @ X
-    return IndexReport(
-        index=index,
-        kappa=kappa,
-        method=method,
-        per_m_min_eigs=eigs,
-        m_max=m_max,
-        kappa_threshold=kappa_threshold,
-    )
+    return IndexReport(index=index, kappa=kappa, method=method, per_m_min_eigs=eigs,
+                       rank_bound=m0, kappa_threshold=kappa_threshold)
 
 
 def index_via_powers(
     dec: core.OperatorDecomposition,
     method: str = "c_powers_right",
     kappa_threshold: float | None = None,
-    m_max: int | None = None,
 ) -> IndexReport:
-    """Smallest m <= m_max whose partial sum has min-eigenvalue >= threshold.
+    """Smallest m whose partial sum has min-eigenvalue >= threshold.
 
     ``kappa_threshold`` defaults to 1e-9 * max(||C||, 1) (an exact-zero test is
-    meaningless in floating point); ``m_max`` defaults to the dimension,
-    beyond which the rank conditions cannot improve.  sqrt(R) is cut at the
-    staircase's default rank_tol of 1e-10.
+    meaningless in floating point).  The levels m0..n are compared with it
+    (m0 the counting bound); beyond n the rank conditions cannot improve.
+    sqrt(R) is cut at the staircase's default rank_tol of 1e-10.
     """
-    setup = _family_setup(dec, kappa_threshold, m_max, core._psd_cut(dec.R))
+    setup = _family_setup(dec, kappa_threshold, core._psd_cut(dec.R))
     return _family_search(dec, method, *setup)
 
 
-def _defect_sweep(form: staircase.StaircaseForm, m_max: int) -> list[int]:
-    """Kalman defects n - dim span{J^j range R : j <= m}, m = 0..m_max.
+def _defect_sweep(form: staircase.StaircaseForm) -> list[int]:
+    """Kalman defects n - dim span{J^j range R : j <= m}, one per non-terminal
+    block m of the staircase (blocks 0..m span that space).
 
-    Blocks 0..m of the staircase span that space and the terminal block is
-    never reached, so the sweep is monotone and first vanishes at the index.
+    The sweep is decreasing; it ends at 0 at the index, or at the terminal
+    dimension, which every later level keeps, when there is no index.
     """
     dims = form.block_dims
-    return [sum(dims) - sum(dims[: min(m + 1, len(dims) - 1)]) for m in range(m_max + 1)]
+    return [sum(dims[m + 1 :]) for m in range(len(dims) - 1)]
 
 
 def _terminal_witness(
@@ -237,7 +234,8 @@ def kalman_kernel_defect(R, J, m: int, rank_tol: float = 1e-10) -> int:
     """
     if m < 0:
         raise PreconditionError("m must be nonnegative")
-    return _defect_sweep(staircase.build_staircase(R, J, rank_tol), m)[m]
+    dims = staircase.build_staircase(R, J, rank_tol).block_dims
+    return sum(dims[min(m + 1, len(dims) - 1) :])
 
 
 def eigenvector_obstruction(R, J) -> ObstructionWitness | None:
@@ -255,7 +253,8 @@ def eigenvector_obstruction(R, J) -> ObstructionWitness | None:
 
 @dataclass
 class AuditReport:
-    """Staircase index, defect sweep and witness, and the four power families."""
+    """Staircase index, defect sweep, witness and warnings, the counting bound
+    and the four power families."""
 
     index_per_method: dict[str, int | None]
     kappa_per_method: dict[str, float]
@@ -263,50 +262,50 @@ class AuditReport:
     defect_sweep: list[int]
     obstruction: ObstructionWitness | None
     agree: bool
+    rank_bound: int
+    warnings: list[str]
 
     def to_json_dict(self) -> dict:
         return {
             "index_per_method": {
-                k: (v if v is not None else "none-up-to-m_max")
-                for k, v in self.index_per_method.items()
+                k: (v if v is not None else "none") for k, v in self.index_per_method.items()
             },
             "kappa_per_method": dict(self.kappa_per_method),
             "defect_sweep": list(self.defect_sweep),
             "obstruction": None if self.obstruction is None else self.obstruction.to_json_dict(),
             "agree": self.agree,
+            "rank_bound": self.rank_bound,
+            "staircase_warnings": list(self.warnings),
         }
 
 
 def equivalence_audit(
     dec: core.OperatorDecomposition,
     kappa_threshold: float | None = None,
-    m_max: int | None = None,
     rank_tol: float = 1e-10,
 ) -> AuditReport:
-    """Index, defect sweep and obstruction from one staircase form, checked
-    against the four power families.
+    """Index, defect sweep, obstruction and warnings from one staircase form,
+    checked against the four power families.
 
     The staircase index is reported as method "staircase" (None when the
-    terminal block is nonzero or the index exceeds m_max).  A disagreement
-    with any power family is reported, not raised: it signals a tolerance
-    problem in the inputs, and the per-method data is exactly what is needed
-    to diagnose it.  Coercivity constants are allowed to differ between the
-    families.
+    terminal block is nonzero).  A disagreement with any power family is
+    reported, not raised: it signals a tolerance problem in the inputs, and
+    the per-method data is exactly what is needed to diagnose it.
+    Coercivity constants are allowed to differ between the families.
     """
-    if m_max is None:
-        m_max = dec.dim
     form = staircase.build_staircase(dec.R, dec.J, rank_tol)
-    setup = _family_setup(dec, kappa_threshold, m_max, form.r_cut)
-    reports = {method: _family_search(dec, method, *setup) for method in METHODS}
+    S, kappa_threshold, m0 = _family_setup(dec, kappa_threshold, form.r_cut)
+    reports = {method: _family_search(dec, method, S, kappa_threshold, m0) for method in METHODS}
     indices = {method: rep.index for method, rep in reports.items()}
     kappas = {method: rep.kappa for method, rep in reports.items()}
-    index = form.index
-    indices["staircase"] = index if index is not None and index <= m_max else None
+    indices["staircase"] = form.index
     return AuditReport(
         index_per_method=indices,
         kappa_per_method=kappas,
         reports=reports,
-        defect_sweep=_defect_sweep(form, m_max),
+        defect_sweep=_defect_sweep(form),
         obstruction=_terminal_witness(form, dec.R, dec.J, WITNESS_RTOL),
         agree=len(set(indices.values())) == 1,
+        rank_bound=m0,
+        warnings=list(form.warnings),
     )

@@ -169,10 +169,11 @@ VERIFY_RTOL = 1e-10
 def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     """Check all staircase invariants and the reconstruction of (R, J).
 
-    The J pattern, the R corner and both reconstructions must hold to
-    ``VERIFY_RTOL`` = 1e-10 times ||J|| resp. max|eigenvalue of R|, the basis
-    must be unitary to 1e-12, and each subdiagonal block must keep full row
-    rank under the builder's rank rule (module docstring).  A nonzero
+    Both reconstructions must hold to ``VERIFY_RTOL`` = 1e-10 times ||J||
+    resp. max|eigenvalue of R|, and the J pattern and the R corner (where the
+    builder leaves what it cut) to max(VERIFY_RTOL, rank_tol) times those.
+    The basis must be unitary to 1e-12, and each subdiagonal block must keep
+    full row rank under the builder's rank rule (module docstring).  A nonzero
     terminal block implies the pair is not hypocoercive; the converse
     direction is not decided by the staircase structure alone.
     """
@@ -182,6 +183,7 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     scale_J = max(core.spectral_norm(J), 1e-300)
     r_cut = core._psd_cut(R, form.rank_tol)
     scale_R = max(float(np.abs(r_cut.w).max()), 1e-300)
+    pattern_tol = max(VERIFY_RTOL, form.rank_tol)
     checks: dict[str, tuple[bool, float]] = {}
 
     res = core.spectral_norm(Q.conj().T @ Q - np.eye(n))
@@ -200,12 +202,12 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
                 blk = form.J_hat[slices[i], slices[j]]
                 if blk.size:
                     off = max(off, float(np.abs(blk).max()))
-    checks["J_pattern"] = (off <= VERIFY_RTOL * scale_J, off)
+    checks["J_pattern"] = (off <= pattern_tol * scale_J, off)
 
     corner = form.R_hat.copy()
     corner[slices[0], slices[0]] = 0.0
     res = float(np.abs(corner).max()) if corner.size else 0.0
-    checks["R_corner"] = (res <= VERIFY_RTOL * scale_R, res)
+    checks["R_corner"] = (res <= pattern_tol * scale_R, res)
 
     surj_ok, worst = True, np.inf
     for i in range(1, s - 1):

@@ -154,9 +154,7 @@ class TestFamilyTrends:
             for dim in (8, 16, 32, 64):
                 C = gallery.make_example("compact_R_family", dim=dim)
                 dec = core.hermitian_split(C)
-                rep = hc_index.index_via_powers(
-                    dec, "j_powers", kappa_threshold=1e30, m_max=m
-                )
+                rep = hc_index.index_via_powers(dec, "j_powers", kappa_threshold=1e30)
                 vals.append(rep.per_m_min_eigs[m])
             assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
             assert vals[-1] < 0.1 * vals[0]

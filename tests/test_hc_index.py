@@ -112,13 +112,12 @@ class TestIndexViaPowers:
         assert hc_index.kalman_kernel_defect(*_rj(C), 0) == 0
 
     def test_none_up_to_m_max(self):
-        # R = diag(1, 0) with J = 0 has an invariant kernel: no index exists
+        # R = diag(1, 0) with J = 0 has an invariant kernel: no index exists,
+        # and the search reads the levels 0..n
         C = np.diag([1.0, 0.0]).astype(complex)
-        rep = hc_index.index_via_powers(core.hermitian_split(C), m_max=6)
+        rep = hc_index.index_via_powers(core.hermitian_split(C))
         assert rep.index is None
-        assert not rep.found
-        assert len(rep.per_m_min_eigs) == 7
-        assert rep.to_json_dict()["index"] == "none-up-to-m_max"
+        assert len(rep.per_m_min_eigs) == 3
 
     def test_rejects_non_accretive(self):
         with pytest.raises(errors.PreconditionError):
@@ -129,7 +128,7 @@ class TestIndexViaPowers:
         for _ in range(30):
             dec = random_accretive(rng, int(rng.integers(2, 8)))
             for method in hc_index.METHODS:
-                rep = hc_index.index_via_powers(dec, method, kappa_threshold=1e30, m_max=dec.dim)
+                rep = hc_index.index_via_powers(dec, method, kappa_threshold=1e30)
                 eigs = np.asarray(rep.per_m_min_eigs)
                 scale = max(abs(eigs).max(), 1.0)
                 assert np.all(np.diff(eigs) >= -1e-12 * scale)
@@ -166,6 +165,8 @@ class TestKalmanKernelDefect:
                 assert hc_index.kalman_kernel_defect(dec.R, dec.J, max(kdim, 0)) == 0
 
     def test_sweep_matches_stacked_svd(self):
+        # the sweep has one entry per non-terminal block; every later level
+        # keeps its last entry (0 at the index, else the terminal dimension)
         rng = np.random.default_rng(21)
         for trial in range(400):
             n = int(rng.integers(2, 9))
@@ -176,7 +177,9 @@ class TestKalmanKernelDefect:
                 R, J = dec.R, dec.J
             dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
             sweep = hc_index.equivalence_audit(dec).defect_sweep
-            assert sweep == [stacked_svd_defect(R, J, m) for m in range(n + 1)]
+            assert sweep == [stacked_svd_defect(R, J, m) for m in range(len(sweep))]
+            tail = [stacked_svd_defect(R, J, m) for m in range(len(sweep), n + 1)]
+            assert tail == [sweep[-1]] * len(tail)
 
 
 class TestEigenvectorObstruction:
@@ -253,7 +256,10 @@ class TestEquivalenceAudit:
     def test_json_shape(self):
         audit = hc_index.equivalence_audit(core.hermitian_split(gallery.ck_matrix(1)))
         d = audit.to_json_dict()
-        assert set(d) == {"index_per_method", "kappa_per_method", "defect_sweep", "obstruction", "agree"}
+        assert set(d) == {
+            "index_per_method", "kappa_per_method", "defect_sweep", "obstruction", "agree",
+            "rank_bound", "staircase_warnings",
+        }
 
     def test_random_campaign_no_disagreement(self):
         rng = np.random.default_rng(18)
@@ -266,15 +272,12 @@ class TestEquivalenceAudit:
         audit = hc_index.equivalence_audit(core.OperatorDecomposition(C=R - J, R=R, J=J))
         assert audit.index_per_method["staircase"] == 4
         assert audit.agree
-        sweep = audit.defect_sweep
-        assert sweep[:6] == [48, 36, 24, 12, 0, 0]
-        assert all(a >= b for a, b in zip(sweep, sweep[1:]))
-        assert sweep.index(0) == 4
+        assert audit.defect_sweep == [48, 36, 24, 12, 0]
         assert audit.obstruction is None
 
-    def test_rank_21_at_n_200_disagrees(self):
-        # generic index ceil(179 / 21) = 9 (blocks 21 x 9 + 11); the power
-        # families lose it in roundoff, so the audit must report disagreement
+    def test_rank_21_at_n_200_agrees(self):
+        # generic index ceil(179 / 21) = 9 (blocks 21 x 9 + 11), which is the
+        # counting bound ceil(200 / 21) - 1: no family decides a lower level
         rng = np.random.default_rng(23)
         n = 200
         G = rng.standard_normal((n, 21)) + 1j * rng.standard_normal((n, 21))
@@ -284,9 +287,9 @@ class TestEquivalenceAudit:
         audit = hc_index.equivalence_audit(
             core.OperatorDecomposition(C=R - J, R=(R + R.conj().T) / 2, J=J)
         )
-        assert audit.index_per_method["staircase"] == 9
-        assert audit.defect_sweep.index(0) == 9
-        assert not audit.agree
+        assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), 9)
+        assert audit.rank_bound == 9 and audit.defect_sweep.index(0) == 9
+        assert audit.agree
 
     @pytest.mark.parametrize("rank_tol, index", [(1e-6, 1), (1e-10, 0)])
     def test_families_follow_the_rank_cut_of_R(self, rank_tol, index):
@@ -311,12 +314,6 @@ class TestEquivalenceAudit:
             assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), index)
             assert audit.agree
 
-    def test_staircase_above_m_max_is_none(self):
-        audit = hc_index.equivalence_audit(core.hermitian_split(gallery.ek_matrix(5)), m_max=2)
-        assert audit.index_per_method["staircase"] is None
-        assert audit.agree
-        assert audit.defect_sweep == [4, 3, 2]
-
 
     def test_families_share_one_setup(self, monkeypatch):
         # one eigendecomposition of R per audit: the staircase's cut, which
@@ -333,6 +330,76 @@ class TestEquivalenceAudit:
         assert calls == {"_psd_cut": 1, "psd_sqrt": 0, "min_eig_hermitian": 0}
         assert audit.reports == expected
         assert audit.kappa_per_method == {m: r.kappa for m, r in expected.items()}
+
+
+def _counting_bound_pairs():
+    """Rank-deficient draws of ``random_accretive`` and planted pairs, among
+    them blocks that shrink (index above the counting bound)."""
+    rng = np.random.default_rng(51)
+    decs = []
+    while len(decs) < 30:
+        dec = random_accretive(rng, int(rng.integers(2, 13)))
+        if core._psd_cut(dec.R).rank < dec.dim:
+            decs.append(dec)
+    for dims in ([12] * 5, [5, 5, 3, 1], [4, 2, 2, 1, 1], [3] * 4):
+        R, J = planted_staircase_pair(np.random.default_rng(52), dims)
+        decs.append(core.OperatorDecomposition(C=R - J, R=R, J=J))
+    return decs
+
+
+class TestCountingBound:
+    """Levels below m0 = ceil(n / rank R) - 1 are singular by counting."""
+
+    def test_levels_below_the_bound_read_zero(self):
+        for dec in _counting_bound_pairs():
+            audit = hc_index.equivalence_audit(dec)
+            r = core._psd_cut(dec.R).rank
+            assert audit.rank_bound == (-(-dec.dim // r) - 1 if r else dec.dim + 1)
+            for rep in audit.reports.values():
+                assert rep.rank_bound == audit.rank_bound
+                assert rep.per_m_min_eigs[: audit.rank_bound] == [0.0] * min(
+                    audit.rank_bound, len(rep.per_m_min_eigs)
+                )
+            index = audit.index_per_method["staircase"]
+            assert index is None or index >= audit.rank_bound
+
+    def test_planted_shrinking_blocks_read_above_the_bound(self):
+        R, J = planted_staircase_pair(np.random.default_rng(52), [5, 5, 3, 1])
+        audit = hc_index.equivalence_audit(core.OperatorDecomposition(C=R - J, R=R, J=J))
+        assert audit.rank_bound == 2
+        assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), 3)
+
+    def test_zero_R_decides_no_level(self):
+        S = np.random.default_rng(53).standard_normal((4, 4))
+        audit = hc_index.equivalence_audit(core.hermitian_split((S.T - S) / 2))
+        assert audit.rank_bound == 5 and audit.defect_sweep == [4]
+        assert set(audit.index_per_method.values()) == {None}
+        for rep in audit.reports.values():
+            assert rep.per_m_min_eigs == [0.0] * 5
+
+    def test_no_svd_below_the_bound(self, monkeypatch):
+        svd, search, active, calls = np.linalg.svd, hc_index._family_search, [], []
+
+        def traced_search(*args):
+            active.append(True)
+            try:
+                return search(*args)
+            finally:
+                active.pop()
+
+        def traced_svd(*args, **kwargs):
+            calls.extend(active[-1:])
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(hc_index, "_family_search", traced_search)
+        monkeypatch.setattr(np.linalg, "svd", traced_svd)
+        for dec in _counting_bound_pairs():
+            calls.clear()
+            audit = hc_index.equivalence_audit(dec)
+            levels = sum(
+                max(len(rep.per_m_min_eigs) - rep.rank_bound, 0) for rep in audit.reports.values()
+            )
+            assert len(calls) == levels
 
 
 class TestFactorUpdate:

@@ -29,6 +29,15 @@ def _weak_coupling_pair():
     return R, J - J.T
 
 
+def _two_weak_couplings_pair():
+    """(R, J) coupling e0 -> e2 at 1e-4 and e1 -> e3 at 1e-8, with a 1e3 skew
+    pair on (e3, e4)."""
+    R = np.diag([1.0, 1.0, 0.0, 0.0, 0.0])
+    J = np.zeros((5, 5))
+    J[2, 0], J[3, 1], J[4, 3] = 1e-4, 1e-8, 1e3
+    return R, J - J.T
+
+
 def _pairs():
     rng = np.random.default_rng(2207)
     pairs = {}
@@ -41,6 +50,7 @@ def _pairs():
         dec = core.hermitian_split(gallery.ek_matrix(k))
         pairs[f"ek{k}"] = (dec.R, dec.J)
     pairs["weak_coupling"] = _weak_coupling_pair()
+    pairs["two_weak_couplings"] = _two_weak_couplings_pair()
     return pairs
 
 
@@ -90,6 +100,31 @@ def test_verifier_accepts_the_weak_coupling_in_a_random_basis():
     Q = _random_unitary(np.random.default_rng(2208), 5)
     R, J = Q @ R @ Q.conj().T, Q @ J @ Q.conj().T
     assert verify_staircase(build_staircase(R, J), R, J).ok
+
+
+@pytest.mark.parametrize("rank_tol, dims", [(1e-6, [2, 3]), (1e-10, [2, 1, 2])])
+def test_verifier_bounds_the_pattern_by_the_builders_cut(rank_tol, dims):
+    # at rank_tol = 1e-6 both couplings (1e-4 and 1e-8) lie below the cut
+    # 1e-3 and stay in the J pattern, which the verifier must then accept
+    R, J = _two_weak_couplings_pair()
+    form = build_staircase(R, J, rank_tol)
+    assert form.block_dims == dims
+    report = verify_staircase(form, R, J)
+    assert report.ok, report.failures
+    assert report.checks["J_pattern"][1] == pytest.approx(1e-4 if rank_tol == 1e-6 else 1e-8)
+
+
+def test_analyze_prints_the_staircase_warnings(tmp_path):
+    # the seed-2208 basis of the weak-coupling pair: the coupling that ends
+    # the chain reads within 10x of its cut, and analyze says so
+    R, J = _weak_coupling_pair()
+    Q = _random_unitary(np.random.default_rng(2208), 5)
+    src, out = tmp_path / "pair.json", tmp_path / "out.json"
+    src.write_text(cli._to_json(core.matrix_to_json(Q @ (R - J) @ Q.conj().T)))
+    cli.main(["analyze", "--input", str(src), "--output", str(out)])
+    audit = json.loads(out.read_text())["audit"]
+    assert audit["staircase_warnings"] == ["rank decision at block 4 is within 10x of rank_tol"]
+    assert audit["rank_bound"] == 2 and audit["index_per_method"]["staircase"] == 3
 
 
 def test_a_value_near_the_cut_is_reported_where_it_ends_the_chain():
