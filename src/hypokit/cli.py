@@ -118,7 +118,9 @@ def _build_parser() -> _Parser:
     lp.add_argument("--seed", type=int, default=0)
     lp.add_argument("--tmax", type=float, default=30.0)
     lp.add_argument("--steps", type=int, default=20)
-    lp.add_argument("--final-field", default=None, dest="final_field")
+    lp.add_argument("--final-field", default=None, dest="final_field", help=(
+        "write the final field as JSON, each mode (n1, n2) in the frame rotated by "
+        "atan2(n2, n1): evolved by the generator of its magnitude at angle 0"))
     common(lp)
 
     return p
@@ -230,20 +232,14 @@ def _cmd_staircase(args) -> int:
     return 0 if report.ok else 3
 
 
-def _check_steps(steps: int) -> None:
-    from .errors import PreconditionError
-
-    if steps < 0:
-        raise PreconditionError(f"--steps must be nonnegative, got {steps}")
-
-
 def _uniform_times(tmax: float, steps: int):
     """The grid of ``decay`` and ``lorentz simulate``: steps + 1 times on [0, tmax]."""
     import numpy as np
 
     from .errors import PreconditionError
 
-    _check_steps(steps)
+    if steps < 0:
+        raise PreconditionError(f"--steps must be nonnegative, got {steps}")
     if not np.isfinite(tmax):
         raise PreconditionError(f"--tmax must be finite, got {tmax}")
     return np.linspace(0.0, tmax, steps + 1)
@@ -318,13 +314,8 @@ def _cmd_lorentz(args) -> int:
         return 0 if ok else 3
 
     if cmd == "verify":
-        import numpy as np
-
-        _check_steps(args.steps)
         consts = lorentz.appendix_constants(args.M_constants)
-        report = lorentz.full_propagator_bounds(
-            args.N, args.M, consts, np.linspace(0.0, consts.tau, args.steps)
-        )
+        report = lorentz.cubic_bound_verify(args.N, args.M, consts, args.steps)
         _emit_json({"constants": consts.to_json_dict(), **report.to_json_dict()}, args.output)
         return 0 if report.ok else 3
 

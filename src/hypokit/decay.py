@@ -5,6 +5,28 @@ Covers sampled propagator-norm curves, the short-time law
 index m, the analytic constant c evaluated on the exact kernel intersection,
 and exponential-stability checks.
 
+One kernel, ``_norms``, takes every propagator norm that hypokit reports.
+It writes the propagators into one buffer of at most ``_CHUNK_BYTES``
+(1 MiB; one propagator if a single one is larger) and norms each full
+buffer with one batched ``core.spectral_norm`` call, so the memory is
+bounded whatever the grid length and the per-call overhead, which dominates
+on small blocks, is paid once per buffer.  LAPACK factors each slice of a
+stack exactly as that matrix alone, so the norms are bitwise those of one
+``spectral_norm`` call per propagator.  A propagator that is not finite
+raises ``RangeError`` naming its time.  Two sources feed it:
+
+- stepping, on a uniform grid of three or more times: E = exp(-C dt) is
+  computed once (plus exp(-C t0) when t0 > 0) and P(t_k) = P(t_(k-1)) E.
+  After k steps the absolute error is at most k*eps*max_(s<=t) ||P(s)||^2,
+  so at most k*eps for accretive C.  An overflowing product is caught at
+  its own time (a bound at the last time would refuse stable non-normal
+  generators).  A real generator is stepped in real arithmetic;
+- pointwise, everywhere else: one ``_expm`` per time, after the overflow
+  guard of ``core.matrix_exponential`` has run once, at the last time,
+  which bounds the logarithmic norm of every earlier one.  This serves the
+  other grids of ``propagator_norm_curve``, ``short_time_curve`` and the
+  single times of ``stability_check`` and ``gallery.ek_rescale_factor``.
+
 ``analyze`` fits the law on a geometric grid, but the fit reads only the
 points whose drop 1 - ||P(t)|| lies in ``FIT_DROPS``.  ``short_time_curve``
 finds the part of the grid that can hold them with one bisection per edge
@@ -19,6 +41,7 @@ leaves room for roundoff in the computed norms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -119,8 +142,8 @@ def _time_grid(times) -> np.ndarray:
     return ts
 
 
-#: Size of the buffer of propagators that ``propagator_norm_curve`` norms in
-#: one call (at least one propagator).
+#: Size of the buffer of propagators that ``_norms`` norms in one call (at
+#: least one propagator).
 _CHUNK_BYTES = 2**20
 
 #: The drops 1 - ||P(t)|| that ``fit_short_time`` reads: below the first the
@@ -128,94 +151,54 @@ _CHUNK_BYTES = 2**20
 FIT_DROPS = (1e-10, 1e-2)
 
 
-def _buffer(C: np.ndarray, points: int) -> np.ndarray:
-    """An empty stack of propagators of C: ``points`` of them, capped at
-    ``_CHUNK_BYTES`` (at least one)."""
-    n = C.shape[0]
-    rows = min(points, max(1, _CHUNK_BYTES // (n * n * C.itemsize)))
-    return np.empty((rows, n, n), dtype=C.dtype)
-
-
-def _pointwise_norms(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """||exp(A t)|| at each of the (one or more) times ``ts``: one ``_expm``
-    per point, one batched ``core.spectral_norm`` per buffer.  The caller
-    has run ``core._check_exp_range`` at the largest time."""
-    buf = _buffer(A, ts.size)
+def _norms(A: np.ndarray, ts: np.ndarray, propagators=None) -> np.ndarray:
+    """The kernel of the module docstring: ||P|| for each propagator P of A
+    that ``propagators`` yields, one per time in ``ts``.  The default source
+    is the pointwise one, exp(A t) by ``_expm``; its caller has run
+    ``core._check_exp_range`` at the largest time."""
+    if propagators is None:
+        propagators = (core._expm(A, t) for t in ts)
+    n = A.shape[0]
+    buf = np.empty((min(ts.size, max(1, _CHUNK_BYTES // (n * n * A.itemsize))), n, n), dtype=A.dtype)
     norms = np.empty(ts.size)
-    for start in range(0, ts.size, len(buf)):
-        chunk = buf[: min(len(buf), ts.size - start)]
-        for k, out in enumerate(chunk):
-            out[...] = core._expm(A, ts[start + k])
-        norms[start : start + len(chunk)] = core.spectral_norm(chunk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, ts.size, len(buf)):
+            chunk = buf[: min(len(buf), ts.size - start)]
+            for out, P in zip(chunk, propagators):
+                out[...] = P
+            try:
+                norms[start : start + len(chunk)] = core.spectral_norm(chunk)
+            except InvalidEntryError:
+                first = start + int(np.argmin(np.isfinite(chunk).all(axis=(1, 2))))
+                raise RangeError(f"exp(-C t) overflows at t = {ts[first]:.6g}") from None
     return norms
 
 
 def propagator_norm_curve(C, times) -> DecayCurve:
-    """Spectral norm of exp(-C t) at each grid time.
-
-    This evaluates ||exp(-C t)|| on a whole grid, with two paths:
-
-    - on a uniform grid, E = exp(-C dt) is computed once (plus exp(-C t0)
-      when t0 > 0) and P(t_k) = P(t_(k-1)) E is stepped.  After k steps the
-      absolute error is at most k*eps*max_(s<=t) ||P(s)||^2, so at most
-      k*eps for accretive C.  A product that overflows raises ``RangeError``
-      naming the first time where it does (a bound at the last time would
-      refuse stable non-normal generators);
-    - on any other grid every point gets its own ``expm``, and the overflow
-      guard of ``core.matrix_exponential`` runs once, at the last time,
-      which bounds the logarithmic norm of every earlier point.  ``analyze``
-      reaches this path only through ``short_time_curve``, which evaluates
-      points the same way (``_pointwise_norms``), but only the run of its
-      geometric grid that the fit can read.
-
-    A real generator is stepped in real arithmetic (``core.as_matrix`` keeps
-    its dtype).  Both paths write consecutive propagators into one buffer of
-    at most ``_CHUNK_BYTES`` (1 MiB; one propagator if a single one is
-    larger) and take the top singular values of each full buffer with one
-    batched ``core.spectral_norm`` call, so the memory is bounded whatever
-    the grid length and the per-call overhead, which dominates on small
-    blocks, is paid once per buffer.  The stepping is the sequential one
-    above, and LAPACK factors each slice of a stack exactly as that matrix
-    alone, so the norms are bitwise those of one ``spectral_norm`` call per
-    point.
-    """
+    """Spectral norm of exp(-C t) at each grid time, from the one kernel of
+    the module docstring: stepped on a uniform grid of three or more times,
+    pointwise on any other."""
     C = core.as_matrix(C, square=True)
     ts = _time_grid(times)
+    A = -C
     if not is_uniform_grid(ts):
-        A = -C
         core._check_exp_range(A, ts[-1])
-        return DecayCurve(times=ts, norms=_pointwise_norms(A, ts))
-    buf = _buffer(C, ts.size)
-    norms = np.empty(ts.size)
-    E = core.matrix_exponential(-C, ts[1] - ts[0])
-    P = core.matrix_exponential(-C, ts[0]) if ts[0] > 0 else np.eye(C.shape[0], dtype=C.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, ts.size, len(buf)):
-            chunk = buf[: min(len(buf), ts.size - start)]
-            for k, out in enumerate(chunk):
-                if start + k == 0:
-                    out[...] = P
-                else:
-                    np.matmul(P, E, out=out)
-                P = out
-            try:
-                norms[start : start + len(chunk)] = core.spectral_norm(chunk)
-            except InvalidEntryError:  # E and P(t0) are finite: a product overflowed
-                first = start + int(np.argmin(np.isfinite(chunk).all(axis=(1, 2))))
-                raise RangeError(f"exp(-C t) overflows at t = {ts[first]:.6g}") from None
-    return DecayCurve(times=ts, norms=norms)
+        return DecayCurve(times=ts, norms=_norms(A, ts))
+    E = core.matrix_exponential(A, ts[1] - ts[0])
+    P0 = core.matrix_exponential(A, ts[0]) if ts[0] > 0 else np.eye(C.shape[0], dtype=C.dtype)
+    steps = itertools.accumulate(itertools.repeat(E, ts.size - 1), np.matmul, initial=P0)
+    return DecayCurve(times=ts, norms=_norms(A, ts, steps))
 
 
 def short_time_curve(C, times) -> DecayCurve:
     """The points of the curve of ||exp(-C t)|| on ``times`` that can hold a
     point of the ``fit_short_time`` window.
 
-    The result is a contiguous run of the grid.  Each point gets its own
-    ``_expm`` and a top singular value, and the overflow guard runs once, at
-    the grid's last time, as on the non-uniform path of
-    ``propagator_norm_curve``, whose norms these are bitwise on a grid that
-    is not uniform.  So ``fit_short_time`` gives the same fit (or the same
-    ``NoDecayError``) on it as on the full curve.
+    The result is a contiguous run of the grid, normed by the pointwise
+    source of the kernel (module docstring).  On a grid that is not uniform
+    its norms are bitwise those of ``propagator_norm_curve``, so
+    ``fit_short_time`` gives the same fit (or the same ``NoDecayError``) on
+    it as on the full curve.
 
     One bisection over the grid index finds each edge of the run, with mu
     as in the module docstring.  The run starts at the first index l where
@@ -240,7 +223,7 @@ def short_time_curve(C, times) -> DecayCurve:
         probe = hi - 1
         while hi - lo > 1:
             if np.isnan(norms[probe]):
-                norms[probe] = _pointwise_norms(A, ts[probe : probe + 1])[0]
+                norms[probe] = _norms(A, ts[probe : probe + 1])[0]
             if below(norms[probe], ts[probe]):
                 lo = probe
             else:
@@ -252,7 +235,7 @@ def short_time_curve(C, times) -> DecayCurve:
     stop = edge(first - 1, ts.size, lambda v, t: 1.0 - v * math.exp(mu * (ts[-1] - t)) <= high)
     todo = [i for i in range(first, stop) if np.isnan(norms[i])]
     if todo:
-        norms[todo] = _pointwise_norms(A, ts[todo])
+        norms[todo] = _norms(A, ts[todo])
     return DecayCurve(times=ts[first:stop], norms=norms[first:stop])
 
 
@@ -328,5 +311,5 @@ def stability_check(C) -> StabilityReport:
     C = core.as_matrix(C, square=True)
     gap = -core.spectral_abscissa(-C)
     t0 = min(max(1.0, 3.0 / gap), 1e5) if gap > 1e-8 else 1.0
-    norm = core.spectral_norm(core.matrix_exponential(-C, t0))
+    norm = float(propagator_norm_curve(C, [t0]).norms[0])
     return StabilityReport(stable=norm < 1.0 - 1e-12, t0=t0, norm_at_t0=norm, spectral_gap=gap)

@@ -193,7 +193,7 @@ def ek_rescale_factor(k: int) -> RescaleReport:
     i = int(np.argmax(vals >= c_env * (1.0 - 1e-12)))
     boundary = i == vals.size - 1
     r = (1.0 + math.log(c_env)) / gap
-    norm1 = core.spectral_norm(core.matrix_exponential(-r * C, 1.0))
+    norm1 = float(decay.propagator_norm_curve(r * C, [1.0]).norms[0])
     return RescaleReport(
         k=k,
         gap=gap,

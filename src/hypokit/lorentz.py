@@ -451,7 +451,10 @@ class CubicBoundReport:
 def cubic_bound_verify(
     N: int, M: int, consts: AppendixCConstants, samples: int = 50
 ) -> CubicBoundReport:
-    """Check ||P_n(t)|| <= 1 - c t^3 + _CUBIC_SLACK on [0, tau] for n = 1..N."""
+    """Check ||P_n(t)|| <= 1 - c t^3 + _CUBIC_SLACK on [0, tau] for n = 1..N,
+    at ``samples`` equally spaced times (at least 2)."""
+    if samples < 2:
+        raise PreconditionError(f"need at least 2 samples, got {samples}")
     return full_propagator_bounds(N, M, consts, np.linspace(0.0, consts.tau, samples))
 
 
@@ -472,7 +475,11 @@ def full_propagator_bounds(
 
 class LorentzField:
     """Fourier coefficients of a phase-space field, indexed by spatial mode
-    (n1, n2) with |n_i| <= N componentwise and velocity mode j in [-M, M]."""
+    (n1, n2) with |n_i| <= N componentwise and velocity mode j in [-M, M].
+
+    ``simulate_curve`` reads each mode in the frame rotated by its angle
+    (see there).
+    """
 
     def __init__(self, N: int, M: int, coeffs: np.ndarray | None = None):
         if N < 0 or M < 1:
@@ -613,6 +620,17 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
     changes, so a uniform grid costs one ``expm`` per magnitude (two when it
     starts after 0).  The zero mode relaxes by the diagonal collision
     semigroup exp(-R t), which fixes the mass exactly.
+
+    Frame: every lattice mode (n1, n2) is stepped with the generator of its
+    magnitude at angle 0.  The physical generator of the mode at angle
+    phi = atan2(n2, n1) is E_phi (R - |n| J10) E_phi*, with
+    E_phi = diag(e^(-i j phi)) and J10 the transport along n1 in the
+    physical basis.  So this returns P_0(t) c(0) where the physical
+    evolution is E_phi P_0(t) E_phi* c(0): each mode is read, on input and
+    on output, in the frame rotated by its phi (x = E_phi* c), and the two
+    differ wherever phi != 0.  The propagator norms, the decay bound and the
+    mass are those of the physical evolution (E_phi is diagonal and
+    unitary); the distances are those of the returned field.
     """
     ts = decay._time_grid(times)
     steps = np.diff(ts, prepend=0.0)

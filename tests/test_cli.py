@@ -363,7 +363,6 @@ UNREACHED = {
     "hc_index.kalman_kernel_defect": "benchmark layer",
     "hc_index.eigenvector_obstruction": "benchmark layer",
     "operator_core.psd_sqrt": "benchmark layer",
-    "lorentz.cubic_bound_verify": "benchmark layer",
     "lorentz.simulate": "benchmark layer",
     # exact values the tests check the computed ones against
     "gallery.ck_closed_form_norm": "test oracle: exact propagator norm of ck",

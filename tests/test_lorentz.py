@@ -403,6 +403,11 @@ class TestCubicAndSandwich:
         rep = lorentz.cubic_bound_verify(1, 16, consts, samples=5)
         assert rep.ok
 
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_fewer_than_two_samples_is_a_precondition_error(self, consts, samples):
+        with pytest.raises(errors.PreconditionError, match="at least 2 samples"):
+            lorentz.cubic_bound_verify(2, 8, consts, samples)
+
     def test_sandwich_small(self, consts):
         ts = np.linspace(0.0, consts.tau, 12)
         rep = lorentz.full_propagator_bounds(5, 16, consts, ts)

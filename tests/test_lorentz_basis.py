@@ -74,6 +74,32 @@ def test_simulate_matches_the_physical_modewise_evolution():
     assert rep.distance == out.distance_to_equilibrium()
 
 
+
+@pytest.mark.parametrize("mode", [(0, 1), (-1, 0), (1, 1), (-1, 1)])
+def test_final_field_is_in_the_frame_of_each_mode(mode):
+    # simulate_curve steps the lattice mode at angle phi = atan2(n2, n1) with
+    # the phi = 0 generator of its magnitude.  The physical generator is
+    # R - |n| E J10 E* with E = diag(e^(-i j phi)), so the physical evolution
+    # is E P_0(t) E* c(0): hypokit's evolution of E* c(0), rotated back by E.
+    N, M, t = 1, 6, 0.7
+    n1, n2 = mode
+    phi = math.atan2(n2, n1)
+    E = np.exp(-1j * np.arange(-M, M + 1) * phi)
+    R, J10 = lorentz_reference(M)
+    P = core.matrix_exponential(-(R - math.hypot(n1, n2) * (E[:, None] * J10 * E.conj())), t)
+    field = lorentz.LorentzField.random(np.random.default_rng(8), N, M)
+    c0 = field.coeffs[n1 + N, n2 + N]
+    rotated = field.copy()
+    rotated.coeffs[n1 + N, n2 + N] = E.conj() * c0
+    out, _ = lorentz.simulate(rotated, t)
+    np.testing.assert_allclose(E * out.coeffs[n1 + N, n2 + N], P @ c0, rtol=0, atol=1e-12)
+    # the unrotated answer is not the physical one at these angles; the
+    # propagator norm is, as E is diagonal and unitary
+    plain, _ = lorentz.simulate(field, t)
+    assert np.linalg.norm(plain.coeffs[n1 + N, n2 + N] - P @ c0) > 0.5
+    P0 = core.matrix_exponential(-lorentz.modal_generator(math.hypot(n1, n2), M), t)
+    assert core.spectral_norm(P) == pytest.approx(core.spectral_norm(P0), rel=1e-13)
+
 def mixing_block(M):
     """The even block A of K^T R K, the matrix of the mixing dual."""
     return lorentz._even_form(M, lambda R, K: K.T @ R @ K)

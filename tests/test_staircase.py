@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,42 @@ class TestBuildStaircase:
             else:
                 assert sum(build_staircase(*pair).block_dims) == 12
 
+
+
+class TestVerifyStaircase:
+    @staticmethod
+    def pair_with_terminal_block():
+        """R = e0 e0* and J coupling the chain e0, e1, e2 and, apart from it,
+        e3, e4, e5 (a J-invariant space in ker R), in a random basis: blocks
+        [1, 1, 1, 3]."""
+        J = np.zeros((6, 6), dtype=complex)
+        for i, j, v in ((0, 1, 1.0), (1, 2, 0.7), (3, 4, 0.9), (4, 5, 0.4)):
+            J[i, j], J[j, i] = v, -v
+        rng = np.random.default_rng(9)
+        U = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        R = np.outer(U[:, 0], U[:, 0].conj())
+        return (R + R.conj().T) / 2, U @ J @ U.conj().T
+
+    def test_J_pattern_reads_each_forbidden_entry(self):
+        R, J = self.pair_with_terminal_block()
+        form = build_staircase(R, J)
+        assert form.block_dims == [1, 1, 1, 3]
+        base = verify_staircase(form, R, J)
+        assert base.ok, base.failures
+        s, slices = form.n_blocks, form.block_slices()
+        forbidden = 0
+        for i in range(s):
+            for j in range(s):
+                J_hat = form.J_hat.copy()
+                J_hat[slices[i].stop - 1, slices[j].start] = 0.5j
+                checks = verify_staircase(dataclasses.replace(form, J_hat=J_hat), R, J).checks
+                if abs(i - j) >= 2 or {i, j} == {s - 2, s - 1}:
+                    forbidden += 1
+                    assert checks["J_pattern"] == (False, 0.5), (i, j)
+                else:  # a diagonal or adjacent block
+                    assert checks["J_pattern"] == base.checks["J_pattern"], (i, j)
+        # (0, 2), (0, 3), (1, 3) and the last pair (2, 3), each both ways
+        assert forbidden == 8
 
 class TestStaircaseProperties:
     def test_random_campaign(self):
