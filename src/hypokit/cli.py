@@ -61,9 +61,12 @@ def _build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--output", default=None, help="output path (default stdout)")
 
-    sp = sub.add_parser("analyze", help="index audit + stability + short-time fit")
+    sp = sub.add_parser("analyze", help="index audit + stability + short-time fit", description=(
+        "The staircase decides the index m; each coercive family reads m (resolved), "
+        "unresolved or inconclusive from its levels m - 1 and m against the floor "
+        "eps^2 (m + 1) n, or none with no index. Exit 3 when a family is inconclusive "
+        "or a staircase rank decision is ambiguous."))
     sp.add_argument("--input", required=True)
-    sp.add_argument("--tol-kappa", type=float, default=None)
     sp.add_argument("--tol-rank", type=float, default=1e-10, help=_TOL_RANK_HELP)
     common(sp)
 
@@ -201,7 +204,7 @@ def _cmd_analyze(args) -> int:
 
     A = _load_matrix(args.input)
     dec = core.hermitian_split(A)
-    audit = hc_index.equivalence_audit(dec, kappa_threshold=args.tol_kappa, rank_tol=args.tol_rank)
+    audit = hc_index.equivalence_audit(dec, rank_tol=args.tol_rank)
     stab = decay.stability_check(A)
     scale = max(core.spectral_norm(A), 1e-300)
     times = np.geomspace(1e-4 / scale, 10.0 / scale, 220)
@@ -215,7 +218,7 @@ def _cmd_analyze(args) -> int:
         "short_time_fit": fit,
     }
     _emit_json(out, args.output)
-    return 0 if audit.agree else 3
+    return 0 if audit.agree and not audit.warnings else 3
 
 
 def _cmd_staircase(args) -> int:
@@ -314,6 +317,7 @@ def _cmd_lorentz(args) -> int:
         return 0 if ok else 3
 
     if cmd == "verify":
+        lorentz._check_grid(args.N, args.steps)  # before the constants pipeline runs
         consts = lorentz.appendix_constants(args.M_constants)
         report = lorentz.cubic_bound_verify(args.N, args.M, consts, args.steps)
         _emit_json({"constants": consts.to_json_dict(), **report.to_json_dict()}, args.output)

@@ -1,44 +1,49 @@
-"""Hypocoercivity index from one staircase reduction, cross-checked by the
-coercive partial sums.
+"""Hypocoercivity index from one staircase reduction, confirmed by each
+coercive partial-sum family at that one level.
 
 The index of an accretive C = R - J is the number of steps before the chain
 of subdiagonal blocks of the staircase form of (J, R) ends (Paige 1981,
 "Properties of numerical algorithms related to computing controllability").
-One ``build_staircase`` call yields the index, the Kalman defect sweep (the
+One ``build_staircase`` call yields the index m, the Kalman defect sweep (the
 block dimensions) and, when the terminal block is nonzero, an eigenvector
-obstruction.  The four families of partial sums sum_{j<=m} (C*)^j R C^j (and
-three equivalent ones) become coercive at the same minimal m in exact
-arithmetic, and their achieved coercivity constants may differ.  They share
-the staircase's decision about ker R: sqrt(R) and the accretivity check come
-from the eigendecomposition of R that made block 0 (``core._psd_cut``), so
-they cross-check only the chain of J-steps, not the cut of R.
+obstruction; with no index that witness decides, and the families read
+"none" without being evaluated.
 
-Each family is a Gram matrix sum_{j<=m} F_j* F_j, and its smallest
-eigenvalue is the squared smallest singular value of the stacked factors.
-Neither the sum (which would lose half the digits below the index) nor the
-stack is formed: one n x n triangular factor with the same Gram matrix is
-updated by a QR per level, O(n^3) per level instead of an SVD of the whole
-(m+1) n x n stack (its floor: ``_family_search``).
+The four families of partial sums sum_{j<=m} (C*)^j R C^j (and three
+equivalent ones) become coercive at the same minimal m in exact arithmetic,
+so each family confirms the staircase's m at that one level: singular at
+m - 1, coercive at m.  Their factors come from the cut of R that made
+block 0 (``core._psd_cut``), so they cross-check the chain of J-steps, not
+the cut of R.  A level is a Gram matrix sum_{j<=m} F_j* F_j whose smallest
+eigenvalue lambda_m is sigma_min^2 of the stack [F_0; ...; F_m], read from
+its QR factor (``_levels``), never from the sum, which would lose half the
+digits.  Every family vanishes on the Kalman kernel, of dimension at least
+n - (m+1) r for a cut of R of rank r, so a level below the counting bound
+m0 = ceil(n / r) - 1 reads exactly 0.0 with no SVD (and m >= m0).
 
-All four families vanish on the Kalman kernel, the intersection over j <= m
-of ker(sqrt(R) J^j) (for the commutators by induction on j), whose
-dimension is at least n - (m+1) r for a cut of R of rank r.  So every level
-below the counting bound m0 = ceil(n / r) - 1 is singular and needs no
-decision: the families read it as exactly 0.0, the index is at least m0, and
-when r = 0 no level is decided and there is no index.
+The decision is scale-free: the power families take F_0 = S / ||S|| with
+S = diag(sqrt(w)) V_r*, the r x n factor of the kept eigenpairs of R, and
+F_j = F_{j-1} X / ||X|| for X = C, C* or J*; the commutators take
+F_0 = sqrt(R) / ||sqrt(R)|| and F_j = [X, F_{j-1}] with X = J / ||J||.
+Both levels are compared with
 
-The staircase's rank decisions are scale-free (``staircase`` module
-docstring); the families' default threshold 1e-9 * max(||C||, 1) is not.
-Under C -> sC the level values lambda_m scale like s^(2m+1) while the
-threshold scales like s (or not at all below ||C|| = 1), so on a strongly
-scaled input the families read another index than the staircase, or none,
-and ``analyze`` reports the disagreement (exit 3), until the families
-decide against a scale-free threshold.
+    floor_m = eps^2 (m + 1) n,
+
+the roundoff of a singular level: a normalized power block has norm at most
+1, so the stack has norm at most sqrt(m + 1), and Householder QR, backward
+stable column by column, leaves sigma_min of order eps sqrt(n) ||stack||.
+(A commutator block can reach 2^j; on the tests' inputs a singular level
+still reads below floor_m.)  A family reads "inconclusive" when
+lambda_{m-1} >= 10 floor_m (coercive below the staircase's index), else m
+("resolved") when lambda_m >= 10 floor_m, else "unresolved": level m is
+lost in the roundoff of the power basis (E_40), which says nothing against m.
+
+A family's coercivity constant kappa_m is lambda_m of its unnormalized
+factors (S and X, or sqrt(R) and J), as in the paper; it decides nothing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,29 +66,34 @@ __all__ = [
 #: The four equivalent coercivity families.
 METHODS = ("c_powers_right", "c_powers_left", "j_powers", "commutators")
 
-#: Scale-relative default for deciding "coercive" in floating point.
-DEFAULT_KAPPA_RTOL = 1e-9
-
 #: Scale-relative residual bound of an obstruction witness.
 WITNESS_RTOL = 1e-8
 
 
 @dataclass
 class IndexReport:
-    """Outcome of an index search over the levels 0..n.
+    """One family's check of the staircase index m = ``level`` (module
+    docstring): its ``verdict``, the normalized levels m - 1 and m that
+    ``floor`` decided and kappa_m.  With no index, the verdict is "none",
+    the levels and the floor are None and kappa is 0.0."""
 
-    ``index`` is None when no partial sum reached the threshold; ``kappa`` is
-    the smallest eigenvalue achieved at the reported index (0.0 when no index
-    was found).  ``rank_bound`` is the counting bound m0 (module docstring):
-    ``per_m_min_eigs`` is exactly 0.0 below it.
-    """
-
-    index: int | None
-    kappa: float
     method: str
-    per_m_min_eigs: list[float]
+    verdict: str
+    level: int | None
+    lambda_prev: float | None
+    lambda_m: float | None
+    floor: float | None
+    kappa: float
     rank_bound: int
-    kappa_threshold: float
+
+    @property
+    def index(self) -> int | str:
+        """The family's reading: m when resolved, else its verdict."""
+        return self.level if self.verdict == "resolved" else self.verdict
+
+    def to_json_dict(self) -> dict:
+        return {"verdict": self.verdict, "lambda_prev": self.lambda_prev,
+                "lambda": self.lambda_m, "floor": self.floor}
 
 
 @dataclass
@@ -104,84 +114,71 @@ class ObstructionWitness:
         }
 
 
-def _family_setup(
-    dec: core.OperatorDecomposition,
-    kappa_threshold: float | None,
-    r_cut: core._PsdCut,
-) -> tuple[np.ndarray, float, int]:
-    """What every power family shares: the default threshold, and sqrt(R) and
-    the counting bound from the cut of R (which already checked that C is
-    accretive).  The bound of r = 0 is n + 1, past every level."""
-    if kappa_threshold is None:
-        kappa_threshold = DEFAULT_KAPPA_RTOL * max(core.spectral_norm(dec.C), 1.0)
-    if not 0.0 < kappa_threshold < math.inf:
-        raise PreconditionError(
-            f"kappa_threshold must be positive and finite, got {kappa_threshold}"
-        )
-    r, n = r_cut.rank, dec.dim
-    return r_cut.root(), kappa_threshold, -(-n // r) - 1 if r else n + 1
+def _smin2(T: np.ndarray) -> float:
+    return float(np.linalg.svd(T, compute_uv=False)[-1] ** 2)
 
 
-def _family_search(
-    dec: core.OperatorDecomposition,
-    method: str,
-    S: np.ndarray,
-    kappa_threshold: float,
-    m0: int,
-) -> IndexReport:
-    """The search of ``index_via_powers`` on prepared inputs (see ``_family_setup``).
+def _levels(blocks: list[np.ndarray], m0: int) -> tuple[float, float]:
+    """(lambda_{m-1}, lambda_m) of the stack blocks = [F_0; ...; F_m].
 
-    F_0 = S = sqrt(R); F_m = F_{m-1} X with X = C, C* or J* gives the factors
-    of (C*)^j R C^j, C^j R (C*)^j and J^j R (J*)^j, and
-    F_m = J F_{m-1} - F_{m-1} J those of the commutators.  Level m replaces T
-    by the triangular factor of the QR of [T; F_m], so T* T = sum_{j<=m}
-    F_j* F_j, and reads lambda_m = sigma_min(T)^2.  Householder QR is
-    backward stable: sigma_min(T) is within delta = O((m+1) n eps ||stack||)
-    of sigma_min of the stack [F_0; ...; F_m], so lambda_m is within
-    delta (2 sqrt(lambda_m) + delta) <= 3 delta ||stack|| of its value, and a
-    level that is singular in exact arithmetic reads at most about delta^2.
-    ||stack|| grows like ||S|| ||X||^m, so this floor can pass the fixed
-    threshold on long chains.
+    One QR of [F_0; ...; F_{m-1}] gives T with T* T = sum_{j<m} F_j* F_j, and
+    one QR of [T; F_m] the factor of level m; each level is sigma_min^2 of
+    its factor.  Level m - 1 reads exactly 0.0, with no SVD, below the
+    counting bound m0.
+    """
+    *head, last = blocks
+    T = np.linalg.qr(np.vstack(head), mode="r") if head else last[:0]
+    prev = _smin2(T) if len(head) - 1 >= m0 else 0.0
+    return prev, _smin2(np.linalg.qr(np.vstack([T, last]), mode="r"))
 
-    The stack vanishes on the Kalman kernel (module docstring), so a level
-    below the counting bound m0 is singular: it only updates T and reads 0.0,
-    with no SVD whose roundoff the threshold could misread.  The search ends
-    at level n.
+
+def _family_checks(
+    dec: core.OperatorDecomposition, form: staircase.StaircaseForm, methods=METHODS
+) -> dict[str, IndexReport]:
+    """Each family's check of ``form.index`` (module docstring)."""
+    cut, n, m = form.r_cut, dec.dim, form.index
+    r = cut.rank
+    m0 = -(-n // r) - 1 if r else n + 1  # r = 0 has no index
+    if m is None:
+        return {method: IndexReport(method, "none", None, None, None, None, 0.0, m0)
+                for method in methods}
+    top = float(np.sqrt(cut.w[-1]))
+    S = (cut.V[:, n - r:] * np.sqrt(cut.w[n - r:] / cut.w[-1])).conj().T  # r x n, norm 1
+    C, J = dec.C, dec.J
+    norm_C, norm_J = (max(v, 1e-300) for v in core.spectral_norm(np.stack([C, J])))
+    factors = {
+        "c_powers_right": (S, C, norm_C),
+        "c_powers_left": (S, C.conj().T, norm_C),
+        "j_powers": (S, J.conj().T, norm_J),
+        "commutators": (cut.root() / top, J, norm_J),
+    }
+    floor = np.finfo(float).eps ** 2 * (m + 1) * n
+    reports = {}
+    for method in methods:
+        F, X, norm_X = factors[method]
+        X = X / norm_X
+        blocks = [F]
+        for _ in range(m):
+            F = X @ F - F @ X if method == "commutators" else F @ X
+            blocks.append(F)
+        prev, lam = _levels(blocks, m0)
+        verdict = ("inconclusive" if prev >= 10.0 * floor
+                   else "resolved" if lam >= 10.0 * floor else "unresolved")
+        # the paper's factors, block j times top * ||X||^j; only level m is read
+        kappa = _levels([F * (top * norm_X**j) for j, F in enumerate(blocks)], m)[1]
+        reports[method] = IndexReport(method, verdict, m, prev, lam, floor, kappa, m0)
+    return reports
+
+
+def index_via_powers(dec: core.OperatorDecomposition, method: str = "c_powers_right") -> IndexReport:
+    """The staircase index of C, checked by one family (module docstring).
+
+    The staircase and sqrt(R) are cut at the default rank_tol of 1e-10.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    J = dec.J
-    powers = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T, "j_powers": J.conj().T}
-    X = powers.get(method)  # None for the commutators
-    F, T = S, np.empty((0, dec.dim), dtype=S.dtype)
-    eigs: list[float] = []
-    index, kappa = None, 0.0
-    for m in range(dec.dim + 1):
-        T = np.linalg.qr(np.vstack([T, F]), mode="r")
-        lam = float(np.linalg.svd(T, compute_uv=False)[-1] ** 2) if m >= m0 else 0.0
-        eigs.append(lam)
-        if lam >= kappa_threshold:
-            index, kappa = m, lam
-            break
-        F = J @ F - F @ J if X is None else F @ X
-    return IndexReport(index=index, kappa=kappa, method=method, per_m_min_eigs=eigs,
-                       rank_bound=m0, kappa_threshold=kappa_threshold)
-
-
-def index_via_powers(
-    dec: core.OperatorDecomposition,
-    method: str = "c_powers_right",
-    kappa_threshold: float | None = None,
-) -> IndexReport:
-    """Smallest m whose partial sum has min-eigenvalue >= threshold.
-
-    ``kappa_threshold`` defaults to 1e-9 * max(||C||, 1) (an exact-zero test is
-    meaningless in floating point).  The levels m0..n are compared with it
-    (m0 the counting bound); beyond n the rank conditions cannot improve.
-    sqrt(R) is cut at the staircase's default rank_tol of 1e-10.
-    """
-    setup = _family_setup(dec, kappa_threshold, core._psd_cut(dec.R))
-    return _family_search(dec, method, *setup)
+    form = staircase.build_staircase(dec.R, dec.J)
+    return _family_checks(dec, form, (method,))[method]
 
 
 def _defect_sweep(form: staircase.StaircaseForm) -> list[int]:
@@ -253,10 +250,11 @@ def eigenvector_obstruction(R, J) -> ObstructionWitness | None:
 
 @dataclass
 class AuditReport:
-    """Staircase index, defect sweep, witness and warnings, the counting bound
-    and the four power families."""
+    """Staircase index (None when there is none) and each family's reading,
+    defect sweep, witness, warnings and the counting bound; ``agree`` means
+    that no family reads "inconclusive"."""
 
-    index_per_method: dict[str, int | None]
+    index_per_method: dict[str, int | str | None]
     kappa_per_method: dict[str, float]
     reports: dict[str, IndexReport] = field(repr=False)
     defect_sweep: list[int]
@@ -271,6 +269,7 @@ class AuditReport:
                 k: (v if v is not None else "none") for k, v in self.index_per_method.items()
             },
             "kappa_per_method": dict(self.kappa_per_method),
+            "family_checks": {k: rep.to_json_dict() for k, rep in self.reports.items()},
             "defect_sweep": list(self.defect_sweep),
             "obstruction": None if self.obstruction is None else self.obstruction.to_json_dict(),
             "agree": self.agree,
@@ -279,33 +278,20 @@ class AuditReport:
         }
 
 
-def equivalence_audit(
-    dec: core.OperatorDecomposition,
-    kappa_threshold: float | None = None,
-    rank_tol: float = 1e-10,
-) -> AuditReport:
-    """Index, defect sweep, obstruction and warnings from one staircase form,
-    checked against the four power families.
-
-    The staircase index is reported as method "staircase" (None when the
-    terminal block is nonzero).  A disagreement with any power family is
-    reported, not raised: it signals a tolerance problem in the inputs, and
-    the per-method data is exactly what is needed to diagnose it.
-    Coercivity constants are allowed to differ between the families.
-    """
+def equivalence_audit(dec: core.OperatorDecomposition, rank_tol: float = 1e-10) -> AuditReport:
+    """Index, defect sweep, obstruction and warnings from one staircase form
+    (the index as method "staircase"), and the four families' checks of that
+    index (module docstring).  An "inconclusive" family is reported, not
+    raised: its values and floor are what is needed to diagnose it."""
     form = staircase.build_staircase(dec.R, dec.J, rank_tol)
-    S, kappa_threshold, m0 = _family_setup(dec, kappa_threshold, form.r_cut)
-    reports = {method: _family_search(dec, method, S, kappa_threshold, m0) for method in METHODS}
-    indices = {method: rep.index for method, rep in reports.items()}
-    kappas = {method: rep.kappa for method, rep in reports.items()}
-    indices["staircase"] = form.index
+    reports = _family_checks(dec, form)
     return AuditReport(
-        index_per_method=indices,
-        kappa_per_method=kappas,
+        index_per_method={**{k: rep.index for k, rep in reports.items()}, "staircase": form.index},
+        kappa_per_method={method: rep.kappa for method, rep in reports.items()},
         reports=reports,
         defect_sweep=_defect_sweep(form),
         obstruction=_terminal_witness(form, dec.R, dec.J, WITNESS_RTOL),
-        agree=len(set(indices.values())) == 1,
-        rank_bound=m0,
+        agree=all(rep.verdict != "inconclusive" for rep in reports.values()),
+        rank_bound=reports[METHODS[0]].rank_bound,
         warnings=list(form.warnings),
     )

@@ -453,9 +453,16 @@ def cubic_bound_verify(
 ) -> CubicBoundReport:
     """Check ||P_n(t)|| <= 1 - c t^3 + _CUBIC_SLACK on [0, tau] for n = 1..N,
     at ``samples`` equally spaced times (at least 2)."""
+    _check_grid(N, samples)
+    return full_propagator_bounds(N, M, consts, np.linspace(0.0, consts.tau, samples))
+
+
+def _check_grid(N: int, samples: int) -> None:
+    """Modes 1..N and sample times of a cubic-bound check: N >= 1, samples >= 2."""
+    if N < 1:
+        raise PreconditionError(f"need N >= 1, got {N}")
     if samples < 2:
         raise PreconditionError(f"need at least 2 samples, got {samples}")
-    return full_propagator_bounds(N, M, consts, np.linspace(0.0, consts.tau, samples))
 
 
 def full_propagator_bounds(
@@ -463,8 +470,7 @@ def full_propagator_bounds(
 ) -> CubicBoundReport:
     """sup over modes 1..N of ||P_n(t)|| must lie in [||P_1(t)||, 1 - c t^3]."""
     ts = np.asarray(times, dtype=float)
-    if N < 1 or ts.size < 2:
-        raise PreconditionError("need N >= 1 and at least 2 samples")
+    _check_grid(N, ts.size)
     if np.any(ts < 0) or np.any(ts > consts.tau + 1e-15):
         raise PreconditionError("times must lie in [0, tau]")
     stack = np.vstack([_modal_norm_curve(float(n), M, ts).norms for n in range(1, N + 1)])

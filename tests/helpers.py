@@ -1,5 +1,6 @@
-"""Shared test helpers: random accretive instances, the benchmark's planted
-pairs, the CLI command shapes and the physical Lorentz velocity matrices."""
+"""Shared test helpers: random accretive instances, planted staircase and
+obstruction pairs, the benchmark's planted pairs, the CLI command shapes and
+the physical Lorentz velocity matrices."""
 
 import importlib.util
 import sys
@@ -40,6 +41,50 @@ def random_accretive(rng: np.random.Generator, n: int) -> core.OperatorDecomposi
     S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     J = (S - S.conj().T) / 2.0
     return core.OperatorDecomposition(C=R - J, R=R, J=J)
+
+
+def random_unitary(rng, n):
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, T = np.linalg.qr(Z)
+    return Q * (np.diag(T) / np.abs(np.diag(T)))
+
+
+def planted_staircase_pair(rng, dims):
+    """(R, J) in staircase form with block sizes ``dims``, in a random basis.
+
+    R is definite on the first block; J is block tridiagonal with generic
+    subdiagonal blocks, of full row rank when ``dims`` does not increase, so
+    the index is then len(dims) - 1.
+    """
+    n = sum(dims)
+    edges = np.concatenate([[0], np.cumsum(dims)])
+    sl = [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+    R = np.zeros((n, n), dtype=complex)
+    G = rng.standard_normal((dims[0], dims[0])) + 1j * rng.standard_normal((dims[0], dims[0]))
+    R[sl[0], sl[0]] = G @ G.conj().T / dims[0] + np.eye(dims[0])
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    J = np.zeros((n, n), dtype=complex)
+    for i in range(len(dims)):
+        J[sl[i], sl[i]] = (S[sl[i], sl[i]] - S[sl[i], sl[i]].conj().T) / 2
+        if i + 1 < len(dims):
+            J[sl[i + 1], sl[i]] = S[sl[i + 1], sl[i]]
+            J[sl[i], sl[i + 1]] = -S[sl[i + 1], sl[i]].conj().T
+    U = random_unitary(rng, n)
+    R, J = U @ R @ U.conj().T, U @ J @ U.conj().T
+    return (R + R.conj().T) / 2, (J - J.conj().T) / 2
+
+
+def forced_obstruction_pair(rng, n):
+    """PSD R and skew J such that some eigenvector of J lies in ker R."""
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    R = G.conj().T @ G / n
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    J = (S - S.conj().T) / 2
+    _, V = np.linalg.eigh(1j * J)
+    v = V[:, 0]
+    P = np.eye(n) - np.outer(v, v.conj())
+    R = P @ R @ P.conj().T
+    return (R + R.conj().T) / 2, J
 
 
 def bench_planted_pair(seed: int, stream: int, n: int, block: int) -> np.ndarray:

@@ -49,6 +49,23 @@ def test_verify_cubic_bound_is_read_off_the_sandwich(tmp_path):
     assert cubic["modes"] == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--steps", "-1"], "need at least 2 samples, got -1"),
+    (["--steps", "1"], "need at least 2 samples, got 1"),
+    (["--N", "0"], "need N >= 1, got 0"),
+])
+def test_verify_refuses_a_bad_grid_before_the_constants(tmp_path, monkeypatch, capsys, argv, message):
+    def constants_must_not_run(M):
+        raise AssertionError("appendix_constants ran")
+
+    monkeypatch.setattr(lorentz, "appendix_constants", constants_must_not_run)
+    rc = cli.main(["lorentz", "verify", "--M-constants", "1024", *argv,
+                   "--output", str(tmp_path / "verify.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"hypokit: invalid input: {message}\n"
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_verify_fails_both_checks_together_when_c_is_too_large(tmp_path, monkeypatch):
     # c t^3 at t = tau becomes about 1e-8: above the slack and the measured
     # drop 1 - ||P(tau)||, so the cubic bound fails, and the sandwich with it
@@ -89,20 +106,39 @@ def test_gallery_ek_rescaled_exits_2_when_a_block_fails_its_check(tmp_path, monk
     assert not out.exists()
 
 
-def _analyze(tmp_path, C):
+def _analyze(tmp_path, C, *extra):
     src, out = tmp_path / "input.json", tmp_path / "analyze.json"
     src.write_text(json.dumps(core.matrix_to_json(C)))
-    rc = cli.main(["analyze", "--input", str(src), "--output", str(out)])
+    rc = cli.main(["analyze", "--input", str(src), "--output", str(out), *extra])
     return rc, json.loads(out.read_text())["audit"]
 
 
 def test_analyze_ek40_reports_the_disagreement(tmp_path):
-    # the power families lose the index of E_40 in roundoff; the staircase
-    # keeps it, so the audit must not claim agreement
+    # the power basis of E_40 puts every family's level 39 below its roundoff
+    # floor: the families read "unresolved", which says nothing against the
+    # staircase's 39, and the audit exits 0 with each value and floor shown
     rc, audit = _analyze(tmp_path, gallery.ek_matrix(40))
-    assert rc == 3
-    assert audit["index_per_method"]["staircase"] == 39
-    assert audit["agree"] is False
+    assert rc == 0
+    assert audit["index_per_method"] == {
+        **dict.fromkeys(("c_powers_right", "c_powers_left", "j_powers", "commutators"),
+                        "unresolved"),
+        "staircase": 39,
+    }
+    assert audit["agree"] is True
+    for check in audit["family_checks"].values():
+        assert check["verdict"] == "unresolved" and check["lambda"] < 10 * check["floor"]
+
+
+def test_analyze_exits_3_when_a_family_is_inconclusive(tmp_path):
+    # a rank cut of 1e-6 drops the 1e-8 coupling e1 -> e3, so the staircase
+    # reads index 2 while every family is coercive at level 1
+    R = np.diag([1.0, 1.0, 0.0, 0.0])
+    J = np.zeros((4, 4))
+    J[2, 0], J[3, 1], J[3, 2] = 1.0, 1e-8, 1.0
+    rc, audit = _analyze(tmp_path, R - (J - J.T), "--tol-rank", "1e-6")
+    assert rc == 3 and audit["agree"] is False
+    assert audit["index_per_method"]["staircase"] == 2
+    assert {check["verdict"] for check in audit["family_checks"].values()} == {"inconclusive"}
 
 
 def test_analyze_ck2_all_methods_agree(tmp_path):
@@ -168,12 +204,9 @@ def test_decay_overflow_is_a_numerical_failure(tmp_path, capsys):
         ["lorentz", "simulate", "--random", "--tmax", "inf"],
         # about 71 PiB: numpy refuses the allocation at once
         ["lorentz", "kappa", "--M", "100000000"],
-        # a relative rank cut outside (0, 1) and a threshold that is not
-        # positive and finite decide nothing
+        # a relative rank cut outside (0, 1) decides nothing
         *([command, "--tol-rank", tol] for command in ("analyze", "staircase")
           for tol in ("inf", "nan", "0", "-1", "1")),
-        ["analyze", "--tol-kappa", "nan"],
-        ["analyze", "--tol-kappa", "inf"],
     ],
     ids=" ".join,
 )

@@ -154,8 +154,11 @@ class TestFamilyTrends:
             for dim in (8, 16, 32, 64):
                 C = gallery.make_example("compact_R_family", dim=dim)
                 dec = core.hermitian_split(C)
-                rep = hc_index.index_via_powers(dec, "j_powers", kappa_threshold=1e30)
-                vals.append(rep.per_m_min_eigs[m])
+                # min eig of sum_{j<=m} J^j R (J*)^j: sigma_min^2 of the stack
+                # of its factors sqrt(R) (J*)^j
+                S, Jt = core.psd_sqrt(dec.R), dec.J.conj().T
+                stack = np.vstack([S @ np.linalg.matrix_power(Jt, j) for j in range(m + 1)])
+                vals.append(np.linalg.svd(stack, compute_uv=False)[-1] ** 2)
             assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
             assert vals[-1] < 0.1 * vals[0]
 

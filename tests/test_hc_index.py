@@ -5,7 +5,7 @@ from hypokit import errors, gallery, hc_index
 from hypokit import operator_core as core
 from hypokit.staircase import StaircaseForm
 
-from helpers import random_accretive
+from helpers import forced_obstruction_pair, planted_staircase_pair, random_accretive
 
 
 def _rj(C):
@@ -33,47 +33,15 @@ def stacked_svd_defect(R, J, m, rank_tol=1e-10):
     return n - int(np.count_nonzero(sv >= rank_tol * sv[0]))
 
 
-def random_unitary(rng, n):
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, T = np.linalg.qr(Z)
-    return Q * (np.diag(T) / np.abs(np.diag(T)))
-
-
-def planted_staircase_pair(rng, dims):
-    """(R, J) in staircase form with block sizes ``dims``, in a random basis.
-
-    R is definite on the first block; J is block tridiagonal with square,
-    generically invertible subdiagonal blocks, so the index is len(dims) - 1.
-    """
-    n = sum(dims)
-    edges = np.concatenate([[0], np.cumsum(dims)])
-    sl = [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
-    R = np.zeros((n, n), dtype=complex)
-    G = rng.standard_normal((dims[0], dims[0])) + 1j * rng.standard_normal((dims[0], dims[0]))
-    R[sl[0], sl[0]] = G @ G.conj().T / dims[0] + np.eye(dims[0])
-    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    J = np.zeros((n, n), dtype=complex)
-    for i in range(len(dims)):
-        J[sl[i], sl[i]] = (S[sl[i], sl[i]] - S[sl[i], sl[i]].conj().T) / 2
-        if i + 1 < len(dims):
-            J[sl[i + 1], sl[i]] = S[sl[i + 1], sl[i]]
-            J[sl[i], sl[i + 1]] = -S[sl[i + 1], sl[i]].conj().T
-    U = random_unitary(rng, n)
-    R, J = U @ R @ U.conj().T, U @ J @ U.conj().T
-    return (R + R.conj().T) / 2, (J - J.conj().T) / 2
-
-
-def forced_obstruction_pair(rng, n):
-    """PSD R and skew J such that some eigenvector of J lies in ker R."""
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    R = G.conj().T @ G / n
-    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    J = (S - S.conj().T) / 2
-    _, V = np.linalg.eigh(1j * J)
-    v = V[:, 0]
-    P = np.eye(n) - np.outer(v, v.conj())
-    R = P @ R @ P.conj().T
-    return (R + R.conj().T) / 2, J
+def _shrinking_planted_pairs():
+    """Planted pairs whose blocks shrink, so the index lies above the counting
+    bound and level m - 1 is evaluated."""
+    rng = np.random.default_rng(52)
+    decs = []
+    for dims in ([5, 5, 3, 1], [4, 2, 2, 1, 1], [6, 4, 4, 2], [3, 3, 1, 1, 1], [7, 5, 2]):
+        R, J = planted_staircase_pair(rng, dims)
+        decs.append(core.OperatorDecomposition(C=R - J, R=R, J=J))
+    return decs
 
 
 class TestIndexViaPowers:
@@ -81,8 +49,8 @@ class TestIndexViaPowers:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_ck_index_one(self, method, k):
         rep = hc_index.index_via_powers(core.hermitian_split(gallery.ck_matrix(k)), method)
-        assert rep.index == 1
-        assert rep.kappa >= rep.kappa_threshold
+        assert rep.index == 1 and rep.verdict == "resolved"
+        assert rep.lambda_m >= 10 * rep.floor and rep.kappa > 0.0
 
     def test_ek4_index_three(self):
         rep = hc_index.index_via_powers(core.hermitian_split(gallery.ek_matrix(4)))
@@ -93,45 +61,52 @@ class TestIndexViaPowers:
         assert rep.index == 0
         assert rep.kappa == pytest.approx(1.0, abs=1e-14)
 
-    def test_remark_block_with_large_threshold(self):
-        # ker R = {0}, yet a fixed threshold of 0.5 is reached only at m = 1
+    def test_remark_block_reads_index_zero(self):
+        # ker R = {0}: every family resolves level 0, at kappa = min eig R
         C = np.array([[0.1, 1.0], [-1.0, 1.0]])
-        rep = hc_index.index_via_powers(core.hermitian_split(C), "j_powers", kappa_threshold=0.5)
-        assert rep.index == 1
-        assert rep.kappa >= 1.0
+        for method in hc_index.METHODS:
+            rep = hc_index.index_via_powers(core.hermitian_split(C), method)
+            assert rep.index == 0
+            assert rep.kappa == pytest.approx(0.1, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 10, 50])
-    def test_threshold_caveat_scales_past_kernel_bound(self, n):
-        # dim ker R = 0 bounds the rank-based index, but with a fixed positive
-        # threshold the reported index can still be 1
+    def test_weak_coercivity_reads_index_zero(self, n):
+        # dim ker R = 0 gives index 0 however small R's least eigenvalue
+        # 1 / n is, and the family resolves level 0 far above its floor
         C = np.array([[1.0 / n, 1.0], [-1.0, 1.0]])
-        rep = hc_index.index_via_powers(
-            core.hermitian_split(C), "j_powers", kappa_threshold=0.5
-        )
-        assert rep.index == 1
+        rep = hc_index.index_via_powers(core.hermitian_split(C), "j_powers")
+        assert rep.index == 0 and rep.lambda_m >= 1e20 * rep.floor
         assert hc_index.kalman_kernel_defect(*_rj(C), 0) == 0
 
     def test_none_up_to_m_max(self):
         # R = diag(1, 0) with J = 0 has an invariant kernel: no index exists,
-        # and the search reads the levels 0..n
+        # and no level of the family is evaluated
         C = np.diag([1.0, 0.0]).astype(complex)
         rep = hc_index.index_via_powers(core.hermitian_split(C))
-        assert rep.index is None
-        assert len(rep.per_m_min_eigs) == 3
+        assert rep.index == "none" and rep.level is None
+        assert rep.lambda_prev is rep.lambda_m is rep.floor is None and rep.kappa == 0.0
 
     def test_rejects_non_accretive(self):
         with pytest.raises(errors.PreconditionError):
             hc_index.index_via_powers(core.hermitian_split(-np.eye(2)))
 
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            hc_index.index_via_powers(core.hermitian_split(np.eye(2)), "c_powers")
+
     def test_monotone_partial_sums(self):
+        # the level m sum adds a PSD term to the level m - 1 sum
         rng = np.random.default_rng(11)
-        for _ in range(30):
-            dec = random_accretive(rng, int(rng.integers(2, 8)))
+        decs = [random_accretive(rng, int(rng.integers(2, 8))) for _ in range(30)]
+        evaluated = 0
+        for dec in decs + _shrinking_planted_pairs():
             for method in hc_index.METHODS:
-                rep = hc_index.index_via_powers(dec, method, kappa_threshold=1e30)
-                eigs = np.asarray(rep.per_m_min_eigs)
-                scale = max(abs(eigs).max(), 1.0)
-                assert np.all(np.diff(eigs) >= -1e-12 * scale)
+                rep = hc_index.index_via_powers(dec, method)
+                if rep.level is None:
+                    continue
+                assert rep.lambda_prev <= rep.lambda_m + 1e-12 * (rep.level + 1)
+                evaluated += rep.lambda_prev > 0.0
+        assert evaluated >= 20
 
 
 class TestKalmanKernelDefect:
@@ -257,15 +232,50 @@ class TestEquivalenceAudit:
         audit = hc_index.equivalence_audit(core.hermitian_split(gallery.ck_matrix(1)))
         d = audit.to_json_dict()
         assert set(d) == {
-            "index_per_method", "kappa_per_method", "defect_sweep", "obstruction", "agree",
-            "rank_bound", "staircase_warnings",
+            "index_per_method", "kappa_per_method", "family_checks", "defect_sweep",
+            "obstruction", "agree", "rank_bound", "staircase_warnings",
         }
+        # every decision carries its values and its floor
+        assert set(d["family_checks"]) == set(hc_index.METHODS)
+        for check in d["family_checks"].values():
+            assert set(check) == {"verdict", "lambda_prev", "lambda", "floor"}
+            assert check["verdict"] == "resolved" and check["lambda"] >= 10 * check["floor"]
+            assert check["floor"] == np.finfo(float).eps ** 2 * 2 * 2
 
     def test_random_campaign_no_disagreement(self):
         rng = np.random.default_rng(18)
         for _ in range(60):
-            dec = random_accretive(rng, 6)
-            assert hc_index.equivalence_audit(dec).agree
+            audit = hc_index.equivalence_audit(random_accretive(rng, 6))
+            assert audit.agree
+            index = audit.index_per_method["staircase"]
+            expected = "none" if index is None else index
+            assert set(audit.index_per_method.values()) == {index, expected}
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_forced_obstruction_reads_none(self, n):
+        # no index: the families are not evaluated and the witness decides
+        R, J = forced_obstruction_pair(np.random.default_rng(n), n)
+        audit = hc_index.equivalence_audit(core.OperatorDecomposition(C=R - J, R=R, J=J))
+        assert audit.to_json_dict()["index_per_method"] == dict.fromkeys(
+            (*hc_index.METHODS, "staircase"), "none")
+        assert audit.kappa_per_method == dict.fromkeys(hc_index.METHODS, 0.0)
+        assert audit.obstruction is not None and audit.agree
+
+    def test_family_coercive_below_the_index_is_inconclusive(self):
+        # R = diag(1, 1, 0, 0) couples e0 -> e2 at 1 and e1 -> e3 at 1e-8, and
+        # e2 -> e3 at 1.  The index is 1; a rank cut of 1e-6 drops the weak
+        # coupling, so the staircase reads 2 while every family is coercive
+        # at level 1, far above its floor
+        R = np.diag([1.0, 1.0, 0.0, 0.0])
+        J = np.zeros((4, 4))
+        J[2, 0], J[3, 1], J[3, 2] = 1.0, 1e-8, 1.0
+        dec = core.hermitian_split(R - (J - J.T))
+        audit = hc_index.equivalence_audit(dec)
+        assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), 1)
+        audit = hc_index.equivalence_audit(dec, rank_tol=1e-6)
+        assert audit.index_per_method["staircase"] == 2 and not audit.agree
+        for rep in audit.reports.values():
+            assert rep.index == "inconclusive" and rep.lambda_prev >= 10 * rep.floor
 
     def test_planted_staircase_index_four(self):
         R, J = planted_staircase_pair(np.random.default_rng(22), [12] * 5)
@@ -355,11 +365,12 @@ class TestCountingBound:
             audit = hc_index.equivalence_audit(dec)
             r = core._psd_cut(dec.R).rank
             assert audit.rank_bound == (-(-dec.dim // r) - 1 if r else dec.dim + 1)
-            for rep in audit.reports.values():
-                assert rep.rank_bound == audit.rank_bound
-                assert rep.per_m_min_eigs[: audit.rank_bound] == [0.0] * audit.rank_bound
             index = audit.index_per_method["staircase"]
             assert index is None or index >= audit.rank_bound
+            for rep in audit.reports.values():
+                assert rep.rank_bound == audit.rank_bound and rep.level == index
+                if index is not None and index - 1 < audit.rank_bound:
+                    assert rep.lambda_prev == 0.0
 
     def test_planted_shrinking_blocks_read_above_the_bound(self):
         R, J = planted_staircase_pair(np.random.default_rng(52), [5, 5, 3, 1])
@@ -371,62 +382,73 @@ class TestCountingBound:
         S = np.random.default_rng(53).standard_normal((4, 4))
         audit = hc_index.equivalence_audit(core.hermitian_split((S.T - S) / 2))
         assert audit.rank_bound == 5 and audit.defect_sweep == [4]
-        assert set(audit.index_per_method.values()) == {None}
+        assert set(audit.to_json_dict()["index_per_method"].values()) == {"none"}
         for rep in audit.reports.values():
-            assert rep.per_m_min_eigs == [0.0] * 5
+            assert rep.lambda_prev is rep.lambda_m is None
 
     def test_no_svd_below_the_bound(self, monkeypatch):
-        svd, search, active, calls = np.linalg.svd, hc_index._family_search, [], []
+        # each run of a family (the decision and kappa) takes at most two
+        # SVDs, and none for a level below m0
+        svd, levels, active, calls = np.linalg.svd, hc_index._levels, [], []
 
-        def traced_search(*args):
-            active.append(True)
+        def traced_levels(blocks, m0):
+            active.append([len(blocks) - 1, m0, 0])
             try:
-                return search(*args)
+                return levels(blocks, m0)
             finally:
-                active.pop()
+                calls.append(active.pop())
 
         def traced_svd(*args, **kwargs):
-            calls.extend(active[-1:])
+            if active:
+                active[-1][2] += 1
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(hc_index, "_family_search", traced_search)
+        monkeypatch.setattr(hc_index, "_levels", traced_levels)
         monkeypatch.setattr(np.linalg, "svd", traced_svd)
-        for dec in _counting_bound_pairs():
+        for dec in _counting_bound_pairs() + _shrinking_planted_pairs():
             calls.clear()
             audit = hc_index.equivalence_audit(dec)
-            levels = [len(rep.per_m_min_eigs) - rep.rank_bound for rep in audit.reports.values()]
-            assert len(calls) == sum(levels)
+            if audit.index_per_method["staircase"] is None:
+                assert calls == []
+                continue
+            assert len(calls) == 2 * len(hc_index.METHODS)
+            for m, m0, svds in calls:
+                assert svds == 1 + (m - 1 >= m0) <= 2
 
 
 class TestFactorUpdate:
-    """The power families keep one n x n triangular factor per family."""
+    """Each family reads its two levels from triangular factors of at most n
+    rows."""
 
     @staticmethod
     def _stack(dec, method, m):
-        """[F_0; ...; F_m] built directly: S X^j or the j-fold commutator."""
+        """[F_0; ...; F_m] of the normalized family, built directly from
+        sqrt(R) / ||sqrt(R)|| and S X^j or the j-fold commutator."""
         S = core._psd_cut(dec.R).root()
-        J = dec.J
-        X = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T, "j_powers": J.conj().T}
+        S = S / np.linalg.norm(S, 2)
+        J = dec.J / np.linalg.norm(dec.J, 2)
+        X = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T, "j_powers": dec.J.conj().T}
         blocks, F = [], S
         for j in range(m + 1):
             if method == "commutators":
                 blocks.append(F)
                 F = J @ F - F @ J
             else:
-                blocks.append(S @ np.linalg.matrix_power(X[method], j))
+                Xn = X[method] / np.linalg.norm(X[method], 2)
+                blocks.append(S @ np.linalg.matrix_power(Xn, j))
         return np.vstack(blocks)
 
     def test_factor_stays_n_by_n(self, monkeypatch):
         n, index = 60, 4
         R, J = planted_staircase_pair(np.random.default_rng(22), [12] * (index + 1))
         dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
-        active, svd_rows, qr_calls = [], [], {m: 0 for m in hc_index.METHODS}
-        search, svd, qr = hc_index._family_search, np.linalg.svd, np.linalg.qr
+        active, svd_rows, qr_calls = [], [], []
+        levels, svd, qr = hc_index._levels, np.linalg.svd, np.linalg.qr
 
-        def traced_search(dec, method, *args):
-            active.append(method)
+        def traced_levels(*args):
+            active.append(True)
             try:
-                return search(dec, method, *args)
+                return levels(*args)
             finally:
                 active.pop()
 
@@ -437,33 +459,41 @@ class TestFactorUpdate:
 
         def traced_qr(a, *args, **kwargs):
             if active:
-                qr_calls[active[-1]] += 1
+                qr_calls.append(a.shape[0])
             return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(hc_index, "_family_search", traced_search)
+        monkeypatch.setattr(hc_index, "_levels", traced_levels)
         monkeypatch.setattr(np.linalg, "svd", traced_svd)
         monkeypatch.setattr(np.linalg, "qr", traced_qr)
         audit = hc_index.equivalence_audit(dec)
         assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), index)
         assert svd_rows and max(svd_rows) <= n
-        assert qr_calls == dict.fromkeys(hc_index.METHODS, index + 1)
+        # two QRs per run: the stack of levels 0..m-1, then the update by F_m
+        assert len(qr_calls) == 2 * 2 * len(hc_index.METHODS)
 
     def test_levels_match_the_explicit_stack(self):
-        # the QR update is backward stable: each level is sigma_min^2 of the
-        # explicit stack up to 10 (m+1) n eps ||stack||^2
+        # the QR is backward stable: each level is sigma_min^2 of the explicit
+        # normalized stack up to 10 (m+1) n eps ||stack||^2
         rng = np.random.default_rng(41)
         decs = [random_accretive(rng, int(rng.integers(2, 9))) for _ in range(40)]
         decs += [core.hermitian_split(gallery.ek_matrix(k)) for k in range(2, 13)]
         R, J = planted_staircase_pair(np.random.default_rng(22), [6] * 4)
         decs.append(core.OperatorDecomposition(C=R - J, R=R, J=J))
+        decs += _shrinking_planted_pairs()
         eps = np.finfo(float).eps
         for dec in decs:
             for method in hc_index.METHODS:
-                rep = hc_index.index_via_powers(dec, method, kappa_threshold=1e30)
-                for m, lam in enumerate(rep.per_m_min_eigs):
-                    sv = np.linalg.svd(self._stack(dec, method, m), compute_uv=False)
-                    tol = 10 * (m + 1) * dec.dim * eps * sv[0] ** 2
-                    assert abs(lam - sv[-1] ** 2) <= tol, (dec.dim, method, m)
+                rep = hc_index.index_via_powers(dec, method)
+                m = rep.level
+                if m is None:
+                    continue
+                for level, lam in ((m - 1, rep.lambda_prev), (m, rep.lambda_m)):
+                    if level < 0:
+                        assert lam == 0.0
+                        continue
+                    sv = np.linalg.svd(self._stack(dec, method, level), compute_uv=False)
+                    tol = 10 * (level + 1) * dec.dim * eps * sv[0] ** 2
+                    assert abs(lam - sv[-1] ** 2) <= tol, (dec.dim, method, level)
 
     @pytest.mark.parametrize(
         "C",

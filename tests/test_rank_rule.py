@@ -10,14 +10,9 @@ from hypokit import cli, errors, gallery, hc_index
 from hypokit import operator_core as core
 from hypokit.staircase import StaircaseForm, build_staircase, verify_staircase
 
-from helpers import bench_planted_pair, random_accretive
+from helpers import bench_planted_pair, random_accretive, random_unitary
 
 SCALES = (1e-12, 1e-6, 1.0, 1e6)
-
-
-def _random_unitary(rng, n):
-    Q, T = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return Q * (np.diag(T) / np.abs(np.diag(T)))
 
 
 def _weak_coupling_pair():
@@ -97,7 +92,7 @@ def test_verifier_accepts_the_weak_coupling_in_a_random_basis():
     # the basis of block 1 is accurate to about eps ||J|| / 1e-4, so the
     # later blocks are not exact here; the verifier still accepts the form
     R, J = _weak_coupling_pair()
-    Q = _random_unitary(np.random.default_rng(2208), 5)
+    Q = random_unitary(np.random.default_rng(2208), 5)
     R, J = Q @ R @ Q.conj().T, Q @ J @ Q.conj().T
     assert verify_staircase(build_staircase(R, J), R, J).ok
 
@@ -116,15 +111,18 @@ def test_verifier_bounds_the_pattern_by_the_builders_cut(rank_tol, dims):
 
 def test_analyze_prints_the_staircase_warnings(tmp_path):
     # the seed-2208 basis of the weak-coupling pair: the coupling that ends
-    # the chain reads within 10x of its cut, and analyze says so
+    # the chain reads within 10x of its cut, so the index 3 is ambiguous; no
+    # family can resolve it, and analyze says so and exits 3
     R, J = _weak_coupling_pair()
-    Q = _random_unitary(np.random.default_rng(2208), 5)
+    Q = random_unitary(np.random.default_rng(2208), 5)
     src, out = tmp_path / "pair.json", tmp_path / "out.json"
     src.write_text(cli._to_json(core.matrix_to_json(Q @ (R - J) @ Q.conj().T)))
-    cli.main(["analyze", "--input", str(src), "--output", str(out)])
+    assert cli.main(["analyze", "--input", str(src), "--output", str(out)]) == 3
     audit = json.loads(out.read_text())["audit"]
     assert audit["staircase_warnings"] == ["rank decision at block 4 is within 10x of rank_tol"]
-    assert audit["rank_bound"] == 2 and audit["index_per_method"]["staircase"] == 3
+    assert audit["rank_bound"] == 2 and audit["agree"] is True
+    assert audit["index_per_method"] == {
+        **dict.fromkeys(hc_index.METHODS, "unresolved"), "staircase": 3}
 
 
 def test_a_value_near_the_cut_is_reported_where_it_ends_the_chain():
@@ -157,14 +155,15 @@ def test_failed_witness_raises_at_every_scale(s):
 
 
 def test_cli_on_scaled_ek8(tmp_path):
-    # the staircase reads index 7 and exits 0; analyze has no obstruction to
-    # report and exits 3, since the families' fixed threshold reads "none"
+    # the staircase and the families decide on scale-free values, so
+    # 1e-12 E_8 reads index 7 from all five methods and both commands exit 0
     src = tmp_path / "ek8.json"
     src.write_text(cli._to_json(core.matrix_to_json(1e-12 * gallery.ek_matrix(8))))
     out = tmp_path / "out.json"
     assert cli.main(["staircase", "--input", str(src), "--output", str(out)]) == 0
     form = json.loads(out.read_text())
     assert form["block_dims"] == [1] * 8 + [0] and form["verification"]["ok"]
-    assert cli.main(["analyze", "--input", str(src), "--output", str(out)]) == 3
+    assert cli.main(["analyze", "--input", str(src), "--output", str(out)]) == 0
     audit = json.loads(out.read_text())["audit"]
-    assert audit["obstruction"] is None and audit["index_per_method"]["staircase"] == 7
+    assert audit["obstruction"] is None
+    assert audit["index_per_method"] == dict.fromkeys((*hc_index.METHODS, "staircase"), 7)
