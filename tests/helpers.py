@@ -1,6 +1,7 @@
 """Shared test helpers: random accretive instances, planted staircase and
-obstruction pairs, the benchmark's planted pairs, the CLI command shapes and
-the physical Lorentz velocity matrices."""
+obstruction pairs, a pair whose weak coupling a coarse rank cut drops, the
+benchmark's planted pairs, the CLI command shapes and the physical Lorentz
+velocity matrices."""
 
 import importlib.util
 import sys
@@ -85,6 +86,16 @@ def forced_obstruction_pair(rng, n):
     P = np.eye(n) - np.outer(v, v.conj())
     R = P @ R @ P.conj().T
     return (R + R.conj().T) / 2, J
+
+
+def dropped_coupling_pair() -> np.ndarray:
+    """C = R - J with R = diag(1, 1, 0, 0) and J coupling e0 -> e2 at 1,
+    e1 -> e3 at 1e-8 and e2 -> e3 at 1.  The index is 1; a rank cut of 1e-6
+    drops the weak coupling, so the staircase then reads 2 while every
+    family is coercive at level 1."""
+    J = np.zeros((4, 4))
+    J[2, 0], J[3, 1], J[3, 2] = 1.0, 1e-8, 1.0
+    return np.diag([1.0, 1.0, 0.0, 0.0]) - (J - J.T)
 
 
 def bench_planted_pair(seed: int, stream: int, n: int, block: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from hypokit import cli, decay, gallery, lorentz
 from hypokit import operator_core as core
 from hypokit.errors import NoDecayError
 
-from helpers import CLI_COMMANDS
+from helpers import CLI_COMMANDS, dropped_coupling_pair
 
 
 def test_simulate_final_field_is_the_last_csv_row(tmp_path):
@@ -130,12 +130,7 @@ def test_analyze_ek40_reports_the_disagreement(tmp_path):
 
 
 def test_analyze_exits_3_when_a_family_is_inconclusive(tmp_path):
-    # a rank cut of 1e-6 drops the 1e-8 coupling e1 -> e3, so the staircase
-    # reads index 2 while every family is coercive at level 1
-    R = np.diag([1.0, 1.0, 0.0, 0.0])
-    J = np.zeros((4, 4))
-    J[2, 0], J[3, 1], J[3, 2] = 1.0, 1e-8, 1.0
-    rc, audit = _analyze(tmp_path, R - (J - J.T), "--tol-rank", "1e-6")
+    rc, audit = _analyze(tmp_path, dropped_coupling_pair(), "--tol-rank", "1e-6")
     assert rc == 3 and audit["agree"] is False
     assert audit["index_per_method"]["staircase"] == 2
     assert {check["verdict"] for check in audit["family_checks"].values()} == {"inconclusive"}

@@ -5,7 +5,9 @@ from hypokit import errors, gallery, hc_index
 from hypokit import operator_core as core
 from hypokit.staircase import StaircaseForm
 
-from helpers import forced_obstruction_pair, planted_staircase_pair, random_accretive
+from helpers import (
+    dropped_coupling_pair, forced_obstruction_pair, planted_staircase_pair, random_accretive,
+)
 
 
 def _rj(C):
@@ -262,14 +264,7 @@ class TestEquivalenceAudit:
         assert audit.obstruction is not None and audit.agree
 
     def test_family_coercive_below_the_index_is_inconclusive(self):
-        # R = diag(1, 1, 0, 0) couples e0 -> e2 at 1 and e1 -> e3 at 1e-8, and
-        # e2 -> e3 at 1.  The index is 1; a rank cut of 1e-6 drops the weak
-        # coupling, so the staircase reads 2 while every family is coercive
-        # at level 1, far above its floor
-        R = np.diag([1.0, 1.0, 0.0, 0.0])
-        J = np.zeros((4, 4))
-        J[2, 0], J[3, 1], J[3, 2] = 1.0, 1e-8, 1.0
-        dec = core.hermitian_split(R - (J - J.T))
+        dec = core.hermitian_split(dropped_coupling_pair())
         audit = hc_index.equivalence_audit(dec)
         assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), 1)
         audit = hc_index.equivalence_audit(dec, rank_tol=1e-6)
