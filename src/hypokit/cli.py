@@ -46,14 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-#: The one rank rule of the staircase (``staircase`` module docstring).
-_TOL_RANK_HELP = (
-    "rank cut (default 1e-10): R keeps its eigenvalues >= tol * max|eig R|, each "
-    "staircase block its singular values >= tol * ||J||; a value within 10x of "
-    "its cut is reported as ambiguous. The power families share the cut of R"
-)
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="hypokit", description="hypocoercivity analysis toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -64,15 +56,16 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("analyze", help="index audit + stability + short-time fit", description=(
         "The staircase decides the index m; each coercive family reads m (resolved), "
         "unresolved or inconclusive from its levels m - 1 and m against the floor "
-        "eps^2 (m + 1) n, or none with no index. Exit 3 when a family is inconclusive "
-        "or a staircase rank decision is ambiguous."))
+        "eps^2 (m + 1) n, or none with no index. A family's kappa_m is null below "
+        "10 eps^2 n sum_j c_j^2, the roundoff of its unnormalized stack (block j times "
+        "c_j = ||sqrt R|| ||X||^j), which cannot resolve it. Exit 3 when a family is "
+        "inconclusive or a staircase rank decision (cut at 1e-10 times the norm of R "
+        "or J) is ambiguous."))
     sp.add_argument("--input", required=True)
-    sp.add_argument("--tol-rank", type=float, default=1e-10, help=_TOL_RANK_HELP)
     common(sp)
 
     sp = sub.add_parser("staircase", help="staircase form of the input pair")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--tol-rank", type=float, default=1e-10, help=_TOL_RANK_HELP)
     common(sp)
 
     sp = sub.add_parser("decay", help="propagator norm curve as CSV")
@@ -204,7 +197,7 @@ def _cmd_analyze(args) -> int:
 
     A = _load_matrix(args.input)
     dec = core.hermitian_split(A)
-    audit = hc_index.equivalence_audit(dec, rank_tol=args.tol_rank)
+    audit = hc_index.equivalence_audit(dec)
     stab = decay.stability_check(A)
     scale = max(core.spectral_norm(A), 1e-300)
     times = np.geomspace(1e-4 / scale, 10.0 / scale, 220)
@@ -227,7 +220,7 @@ def _cmd_staircase(args) -> int:
 
     A = _load_matrix(args.input)
     dec = core.hermitian_split(A)
-    form = build_staircase(dec.R, dec.J, rank_tol=args.tol_rank)
+    form = build_staircase(dec.R, dec.J)
     report = verify_staircase(form, dec.R, dec.J)
     out = form.to_json_dict()
     out["verification"] = report.to_json_dict()

@@ -272,9 +272,7 @@ def fit_short_time(curve: DecayCurve) -> ShortTimeFit:
     )
 
 
-def short_time_constant(
-    dec: core.OperatorDecomposition, m: int, rank_tol: float = 1e-10
-) -> float:
+def short_time_constant(dec: core.OperatorDecomposition, m: int) -> float:
     """Leading coefficient c of the short-time law 1 - c t^(2m+1) for index m.
 
     Evaluates the constrained minimum of ||sqrt(C_H) C^m x||^2 over the joint
@@ -288,7 +286,7 @@ def short_time_constant(
 
     if m < 0:
         raise PreconditionError("m must be nonnegative")
-    form = staircase.build_staircase(dec.R, dec.J, rank_tol)
+    form = staircase.build_staircase(dec.R, dec.J)
     B = form.basis[:, sum(form.block_dims[:m]) :]
     if B.shape[1] == 0:
         raise ContractViolationError(

@@ -40,6 +40,11 @@ lost in the roundoff of the power basis (E_40), which says nothing against m.
 
 A family's coercivity constant kappa_m is lambda_m of its unnormalized
 factors (S and X, or sqrt(R) and J), as in the paper; it decides nothing.
+Block j of that stack is the normalized block times c_j = ||sqrt(R)|| ||X||^j,
+so its roundoff floor is eps^2 n sum_j c_j^2.  A kappa_m below 10 times
+that floor is reported as None, since the stack cannot resolve it: on
+1e-12 E_8 every family resolves m = 7, but kappa_7 reads 0.0 or 1e-180
+against a floor of about 4e-43.
 """
 
 from __future__ import annotations
@@ -74,8 +79,9 @@ WITNESS_RTOL = 1e-8
 class IndexReport:
     """One family's check of the staircase index m = ``level`` (module
     docstring): its ``verdict``, the normalized levels m - 1 and m that
-    ``floor`` decided and kappa_m.  With no index, the verdict is "none",
-    the levels and the floor are None and kappa is 0.0."""
+    ``floor`` decided and kappa_m, None where its own stack cannot resolve
+    it.  With no index, the verdict is "none", the levels and the floor are
+    None and kappa is 0.0."""
 
     method: str
     verdict: str
@@ -83,7 +89,7 @@ class IndexReport:
     lambda_prev: float | None
     lambda_m: float | None
     floor: float | None
-    kappa: float
+    kappa: float | None
     rank_bound: int
 
     @property
@@ -152,7 +158,8 @@ def _family_checks(
         "j_powers": (S, J.conj().T, norm_J),
         "commutators": (cut.root() / top, J, norm_J),
     }
-    floor = np.finfo(float).eps ** 2 * (m + 1) * n
+    eps = np.finfo(float).eps
+    floor = eps**2 * (m + 1) * n
     reports = {}
     for method in methods:
         F, X, norm_X = factors[method]
@@ -164,8 +171,11 @@ def _family_checks(
         prev, lam = _levels(blocks, m0)
         verdict = ("inconclusive" if prev >= 10.0 * floor
                    else "resolved" if lam >= 10.0 * floor else "unresolved")
-        # the paper's factors, block j times top * ||X||^j; only level m is read
-        kappa = _levels([F * (top * norm_X**j) for j, F in enumerate(blocks)], m)[1]
+        # the paper's factors, block j times c_j = top * ||X||^j; only level m is read
+        scales = [top * norm_X**j for j in range(m + 1)]
+        kappa = _levels([F * c for F, c in zip(blocks, scales)], m)[1]
+        if kappa < 10.0 * eps**2 * n * sum(c * c for c in scales):
+            kappa = None  # below the roundoff of its own stack
         reports[method] = IndexReport(method, verdict, m, prev, lam, floor, kappa, m0)
     return reports
 
@@ -173,7 +183,7 @@ def _family_checks(
 def index_via_powers(dec: core.OperatorDecomposition, method: str = "c_powers_right") -> IndexReport:
     """The staircase index of C, checked by one family (module docstring).
 
-    The staircase and sqrt(R) are cut at the default rank_tol of 1e-10.
+    The staircase and sqrt(R) are cut at ``core.RANK_RTOL``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -192,12 +202,10 @@ def _defect_sweep(form: staircase.StaircaseForm) -> list[int]:
     return [sum(dims[m + 1 :]) for m in range(len(dims) - 1)]
 
 
-def _terminal_witness(
-    form: staircase.StaircaseForm, R, J, tol: float
-) -> ObstructionWitness | None:
+def _terminal_witness(form: staircase.StaircaseForm, R, J) -> ObstructionWitness | None:
     """Eigenvector of J on the terminal block (J-invariant, killed by R).
 
-    Residuals above max(tol, rank_tol) times ||J|| resp. ||R|| mean a wrong
+    Residuals above ``WITNESS_RTOL`` times ||J|| resp. ||R|| mean a wrong
     rank decision and raise NumericalError.
     """
     if form.terminal_dim == 0:
@@ -209,10 +217,9 @@ def _terminal_witness(
     lam = complex(np.vdot(v, J @ v))
     residual_J = float(np.linalg.norm(J @ v - lam * v))
     residual_R = float(np.linalg.norm(R @ v))
-    bound = max(tol, form.rank_tol)
     scale_J = max(core.spectral_norm(J), 1e-300)
     scale_R = max(core.spectral_norm(R), 1e-300)
-    if residual_J > bound * scale_J or residual_R > bound * scale_R:
+    if residual_J > WITNESS_RTOL * scale_J or residual_R > WITNESS_RTOL * scale_R:
         raise NumericalError(
             f"terminal-block witness fails its residual check "
             f"(||Jv - lambda v|| = {residual_J:.3g}, ||Rv|| = {residual_R:.3g})"
@@ -222,7 +229,7 @@ def _terminal_witness(
     )
 
 
-def kalman_kernel_defect(R, J, m: int, rank_tol: float = 1e-10) -> int:
+def kalman_kernel_defect(R, J, m: int) -> int:
     """Dimension of the joint kernel of sqrt(R) (J*)^j, j = 0..m.
 
     Read off the staircase form of (J, R): n minus the dimensions of its
@@ -231,7 +238,7 @@ def kalman_kernel_defect(R, J, m: int, rank_tol: float = 1e-10) -> int:
     """
     if m < 0:
         raise PreconditionError("m must be nonnegative")
-    dims = staircase.build_staircase(R, J, rank_tol).block_dims
+    dims = staircase.build_staircase(R, J).block_dims
     return sum(dims[min(m + 1, len(dims) - 1) :])
 
 
@@ -240,12 +247,12 @@ def eigenvector_obstruction(R, J) -> ObstructionWitness | None:
 
     Such a vector exists iff the staircase form of (J, R) has a nonzero
     terminal block; the witness is an eigenvector of J restricted to that
-    block, its residuals checked against max(WITNESS_RTOL, rank_tol) =
-    1e-8.  In finite dimensions a witness exists iff the Kalman spanning
-    condition fails at every level.
+    block, its residuals checked against ``WITNESS_RTOL`` = 1e-8.  In finite
+    dimensions a witness exists iff the Kalman spanning condition fails at
+    every level.
     """
     R, J = staircase._check_pair(R, J)
-    return _terminal_witness(staircase.build_staircase(R, J), R, J, WITNESS_RTOL)
+    return _terminal_witness(staircase.build_staircase(R, J), R, J)
 
 
 @dataclass
@@ -255,7 +262,7 @@ class AuditReport:
     that no family reads "inconclusive"."""
 
     index_per_method: dict[str, int | str | None]
-    kappa_per_method: dict[str, float]
+    kappa_per_method: dict[str, float | None]
     reports: dict[str, IndexReport] = field(repr=False)
     defect_sweep: list[int]
     obstruction: ObstructionWitness | None
@@ -278,19 +285,19 @@ class AuditReport:
         }
 
 
-def equivalence_audit(dec: core.OperatorDecomposition, rank_tol: float = 1e-10) -> AuditReport:
+def equivalence_audit(dec: core.OperatorDecomposition) -> AuditReport:
     """Index, defect sweep, obstruction and warnings from one staircase form
     (the index as method "staircase"), and the four families' checks of that
     index (module docstring).  An "inconclusive" family is reported, not
     raised: its values and floor are what is needed to diagnose it."""
-    form = staircase.build_staircase(dec.R, dec.J, rank_tol)
+    form = staircase.build_staircase(dec.R, dec.J)
     reports = _family_checks(dec, form)
     return AuditReport(
         index_per_method={**{k: rep.index for k, rep in reports.items()}, "staircase": form.index},
         kappa_per_method={method: rep.kappa for method, rep in reports.items()},
         reports=reports,
         defect_sweep=_defect_sweep(form),
-        obstruction=_terminal_witness(form, dec.R, dec.J, WITNESS_RTOL),
+        obstruction=_terminal_witness(form, dec.R, dec.J),
         agree=all(rep.verdict != "inconclusive" for rep in reports.values()),
         rank_bound=reports[METHODS[0]].rank_bound,
         warnings=list(form.warnings),

@@ -20,7 +20,6 @@ from .errors import (
     InvalidEntryError,
     NotPSDError,
     NumericalError,
-    PreconditionError,
     RangeError,
 )
 
@@ -298,33 +297,35 @@ class _PsdCut:
         return _symmetrized(S)
 
 
+#: The one relative rank cut: every rank decision reads a value below
+#: RANK_RTOL times the norm of the operator it comes from as zero (Paige
+#: 1981), so no decision changes when the pair is scaled.
+RANK_RTOL = 1e-10
+
+
 def _rank_cut(values: np.ndarray, cut: float) -> tuple[int, bool]:
     """The one rank rule: how many ``values`` reach ``cut``, and whether any
     |value| lies within a factor 10 of it (in [cut / 10, 10 cut]).
 
-    Every cut is ``rank_tol`` times the norm of the operator the values come
-    from (Paige 1981), so a decision does not change when the pair is scaled.
-    ``_psd_cut`` applies it to the eigenvalues of R, and the staircase builder
-    and its verifier to the singular values of each subdiagonal block.
+    Every cut is ``RANK_RTOL`` times the norm of the operator the values come
+    from.  ``_psd_cut`` applies it to the eigenvalues of R, and the staircase
+    builder and its verifier to the singular values of each subdiagonal block.
     """
     near = (np.abs(values) >= 0.1 * cut) & (np.abs(values) <= 10.0 * cut)
     return int(np.count_nonzero(values >= cut)), bool(near.any())
 
 
-def _psd_cut(R, rank_tol: float = 1e-10) -> _PsdCut:
+def _psd_cut(R) -> _PsdCut:
     """The one decision "is R PSD, and which of its eigenvalues are zero".
 
     With s = max|w| over the eigenvalues w of (R + R*)/2, an eigenvalue below
-    -rank_tol * s raises ``NotPSDError`` and the rank is ``_rank_cut`` at
-    rank_tol * s.  The staircase (its block 0 and its kernel count), the power
-    families' sqrt(R) and every accretivity check read this cut, so this is
-    where a ``rank_tol`` outside (0, 1) raises ``PreconditionError``.
+    -RANK_RTOL * s raises ``NotPSDError`` and the rank is ``_rank_cut`` at
+    RANK_RTOL * s.  The staircase (its block 0 and its kernel count), the
+    families' factors and every accretivity check read this cut.
     """
-    if not 0.0 < rank_tol < 1.0:
-        raise PreconditionError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     R = as_matrix(R, square=True)
     w, V = np.linalg.eigh(_symmetrized(R))
-    cut = rank_tol * max(abs(w[0]), abs(w[-1]), 1e-300)
+    cut = RANK_RTOL * max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[0] < -cut:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {w[0]:.3g} < -{cut:.3g}")
     rank, ambiguous = _rank_cut(w, cut)
@@ -333,7 +334,7 @@ def _psd_cut(R, rank_tol: float = 1e-10) -> _PsdCut:
 
 def psd_sqrt(R) -> np.ndarray:
     """Hermitian square root S >= 0 of a PSD Hermitian R, cut as ``_psd_cut``
-    at its default rank_tol of 1e-10.
+    at RANK_RTOL = 1e-10.
 
     With s = max|eigenvalue of R|, eigenvalues in (-1e-10 s, 1e-10 s) are
     read as zero, so S has the rank of that cut and S @ S = R up to 1e-10 s.

@@ -13,13 +13,14 @@ One rank rule (``core._rank_cut``) decides every rank, against the norm of
 the operator in question, so the form does not change when (R, J) is scaled
 by s > 0:
 
-- R keeps the eigenvalues at or above rank_tol * max|eigenvalue of R|;
+- R keeps the eigenvalues at or above RANK_RTOL * max|eigenvalue of R|;
 - a subdiagonal block keeps the singular values at or above
-  rank_tol * ||J||, and a block of rank 0 ends the chain;
+  RANK_RTOL * ||J||, and a block of rank 0 ends the chain;
 - a value within a factor 10 of its cut (in [cut / 10, 10 cut]) is reported
   in ``warnings`` as ambiguous.
 
-``verify_staircase`` checks the subdiagonal blocks with the same rule.
+RANK_RTOL = 1e-10 is the fixed cut of ``core``.  ``verify_staircase``
+checks the subdiagonal blocks with the same rule.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class StaircaseForm:
     block_dims: list[int]
     J_hat: np.ndarray
     R_hat: np.ndarray
-    rank_tol: float
     warnings: list[str] = field(default_factory=list)
     #: The cut of R that made block 0, kept for the power families' sqrt(R).
     r_cut: core._PsdCut | None = field(default=None, repr=False)
@@ -93,20 +93,20 @@ def _check_pair(R, J):
     return R, J
 
 
-def build_staircase(R, J, rank_tol: float = 1e-10) -> StaircaseForm:
+def build_staircase(R, J) -> StaircaseForm:
     """Construct the staircase form of (J, R) by the rank rule of the module
     docstring.
 
     Block 0 is the kept range of R from ``core._psd_cut``, which rejects an R
-    that is not PSD at the same tolerance.  Each later block is the range of
-    the connecting block, cut at rank_tol * ||J||.
+    that is not PSD at the same cut.  Each later block is the range of the
+    connecting block, cut at RANK_RTOL * ||J||.
     """
     R, J = _check_pair(R, J)
     n = R.shape[0]
-    cut_J = rank_tol * max(core.spectral_norm(J), 1e-300)
+    cut_J = core.RANK_RTOL * max(core.spectral_norm(J), 1e-300)
     warnings: list[str] = []
 
-    r_cut = core._psd_cut(R, rank_tol)
+    r_cut = core._psd_cut(R)
     if r_cut.ambiguous:
         warnings.append("rank decision for the Hermitian part is within 10x of rank_tol")
     k = n - r_cut.rank
@@ -138,7 +138,6 @@ def build_staircase(R, J, rank_tol: float = 1e-10) -> StaircaseForm:
         block_dims=[b.shape[1] for b in blocks],
         J_hat=J_hat,
         R_hat=R_hat,
-        rank_tol=rank_tol,
         warnings=warnings,
         r_cut=r_cut,
     )
@@ -162,16 +161,16 @@ class StaircaseReport:
         }
 
 
-#: Scale-relative bound on the residuals that ``verify_staircase`` checks.
+#: Scale-relative bound on the reconstruction residuals of ``verify_staircase``.
 VERIFY_RTOL = 1e-10
 
 
 def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     """Check all staircase invariants and the reconstruction of (R, J).
 
-    Both reconstructions must hold to ``VERIFY_RTOL`` = 1e-10 times ||J||
-    resp. max|eigenvalue of R|, and the J pattern and the R corner (where the
-    builder leaves what it cut) to max(VERIFY_RTOL, rank_tol) times those.
+    The J pattern and the R corner, where the builder leaves what it cut,
+    must hold to its cut, ``core.RANK_RTOL`` times ||J|| resp. max|eigenvalue
+    of R|, and both reconstructions to ``VERIFY_RTOL`` = 1e-10 times those.
     The basis must be unitary to 1e-12, and each subdiagonal block must keep
     full row rank under the builder's rank rule (module docstring).  A nonzero
     terminal block implies the pair is not hypocoercive; the converse
@@ -181,9 +180,8 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     n = R.shape[0]
     Q = form.basis
     scale_J = max(core.spectral_norm(J), 1e-300)
-    r_cut = core._psd_cut(R, form.rank_tol)
+    r_cut = core._psd_cut(R)
     scale_R = max(float(np.abs(r_cut.w).max()), 1e-300)
-    pattern_tol = max(VERIFY_RTOL, form.rank_tol)
     checks: dict[str, tuple[bool, float]] = {}
 
     res = core.spectral_norm(Q.conj().T @ Q - np.eye(n))
@@ -200,12 +198,12 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     bi, bj = b[:, None], b[None, :]
     outside = (np.abs(bi - bj) >= 2) | (bi + bj == 2 * s - 3)
     off = float(np.abs(form.J_hat[: b.size, : b.size][outside]).max(initial=0.0))
-    checks["J_pattern"] = (off <= pattern_tol * scale_J, off)
+    checks["J_pattern"] = (off <= core.RANK_RTOL * scale_J, off)
 
     corner = form.R_hat.copy()
     corner[slices[0], slices[0]] = 0.0
     res = float(np.abs(corner).max()) if corner.size else 0.0
-    checks["R_corner"] = (res <= pattern_tol * scale_R, res)
+    checks["R_corner"] = (res <= core.RANK_RTOL * scale_R, res)
 
     surj_ok, worst = True, np.inf
     for i in range(1, s - 1):
@@ -214,7 +212,7 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
             continue
         sv = np.linalg.svd(blk, compute_uv=False)
         smin = float(sv[min(blk.shape) - 1]) if min(blk.shape) > 0 else 0.0
-        surj_ok &= core._rank_cut(sv, form.rank_tol * scale_J)[0] == blk.shape[0]
+        surj_ok &= core._rank_cut(sv, core.RANK_RTOL * scale_J)[0] == blk.shape[0]
         worst = min(worst, smin)
     checks["subdiagonal_surjective"] = (surj_ok, 0.0 if np.isinf(worst) else worst)
 

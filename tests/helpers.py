@@ -1,5 +1,5 @@
 """Shared test helpers: random accretive instances, planted staircase and
-obstruction pairs, a pair whose weak coupling a coarse rank cut drops, the
+obstruction pairs, a pair whose weak coupling the rank cut drops, the
 benchmark's planted pairs, the CLI command shapes and the physical Lorentz
 velocity matrices."""
 
@@ -90,11 +90,11 @@ def forced_obstruction_pair(rng, n):
 
 def dropped_coupling_pair() -> np.ndarray:
     """C = R - J with R = diag(1, 1, 0, 0) and J coupling e0 -> e2 at 1,
-    e1 -> e3 at 1e-8 and e2 -> e3 at 1.  The index is 1; a rank cut of 1e-6
-    drops the weak coupling, so the staircase then reads 2 while every
-    family is coercive at level 1."""
+    e1 -> e3 at 1e-12 and e2 -> e3 at 1.  The index is 1, but the rank cut
+    (1e-10 ||J||, with ||J|| = sqrt(2)) drops the weak coupling, so the
+    staircase reads 2 while every family is coercive at level 1."""
     J = np.zeros((4, 4))
-    J[2, 0], J[3, 1], J[3, 2] = 1.0, 1e-8, 1.0
+    J[2, 0], J[3, 1], J[3, 2] = 1.0, 1e-12, 1.0
     return np.diag([1.0, 1.0, 0.0, 0.0]) - (J - J.T)
 
 

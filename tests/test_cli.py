@@ -130,7 +130,7 @@ def test_analyze_ek40_reports_the_disagreement(tmp_path):
 
 
 def test_analyze_exits_3_when_a_family_is_inconclusive(tmp_path):
-    rc, audit = _analyze(tmp_path, dropped_coupling_pair(), "--tol-rank", "1e-6")
+    rc, audit = _analyze(tmp_path, dropped_coupling_pair())
     assert rc == 3 and audit["agree"] is False
     assert audit["index_per_method"]["staircase"] == 2
     assert {check["verdict"] for check in audit["family_checks"].values()} == {"inconclusive"}
@@ -199,9 +199,6 @@ def test_decay_overflow_is_a_numerical_failure(tmp_path, capsys):
         ["lorentz", "simulate", "--random", "--tmax", "inf"],
         # about 71 PiB: numpy refuses the allocation at once
         ["lorentz", "kappa", "--M", "100000000"],
-        # a relative rank cut outside (0, 1) decides nothing
-        *([command, "--tol-rank", tol] for command in ("analyze", "staircase")
-          for tol in ("inf", "nan", "0", "-1", "1")),
     ],
     ids=" ".join,
 )
@@ -212,6 +209,16 @@ def test_invalid_sizes_exit_1_without_traceback(tmp_path, capsys, argv):
         argv = [*argv, "--input", str(src)]
     assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 1
     assert "hypokit: invalid input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("analyze", "--tol-rank"), ("staircase", "--tol-rank"),
+    ("analyze", "--tol-kappa"), ("analyze", "--m-max"),
+])
+def test_fixed_cuts_are_not_options(tmp_path, capsys, command, option):
+    # the rank cut is core.RANK_RTOL, the families' floor and level are fixed
+    assert _run(tmp_path, command, gallery.ck_matrix(2), option, "5") == 1
+    assert f"hypokit: unrecognized arguments: {option} 5" in capsys.readouterr().err
 
 
 _GOOD_COEFF = {"n": [0, 1], "j": 1, "re": 1.0, "im": 0.0}

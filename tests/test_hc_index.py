@@ -15,12 +15,13 @@ def _rj(C):
     return dec.R, dec.J
 
 
-def stacked_svd_defect(R, J, m, rank_tol=1e-10):
+def stacked_svd_defect(R, J, m):
     """Reference Kalman defect: n - rank [S; S J*; ...; S (J*)^m], S = sqrt(R).
 
-    Independent of the staircase: the PSD root shares the rank cut, and the
-    rank of the stacked matrix is cut relative to its top singular value.
+    Independent of the staircase: the PSD root shares the rank cut 1e-10, and
+    the rank of the stacked matrix is cut relative to its top singular value.
     """
+    rank_tol = 1e-10
     n = R.shape[0]
     w, V = np.linalg.eigh(R)
     w = np.where(w >= rank_tol * max(w[-1], 0.0), w, 0.0)
@@ -197,11 +198,9 @@ class TestEigenvectorObstruction:
         # must refuse it instead of returning an unverified vector
         R = np.diag([1.0, 0.0]).astype(complex)
         J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-        form = StaircaseForm(
-            basis=np.eye(2, dtype=complex), block_dims=[1, 1], J_hat=J, R_hat=R, rank_tol=1e-10
-        )
+        form = StaircaseForm(basis=np.eye(2, dtype=complex), block_dims=[1, 1], J_hat=J, R_hat=R)
         with pytest.raises(errors.NumericalError):
-            hc_index._terminal_witness(form, R, J, hc_index.WITNESS_RTOL)
+            hc_index._terminal_witness(form, R, J)
 
     def test_matches_kalman_rank(self):
         rng = np.random.default_rng(17)
@@ -264,13 +263,30 @@ class TestEquivalenceAudit:
         assert audit.obstruction is not None and audit.agree
 
     def test_family_coercive_below_the_index_is_inconclusive(self):
-        dec = core.hermitian_split(dropped_coupling_pair())
-        audit = hc_index.equivalence_audit(dec)
-        assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), 1)
-        audit = hc_index.equivalence_audit(dec, rank_tol=1e-6)
+        # the cut drops the 1e-12 coupling, so the staircase reads 2, but
+        # every family is coercive at level 1 far above its floor
+        audit = hc_index.equivalence_audit(core.hermitian_split(dropped_coupling_pair()))
         assert audit.index_per_method["staircase"] == 2 and not audit.agree
         for rep in audit.reports.values():
             assert rep.index == "inconclusive" and rep.lambda_prev >= 10 * rep.floor
+
+    @pytest.mark.parametrize("C, resolved", [
+        (1e-12 * gallery.ek_matrix(8), False), (gallery.ek_matrix(40), False),
+        (gallery.ek_matrix(8), True), (gallery.ck_matrix(2), True),
+    ], ids=["1e-12_ek_8", "ek_40", "ek_8", "ck_2"])
+    def test_kappa_below_the_roundoff_of_its_stack_is_none(self, C, resolved):
+        # 1e-12 E_8 resolves m = 7 in every family, but its kappa_7 is lost
+        # below eps^2 n sum_j c_j^2, as is every kappa of the unresolved E_40
+        dec = core.hermitian_split(C)
+        audit = hc_index.equivalence_audit(dec)
+        eps, top = np.finfo(float).eps, np.sqrt(np.linalg.eigvalsh(dec.R)[-1])
+        for method, rep in audit.reports.items():
+            norm_X = np.linalg.norm(dec.J if method in ("j_powers", "commutators") else dec.C, 2)
+            floor = eps**2 * dec.dim * sum((top * norm_X**j) ** 2 for j in range(rep.level + 1))
+            if resolved:
+                assert rep.kappa >= 1e3 * floor, method
+            else:
+                assert rep.kappa is None and audit.kappa_per_method[method] is None, method
 
     def test_planted_staircase_index_four(self):
         R, J = planted_staircase_pair(np.random.default_rng(22), [12] * 5)
@@ -296,12 +312,12 @@ class TestEquivalenceAudit:
         assert audit.rank_bound == 9 and audit.defect_sweep.index(0) == 9
         assert audit.agree
 
-    @pytest.mark.parametrize("rank_tol, index", [(1e-6, 1), (1e-10, 0)])
-    def test_families_follow_the_rank_cut_of_R(self, rank_tol, index):
-        # R's small eigenvalue 1e-8 is a kernel direction at rank_tol = 1e-6
-        # (J then couples it in one step) and a coercive one at 1e-10
-        C = np.diag([1.0, 1e-8]) - np.array([[0.0, -1.0], [1.0, 0.0]])
-        audit = hc_index.equivalence_audit(core.hermitian_split(C), rank_tol=rank_tol)
+    @pytest.mark.parametrize("small, index", [(1e-12, 1), (1e-8, 0)])
+    def test_families_follow_the_rank_cut_of_R(self, small, index):
+        # R's small eigenvalue is a kernel direction below the cut 1e-10
+        # (J then couples it in one step) and a coercive one above it
+        C = np.diag([1.0, small]) - np.array([[0.0, -1.0], [1.0, 0.0]])
+        audit = hc_index.equivalence_audit(core.hermitian_split(C))
         assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), index)
         assert audit.agree
 

@@ -472,6 +472,21 @@ class TestSimulate:
                 ref = scipy_linalg.expm(-C * t) @ field.coeffs[n1 + 2, n2 + 2]
                 np.testing.assert_allclose(out.coeffs[n1 + 2, n2 + 2], ref, rtol=0, atol=1e-12)
 
+    def test_one_overflow_guard_per_step_length(self, monkeypatch):
+        # every modal generator R - n K has the symmetric part R, so one
+        # guard covers all magnitudes; N = 0 has no generator to guard
+        calls = []
+        guard = core._check_exp_range
+        monkeypatch.setattr(core, "_check_exp_range", lambda A, t: calls.append(t) or guard(A, t))
+        rand = lorentz.LorentzField.random(np.random.default_rng(3), 2, 6)
+        for field, ts, lengths in ((rand, np.linspace(0.0, 3.0, 7), 1),
+                                   (rand, np.linspace(0.4, 3.0, 6), 2),
+                                   (rand, [0.1, 0.3, 1.0], 3),
+                                   (lorentz.LorentzField(0, 6), np.linspace(0.0, 3.0, 7), 0)):
+            calls.clear()
+            lorentz.simulate_curve(field, ts)
+            assert len(calls) == lengths
+
     def test_zero_mode_velocity_relaxation(self):
         field = lorentz.LorentzField(1, 4)
         field[0, 0, 3] = 1.0

@@ -15,21 +15,21 @@ from helpers import bench_planted_pair, random_accretive, random_unitary
 SCALES = (1e-12, 1e-6, 1.0, 1e6)
 
 
-def _weak_coupling_pair():
-    """(R, J) whose first coupling block has singular values [1e-4, 1e-12]
-    next to ||J|| = 1e3."""
+def _weak_coupling_pair(weak=1e-12):
+    """(R, J) whose first coupling block has singular values [1e-4, weak]
+    next to ||J|| = 1e3, so a cut of 1e-7."""
     R = np.diag([1.0, 1.0, 0.0, 0.0, 0.0])
     J = np.zeros((5, 5))
-    J[2, 0], J[3, 1], J[4, 2] = 1e-4, 1e-12, 1e3
+    J[2, 0], J[3, 1], J[4, 2] = 1e-4, weak, 1e3
     return R, J - J.T
 
 
-def _two_weak_couplings_pair():
-    """(R, J) coupling e0 -> e2 at 1e-4 and e1 -> e3 at 1e-8, with a 1e3 skew
-    pair on (e3, e4)."""
+def _two_weak_couplings_pair(first=1e-4):
+    """(R, J) coupling e0 -> e2 at ``first`` and e1 -> e3 at 1e-8, with a 1e3
+    skew pair on (e3, e4), so a cut of 1e-7."""
     R = np.diag([1.0, 1.0, 0.0, 0.0, 0.0])
     J = np.zeros((5, 5))
-    J[2, 0], J[3, 1], J[4, 3] = 1e-4, 1e-8, 1e3
+    J[2, 0], J[3, 1], J[4, 3] = first, 1e-8, 1e3
     return R, J - J.T
 
 
@@ -97,16 +97,35 @@ def test_verifier_accepts_the_weak_coupling_in_a_random_basis():
     assert verify_staircase(build_staircase(R, J), R, J).ok
 
 
-@pytest.mark.parametrize("rank_tol, dims", [(1e-6, [2, 3]), (1e-10, [2, 1, 2])])
-def test_verifier_bounds_the_pattern_by_the_builders_cut(rank_tol, dims):
-    # at rank_tol = 1e-6 both couplings (1e-4 and 1e-8) lie below the cut
-    # 1e-3 and stay in the J pattern, which the verifier must then accept
-    R, J = _two_weak_couplings_pair()
-    form = build_staircase(R, J, rank_tol)
+@pytest.mark.parametrize("first, dims, off", [(5e-8, [2, 3], 5e-8), (1e-4, [2, 1, 2], 1e-8)])
+def test_verifier_bounds_the_pattern_by_the_builders_cut(first, dims, off):
+    # at first = 5e-8 both couplings lie below the cut 1e-7 and stay in the
+    # J pattern, which the verifier must then accept
+    R, J = _two_weak_couplings_pair(first)
+    form = build_staircase(R, J)
     assert form.block_dims == dims
     report = verify_staircase(form, R, J)
     assert report.ok, report.failures
-    assert report.checks["J_pattern"][1] == pytest.approx(1e-4 if rank_tol == 1e-6 else 1e-8)
+    assert report.checks["J_pattern"][1] == pytest.approx(off)
+
+
+def test_verifier_refuses_a_pattern_entry_above_the_cut():
+    # the form of the pair whose couplings both lie below the cut 1e-7, with
+    # one of them raised to 2e-7 in J_hat
+    R, J = _two_weak_couplings_pair(5e-8)
+    form = build_staircase(R, J)
+    form.J_hat[np.isclose(np.abs(form.J_hat), 5e-8, rtol=1e-6, atol=0.0)] *= 4.0
+    assert "J_pattern" in verify_staircase(form, R, J).failures
+
+
+@pytest.mark.parametrize("small, psd", [(-5e-11, True), (-2e-10, False)])
+def test_psd_cut_admits_a_negative_eigenvalue_only_within_the_cut(small, psd):
+    R = np.diag([1.0, small])
+    if psd:
+        assert core._psd_cut(R).rank == 1
+    else:
+        with pytest.raises(errors.NotPSDError):
+            core._psd_cut(R)
 
 
 def test_analyze_prints_the_staircase_warnings(tmp_path):
@@ -126,10 +145,9 @@ def test_analyze_prints_the_staircase_warnings(tmp_path):
 
 
 def test_a_value_near_the_cut_is_reported_where_it_ends_the_chain():
-    R, J = PAIRS["weak_coupling"]
-    form = build_staircase(R, J, rank_tol=2e-18)  # cut 2e-15 = 2e-18 ||J||: 1e-12 kept
-    assert form.block_dims == [2, 2, 1, 0]
-    form = build_staircase(R, J, rank_tol=2e-15)  # cut 2e-12: 1e-12 in the band
+    form = build_staircase(*_weak_coupling_pair(5e-5))  # 500x the cut 1e-7: kept
+    assert form.block_dims == [2, 2, 1, 0] and form.warnings == []
+    form = build_staircase(*_weak_coupling_pair(5e-8))  # in the band: dropped
     assert form.block_dims == [2, 1, 1, 1]
     assert form.warnings == ["rank decision at block 2 is within 10x of rank_tol"]
 
@@ -149,9 +167,9 @@ def test_pair_checks_are_relative_to_the_operator(s):
 def test_failed_witness_raises_at_every_scale(s):
     # a terminal block that is not J-invariant: ||J v - lambda v|| = s
     R, J = s * np.diag([1.0, 0.0]), s * np.array([[0.0, -1.0], [1.0, 0.0]])
-    form = StaircaseForm(basis=np.eye(2), block_dims=[1, 1], J_hat=J, R_hat=R, rank_tol=1e-10)
+    form = StaircaseForm(basis=np.eye(2), block_dims=[1, 1], J_hat=J, R_hat=R)
     with pytest.raises(errors.NumericalError):
-        hc_index._terminal_witness(form, R, J, hc_index.WITNESS_RTOL)
+        hc_index._terminal_witness(form, R, J)
 
 
 def test_cli_on_scaled_ek8(tmp_path):
@@ -167,3 +185,5 @@ def test_cli_on_scaled_ek8(tmp_path):
     audit = json.loads(out.read_text())["audit"]
     assert audit["obstruction"] is None
     assert audit["index_per_method"] == dict.fromkeys((*hc_index.METHODS, "staircase"), 7)
+    # kappa_7 (1e-180 or 0.0) lies below the roundoff of its stack, about 4e-43
+    assert audit["kappa_per_method"] == dict.fromkeys(hc_index.METHODS, None)

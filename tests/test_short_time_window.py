@@ -45,7 +45,7 @@ def _with_min_eig(rng, n, ratio) -> np.ndarray:
 
 def _oscillating() -> np.ndarray:
     """A damped non-normal rotation beside a coercive mode.  lambda_min(R) is
-    -0.009 * ||R||, so a rank tolerance of 0.1 admits it.  Its norm dips
+    -0.009 * ||R||, far below the rank cut: it is not accretive.  Its norm dips
     below 1 and climbs back above it, so the search needs the growth rate mu."""
     a, b = 1e-3, 1.01
     return np.array([[a, b, 0.0], [-1.0 / b, a, 0.0], [0.0, 0.0, 1.0]])
@@ -63,7 +63,7 @@ CASES = {
     "near_psd": lambda: _with_min_eig(np.random.default_rng(3), 12, -5e-11),
     "non_accretive": _oscillating,
     # seeded small random pairs: accretive, lambda_min(R) just below 0 (inside
-    # the default rank tolerance), and non-accretive beyond it (inside 0.1)
+    # the rank cut), and non-accretive beyond it
     **{f"random{n}_accretive":
        (lambda n=n: random_accretive(np.random.default_rng(100 + n), n).C) for n in RANDOM_SIZES},
     **{f"random{n}_near_psd":
@@ -116,11 +116,9 @@ class TestWindowEqualsFullGrid:
                 for C in (CASES[name]() for name in ("ck_3", "planted60", "ek_16", "skew"))]
         assert [isinstance(f, str) for f in fits] == [False, False, True, True]
 
-    def test_non_accretive_case_is_admitted_only_by_a_loose_rank_tolerance(self):
-        R = core.hermitian_split(_oscillating()).R
-        core._psd_cut(R, 0.1)
+    def test_non_accretive_case_is_refused_by_the_cut(self):
         with pytest.raises(errors.NotPSDError):
-            core._psd_cut(R, 1e-10)
+            core._psd_cut(core.hermitian_split(_oscillating()).R)
         full = decay.propagator_norm_curve(_oscillating(), _analyze_grid(_oscillating()))
         assert full.norms.max() > 1.0 and full.norms[-1] > full.norms.min()
 

@@ -70,7 +70,7 @@ class TestBuildStaircase:
 
     @pytest.mark.parametrize("small, flagged", [(3e-10, True), (1e-6, False)])
     def test_ambiguous_cut_of_R_is_flagged(self, small, flagged):
-        # an eigenvalue of R within 10x of rank_tol * ||R|| gets a warning
+        # an eigenvalue of R within 10x of RANK_RTOL * ||R|| gets a warning
         R = np.diag([1.0, small])
         form = build_staircase(R, np.array([[0.0, -1.0], [1.0, 0.0]]))
         warning = "rank decision for the Hermitian part is within 10x of rank_tol"
