@@ -1,10 +1,10 @@
 """Worked example operators with closed-form ground truth.
 
 Two families carry most of the load: the 2x2 rotation-plus-leak matrices
-(index 1, explicit propagator norm, explicit short-time constant k^2/12) and
-the k x k shift-plus-corner matrices (index k-1, spectral gap <= 1/k).  The
-remaining constructors realize finite sections of the block-diagonal and
-compact-collision counterexamples.
+(index 1, with a closed-form propagator norm and short-time constant k^2/12
+that the tests check against) and the k x k shift-plus-corner matrices
+(index k-1, spectral gap <= 1/k).  The remaining constructors realize finite
+sections of the block-diagonal and compact-collision counterexamples.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,8 +24,6 @@ __all__ = [
     "make_example",
     "ck_matrix",
     "ek_matrix",
-    "ck_closed_form_norm",
-    "ck_short_time_constant_exact",
     "RescaleReport",
     "ek_rescale_factor",
 ]
@@ -127,42 +124,6 @@ def make_example(name: str, **params) -> np.ndarray:
             )
         scaled.append(rep.r * ek_matrix(k))
     return _blockdiag(scaled)
-
-
-def ck_closed_form_norm(k: int, t):
-    """Exact propagator norm of the 2x2 family: sqrt(e^-t m_+(t)).
-
-    m_+ is the larger eigenvalue of e^t P(t)*P(t), written through
-    delta = sqrt(4k^2 - 1) and alpha = 1/(2k); the two eigenvalue branches
-    touch periodically, which is where the norm has its kinks.
-    """
-    if k < 1:
-        raise PreconditionError("k must be at least 1")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise PreconditionError("t must be nonnegative")
-    delta = math.sqrt(4.0 * k * k - 1.0)
-    alpha = 1.0 / (2.0 * k)
-    A = (1.0 - alpha**2 * np.cos(delta * t)) / (1.0 - alpha**2)
-    m_plus = np.sqrt(np.maximum(A * A - 1.0, 0.0)) + A
-    out = np.sqrt(np.exp(-t) * m_plus)
-    return float(out) if out.ndim == 0 else out
-
-
-def ck_short_time_constant_exact(k: int) -> Fraction:
-    """Exact rational short-time constant of the 2x2 family.
-
-    The kernel of the Hermitian part is spanned by the first basis vector,
-    so the constrained minimum is a single rational quadratic form; the
-    normalization is 3! * binom(2,1) = 12.
-    """
-    if k < 1:
-        raise PreconditionError("k must be at least 1")
-    C = [[Fraction(0), Fraction(k)], [Fraction(-k), Fraction(1)]]
-    x = [Fraction(1), Fraction(0)]  # spans ker of the Hermitian part diag(0, 1)
-    v = [C[0][0] * x[0] + C[0][1] * x[1], C[1][0] * x[0] + C[1][1] * x[1]]
-    quad = v[1] * v[1]  # <v, diag(0,1) v>
-    return quad / (math.factorial(3) * math.comb(2, 1))
 
 
 @dataclass

@@ -5,6 +5,13 @@ input stays real as float64 and everything else becomes complex128, so a
 real matrix, such as a real parity block of a Lorentz mode, is exponentiated,
 factored and normed in real arithmetic.  Results agree with the same call on
 the complexified input up to roundoff.
+
+One Hermitian test (``_hermitian``) guards every input that must be
+Hermitian: ``min_eig_hermitian``, ``psd_sqrt`` and the cut of R behind the
+staircase and the index, and the pair (R, J) of ``staircase``, whose skew J
+is tested as the Hermitian 1j*J.  It rejects A when its distance to the
+Hermitian part, ||A - A*||_F / 2, exceeds 1e-8 times the largest column
+2-norm of A; a smaller asymmetry is roundoff and is symmetrized away.
 """
 
 from __future__ import annotations
@@ -252,31 +259,28 @@ def _symmetrized(A) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def _asymmetry(A: np.ndarray) -> tuple[float, float]:
-    """Cheap Hermitian test data: (||A - A*||_F, largest column 2-norm of A).
+def _hermitian(A, message: str) -> np.ndarray:
+    """``as_matrix(A, square=True)`` if A passes the one Hermitian test of the
+    module docstring, else ``ContractViolationError`` starting with ``message``.
 
-    Callers reject when the first exceeds a tolerance times the second.  That
-    is never looser than the same test with spectral norms on both sides,
-    since ||X||_2 <= ||X||_F and the largest column norm is at most ||A||_2,
-    and it needs no SVD.  A skew J is tested as the Hermitian 1j*J.
+    The test is never looser than the same one with spectral norms on both
+    sides, since ||X||_2 <= ||X||_F and the largest column norm is at most
+    ||A||_2, and it needs no SVD.
     """
-    return float(np.linalg.norm(A - A.conj().T)), float(np.linalg.norm(A, axis=0).max())
+    A = as_matrix(A, square=True)
+    asym = float(np.linalg.norm(A - A.conj().T)) / 2.0
+    scale = float(np.linalg.norm(A, axis=0).max())
+    if asym > 1e-8 * scale:
+        raise ContractViolationError(
+            f"{message}: asymmetry {asym:.3g} exceeds 1e-8 * column norm {scale:.3g}"
+        )
+    return A
 
 
 def min_eig_hermitian(A) -> float:
-    """Smallest eigenvalue of the symmetrized matrix (A + A*) / 2.
-
-    Rejects input whose asymmetry ||A - A*||_F / 2 exceeds 1e-8 times its
-    largest column norm; smaller asymmetries are treated as roundoff and
-    symmetrized away.
-    """
-    A = as_matrix(A, square=True)
-    asym, scale = _asymmetry(A)
-    if asym / 2.0 > 1e-8 * scale:
-        raise ContractViolationError(
-            f"matrix is not Hermitian: asymmetry {asym / 2.0:.3g} exceeds "
-            f"1e-8 * column norm {scale:.3g}"
-        )
+    """Smallest eigenvalue of the symmetrized matrix (A + A*) / 2, for an A
+    that passes the one Hermitian test (module docstring)."""
+    A = _hermitian(A, "matrix is not Hermitian")
     return float(np.linalg.eigvalsh(_symmetrized(A))[0])
 
 
@@ -321,9 +325,11 @@ def _psd_cut(R) -> _PsdCut:
     With s = max|w| over the eigenvalues w of (R + R*)/2, an eigenvalue below
     -RANK_RTOL * s raises ``NotPSDError`` and the rank is ``_rank_cut`` at
     RANK_RTOL * s.  The staircase (its block 0 and its kernel count), the
-    families' factors and every accretivity check read this cut.
+    families' factors and every accretivity check read this cut.  An R that
+    fails the one Hermitian test (module docstring) raises
+    ``ContractViolationError``.
     """
-    R = as_matrix(R, square=True)
+    R = _hermitian(R, "R is not Hermitian")
     w, V = np.linalg.eigh(_symmetrized(R))
     cut = RANK_RTOL * max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[0] < -cut:
@@ -338,7 +344,8 @@ def psd_sqrt(R) -> np.ndarray:
 
     With s = max|eigenvalue of R|, eigenvalues in (-1e-10 s, 1e-10 s) are
     read as zero, so S has the rank of that cut and S @ S = R up to 1e-10 s.
-    An eigenvalue below -1e-10 s raises ``NotPSDError``.
+    An eigenvalue below -1e-10 s raises ``NotPSDError``, and an R that fails
+    the one Hermitian test ``ContractViolationError``.
     """
     return _psd_cut(R).root()
 

@@ -21,6 +21,10 @@ by s > 0:
 
 RANK_RTOL = 1e-10 is the fixed cut of ``core``.  ``verify_staircase``
 checks the subdiagonal blocks with the same rule.
+
+Both functions take R and J only if R and the Hermitian 1j*J pass the one
+Hermitian test of ``operator_core`` (its module docstring), and raise
+``ContractViolationError`` otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operator_core as core
-from .errors import ContractViolationError, DimensionError
+from .errors import DimensionError
 
 __all__ = ["StaircaseForm", "StaircaseReport", "build_staircase", "verify_staircase"]
 
@@ -80,16 +84,14 @@ class StaircaseForm:
 
 
 def _check_pair(R, J):
+    """(R, J) as matrices of one shape, R and the Hermitian 1j*J checked by the
+    one Hermitian test of ``operator_core``; a real J stays real."""
     R = core.as_matrix(R, square=True)
     J = core.as_matrix(J, square=True)
     if R.shape != J.shape:
         raise DimensionError(f"shape mismatch: R is {R.shape}, J is {J.shape}")
-    asym, scale = core._asymmetry(R)
-    if asym > 1e-8 * max(scale, 1e-300):
-        raise ContractViolationError("R is not Hermitian")
-    asym, scale = core._asymmetry(1j * J)
-    if asym > 1e-8 * max(scale, 1e-300):
-        raise ContractViolationError("J is not skew-Hermitian")
+    core._hermitian(R, "R is not Hermitian")
+    core._hermitian(1j * J, "J is not skew-Hermitian")
     return R, J
 
 
@@ -99,7 +101,8 @@ def build_staircase(R, J) -> StaircaseForm:
 
     Block 0 is the kept range of R from ``core._psd_cut``, which rejects an R
     that is not PSD at the same cut.  Each later block is the range of the
-    connecting block, cut at RANK_RTOL * ||J||.
+    connecting block, cut at RANK_RTOL * ||J||.  The pair must pass the one
+    Hermitian test (module docstring); real R and J give a real form.
     """
     R, J = _check_pair(R, J)
     n = R.shape[0]
@@ -170,7 +173,8 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     The basis must be unitary to 1e-12, and each subdiagonal block must keep
     full row rank under the builder's rank rule (module docstring).  A nonzero
     terminal block implies the pair is not hypocoercive; the converse
-    direction is not decided by the staircase structure alone.
+    direction is not decided by the staircase structure alone.  The pair
+    must pass the one Hermitian test (module docstring).
     """
     R, J = _check_pair(R, J)
     n = R.shape[0]

@@ -1,10 +1,12 @@
 """Shared test helpers: random accretive instances, planted staircase and
 obstruction pairs, a pair whose weak coupling the rank cut drops, the
-benchmark's planted pairs, the CLI command shapes and the physical Lorentz
-velocity matrices."""
+benchmark's planted pairs, the CLI command shapes, the physical Lorentz
+velocity matrices and the closed forms of the 2x2 family ``ck``."""
 
 import importlib.util
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -126,3 +128,33 @@ def lorentz_reference(M: int) -> tuple[np.ndarray, np.ndarray]:
         J10[i, i + 1] = -0.5j
         J10[i + 1, i] = -0.5j
     return R, J10
+
+
+def ck_closed_form_norm(k: int, t):
+    """Exact propagator norm of ``gallery.ck_matrix(k)``: sqrt(e^-t m_+(t)).
+
+    m_+ is the larger eigenvalue of e^t P(t)*P(t), written through
+    delta = sqrt(4k^2 - 1) and alpha = 1/(2k); the two eigenvalue branches
+    touch periodically, which is where the norm has its kinks.
+    """
+    t = np.asarray(t, dtype=float)
+    delta = math.sqrt(4.0 * k * k - 1.0)
+    alpha = 1.0 / (2.0 * k)
+    A = (1.0 - alpha**2 * np.cos(delta * t)) / (1.0 - alpha**2)
+    m_plus = np.sqrt(np.maximum(A * A - 1.0, 0.0)) + A
+    out = np.sqrt(np.exp(-t) * m_plus)
+    return float(out) if out.ndim == 0 else out
+
+
+def ck_short_time_constant_exact(k: int) -> Fraction:
+    """Exact rational short-time constant of ``gallery.ck_matrix(k)``.
+
+    The kernel of the Hermitian part is spanned by the first basis vector,
+    so the constrained minimum is a single rational quadratic form; the
+    normalization is 3! * binom(2,1) = 12.
+    """
+    C = [[Fraction(0), Fraction(k)], [Fraction(-k), Fraction(1)]]
+    x = [Fraction(1), Fraction(0)]  # spans ker of the Hermitian part diag(0, 1)
+    v = [C[0][0] * x[0] + C[0][1] * x[1], C[1][0] * x[0] + C[1][1] * x[1]]
+    quad = v[1] * v[1]  # <v, diag(0,1) v>
+    return quad / (math.factorial(3) * math.comb(2, 1))

@@ -403,9 +403,6 @@ UNREACHED = {
     "hc_index.eigenvector_obstruction": "benchmark layer",
     "operator_core.psd_sqrt": "benchmark layer",
     "lorentz.simulate": "benchmark layer",
-    # exact values the tests check the computed ones against
-    "gallery.ck_closed_form_norm": "test oracle: exact propagator norm of ck",
-    "gallery.ck_short_time_constant_exact": "test oracle: exact rational c of ck",
     "decay.short_time_constant": "test oracle of the fitted short-time constant",
 }
 

@@ -8,14 +8,14 @@ import pytest
 from hypokit import decay, errors, gallery, hc_index, lorentz
 from hypokit import operator_core as core
 
-from helpers import random_accretive
+from helpers import ck_closed_form_norm, ck_short_time_constant_exact, random_accretive
 
 
 class TestPropagatorNormCurve:
     def test_matches_ck_closed_form(self):
         ts = np.linspace(1e-6, 3.0, 200)
         curve = decay.propagator_norm_curve(gallery.ck_matrix(1), ts)
-        oracle = gallery.ck_closed_form_norm(1, ts)
+        oracle = ck_closed_form_norm(1, ts)
         assert np.abs(curve.norms - oracle).max() <= 1e-8
 
     def test_coercive_diagonal(self):
@@ -100,7 +100,7 @@ class TestUniformGrid:
         ref = [core.spectral_norm(core.matrix_exponential(-C, t)) for t in ts]
         assert curve.norms.tolist() == ref
         np.testing.assert_allclose(
-            curve.norms, gallery.ck_closed_form_norm(1, 1e14 * ts), rtol=1e-12, atol=0.0
+            curve.norms, ck_closed_form_norm(1, 1e14 * ts), rtol=1e-12, atol=0.0
         )
 
     @pytest.mark.parametrize(
@@ -131,7 +131,7 @@ class TestShortTimeConstant:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_ck_family(self, k):
         dec = core.hermitian_split(gallery.ck_matrix(k))
-        exact = gallery.ck_short_time_constant_exact(k)
+        exact = ck_short_time_constant_exact(k)
         assert exact == Fraction(k * k, 12)
         assert decay.short_time_constant(dec, 1) == pytest.approx(float(exact), abs=1e-12)
 

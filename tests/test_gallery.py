@@ -6,6 +6,8 @@ import pytest
 from hypokit import errors, gallery, hc_index, staircase
 from hypokit import operator_core as core
 
+from helpers import ck_closed_form_norm
+
 
 class TestMakeExample:
     def test_ck(self):
@@ -70,12 +72,12 @@ class TestMakeExample:
 class TestCkClosedForm:
     def test_time_zero(self):
         for k in (1, 2, 7):
-            assert gallery.ck_closed_form_norm(k, 0.0) == pytest.approx(1.0, abs=1e-14)
+            assert ck_closed_form_norm(k, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_matches_matrix_exponential(self, k):
         ts = np.linspace(0.0, 3.0, 151)
-        oracle = gallery.ck_closed_form_norm(k, ts)
+        oracle = ck_closed_form_norm(k, ts)
         C = gallery.ck_matrix(k)
         direct = np.array(
             [core.spectral_norm(core.matrix_exponential(-C, t)) for t in ts]
@@ -104,7 +106,7 @@ class TestCkClosedForm:
     def test_long_time_envelope(self, k):
         # ||P(t)|| e^(t/2) <= sqrt((2k+1)/(2k-1)) on 2001 times in [0, 10]
         ts = np.linspace(0.0, 10.0, 2001)
-        envelope = np.max(gallery.ck_closed_form_norm(k, ts) * np.exp(ts / 2.0))
+        envelope = np.max(ck_closed_form_norm(k, ts) * np.exp(ts / 2.0))
         assert envelope <= math.sqrt((2.0 * k + 1.0) / (2.0 * k - 1.0)) + 1e-9
 
 

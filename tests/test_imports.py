@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,13 @@ class TestLayering:
         )
         assert "numpy" in loaded
         assert not any(_is_scipy(m) for m in loaded)
+
+    def test_no_module_loads_fractions(self):
+        # exact rational arithmetic is an oracle of the tests, not of hypokit
+        modules = sorted(m.name for m in pkgutil.iter_modules(hypokit.__path__))
+        loaded = _loaded_after("\n".join(f"import hypokit.{m}" for m in modules))
+        assert {f"hypokit.{m}" for m in modules} <= loaded
+        assert "fractions" not in loaded
 
     def test_lorentz_loads_no_optimizer(self):
         assert "scipy.optimize" not in _loaded_after("import hypokit.lorentz")

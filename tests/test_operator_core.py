@@ -7,7 +7,7 @@ import pytest
 from hypokit import errors, gallery, lorentz
 from hypokit import operator_core as core
 
-from helpers import bench_planted_pair
+from helpers import bench_planted_pair, ck_closed_form_norm
 
 
 def random_matrix(rng, n, norm_cap=None):
@@ -133,7 +133,7 @@ class TestMatrixExponential:
     def test_matches_ck_closed_form_norm(self):
         # independent closed-form oracle for the 2x2 family at t = 1
         P = core.matrix_exponential(-gallery.ck_matrix(1), 1.0)
-        assert abs(core.spectral_norm(P) - gallery.ck_closed_form_norm(1, 1.0)) <= 1e-10
+        assert abs(core.spectral_norm(P) - ck_closed_form_norm(1, 1.0)) <= 1e-10
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(2)
@@ -416,22 +416,29 @@ class TestMinEigHermitian:
     def test_rejects_grossly_nonhermitian(self):
         with pytest.raises(errors.ContractViolationError):
             core.min_eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # its Hermitian part [[2, .5], [.5, 1]] has a root, but psd_sqrt refuses it
+        with pytest.raises(errors.ContractViolationError, match="R is not Hermitian"):
+            core.psd_sqrt(np.array([[2.0, 1.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("rel, rejected", [(1e-6, True), (1e-13, False)])
     def test_relative_asymmetry_threshold(self, rel, rejected):
         # ||(A - A*)/2||_2 = rel * ||H||_2: far above the 1e-8 tolerance is
-        # rejected, roundoff-sized asymmetry is symmetrized away
+        # rejected, roundoff-sized asymmetry is symmetrized away, by the one
+        # Hermitian test of min_eig_hermitian and psd_sqrt alike (H is PSD so
+        # that psd_sqrt takes it)
         rng = np.random.default_rng(7)
         G = random_matrix(rng, 20)
-        H = (G + G.conj().T) / 2
+        H = G @ G.conj().T / 20
         K = random_matrix(rng, 20)
         K = (K - K.conj().T) / 2
         A = H + rel * np.linalg.norm(H, 2) / np.linalg.norm(K, 2) * K
         if rejected:
-            with pytest.raises(errors.ContractViolationError):
-                core.min_eig_hermitian(A)
+            for fn in (core.min_eig_hermitian, core.psd_sqrt):
+                with pytest.raises(errors.ContractViolationError):
+                    fn(A)
         else:
             assert core.min_eig_hermitian(A) == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-10)
+            np.testing.assert_allclose(core.psd_sqrt(A), core.psd_sqrt(H), atol=1e-10)
 
 
 class TestPsdSqrt:

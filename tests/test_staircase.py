@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hypokit import errors, hc_index
+from hypokit import errors, hc_index, staircase
 from hypokit import operator_core as core
 from hypokit.staircase import build_staircase, verify_staircase
 
@@ -79,19 +79,33 @@ class TestBuildStaircase:
 
     @pytest.mark.parametrize("rel, rejected", [(1e-6, True), (1e-13, False)])
     def test_relative_asymmetry_threshold(self, rel, rejected):
-        # perturb R by a skew and J by a Hermitian matrix of relative size rel
+        # perturb R by a skew and J by a Hermitian matrix of relative size rel;
+        # the builder and the verifier share the one Hermitian test
         rng = np.random.default_rng(8)
         R, J = random_pair(rng, 12, 4)
         S = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         K, H = (S - S.conj().T) / 2, (S + S.conj().T) / 2
         bad_R = R + rel * np.linalg.norm(R, 2) / np.linalg.norm(K, 2) * K
         bad_J = J + rel * np.linalg.norm(J, 2) / np.linalg.norm(H, 2) * H
+        form = build_staircase(R, J)
         for pair in ((bad_R, J), (R, bad_J)):
             if rejected:
                 with pytest.raises(errors.ContractViolationError):
                     build_staircase(*pair)
+                with pytest.raises(errors.ContractViolationError):
+                    verify_staircase(form, *pair)
             else:
                 assert sum(build_staircase(*pair).block_dims) == 12
+                assert verify_staircase(form, *pair).ok
+
+    def test_real_pair_stays_real(self):
+        rng = np.random.default_rng(3)
+        G, S = rng.standard_normal((6, 2)), rng.standard_normal((6, 6))
+        R, J = G @ G.T, (S - S.T) / 2
+        form = build_staircase(R, J)
+        assert form.block_dims == [2, 2, 2, 0]
+        for M in (form.basis, form.J_hat, form.R_hat, *staircase._check_pair(R, J)):
+            assert M.dtype == np.float64
 
 
 
