@@ -55,12 +55,13 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("analyze", help="index audit + stability + short-time fit", description=(
         "The staircase decides the index m; each coercive family reads m (resolved), "
-        "unresolved or inconclusive from its levels m - 1 and m against the floor "
-        "eps^2 (m + 1) n, or none with no index. A family's kappa_m is null below "
-        "10 eps^2 n sum_j c_j^2, the roundoff of its unnormalized stack (block j times "
-        "c_j = ||sqrt R|| ||X||^j), which cannot resolve it. kappa is ill-conditioned: a "
-        "roundoff-level change of the factor moved kappa_per_method by up to 4.8e-5 "
-        "relative on a generic n = 200 pair. short_time_fit holds about 6 digits of "
+        "unresolved or inconclusive from its levels m - 1 and m against 10 times the "
+        "floor eps^2 n ||stack||^2, the roundoff of its level-m stack, or none with no "
+        "index. A family's kappa_m is null below 10 times the same floor of its "
+        "unnormalized stack (block j times ||sqrt R|| ||X||^j). A unitary similarity "
+        "moved the power families' kappa by up to 3.2e-11 relative on generic n = 100 "
+        "and 200 pairs, and the commutators' by up to 7.5e-3 on E_25, whose level sits "
+        "near its floor. short_time_fit holds about 6 digits of "
         "a_est and c_est and 4 of residual and odd_gap: a roundoff-level change of the "
         "exponential moved a_est by up to 5.7e-7 and odd_gap by up to 2.6e-5 relative on "
         "a planted n = 60 pair. Exit 3 when a family is "

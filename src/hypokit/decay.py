@@ -303,11 +303,13 @@ def stability_check(C) -> StabilityReport:
 
     For a bounded generator the sharp asymptotic rate equals the spectral
     gap min Re sigma(C); a norm strictly below one at any single time already
-    certifies uniform exponential stability.  t0 = min(max(1, 3/gap), 1e5),
-    about three decay times, or 1 when the gap is at most 1e-8.
+    certifies uniform exponential stability.  t0 = 3/gap, about three decay
+    times, when the gap exceeds 1e-12 ||C||, else 1/||C|| (1 for C = 0).
+    Both are relative to the scale of C, so s C reads t0 / s.
     """
     C = core.as_matrix(C, square=True)
     gap = -core.spectral_abscissa(-C)
-    t0 = min(max(1.0, 3.0 / gap), 1e5) if gap > 1e-8 else 1.0
+    norm_C = core.spectral_norm(C)
+    t0 = 3.0 / gap if gap > 1e-12 * norm_C else 1.0 / norm_C if norm_C > 0 else 1.0
     norm = float(propagator_norm_curve(C, [t0]).norms[0])
     return StabilityReport(stable=norm < 1.0 - 1e-12, t0=t0, norm_at_t0=norm, spectral_gap=gap)

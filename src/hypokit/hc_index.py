@@ -15,36 +15,38 @@ so each family confirms the staircase's m at that one level: singular at
 m - 1, coercive at m.  Their factors come from the cut of R that made
 block 0 (``core._psd_cut``), so they cross-check the chain of J-steps, not
 the cut of R.  A level is a Gram matrix sum_{j<=m} F_j* F_j whose smallest
-eigenvalue lambda_m is sigma_min^2 of the stack [F_0; ...; F_m], read from
-its QR factor (``_levels``), never from the sum, which would lose half the
-digits.  Every family vanishes on the Kalman kernel, of dimension at least
-n - (m+1) r for a cut of R of rank r, so a level below the counting bound
-m0 = ceil(n / r) - 1 reads exactly 0.0 with no SVD (and m >= m0).
+eigenvalue lambda_m is sigma_min^2 of the stack [F_0; ...; F_m], never read
+from the sum, which would lose half the digits.  Every family vanishes on
+the Kalman kernel, of dimension at least n - (m+1) r for a cut of R of rank
+r, so a level below the counting bound m0 = ceil(n / r) - 1 reads exactly
+0.0 with no SVD (and m >= m0).
 
 The decision is scale-free: the power families take F_0 = S / ||S|| with
 S = diag(sqrt(w)) V_r*, the r x n factor of the kept eigenpairs of R, and
 F_j = F_{j-1} X / ||X|| for X = C, C* or J*; the commutators take
 F_0 = sqrt(R) / ||sqrt(R)|| and F_j = [X, F_{j-1}] with X = J / ||J||.
-Both levels are compared with
 
-    floor_m = eps^2 (m + 1) n,
+One kernel, ``_level``, reads every level.  It sorts the rows of the stack
+by decreasing norm and takes one Householder QR, which is then row-wise
+backward stable (Cox and Higham 1998, "Stability of Householder QR
+factorization for weighted least squares problems"), and the singular
+values s of the n x n factor T.  A singular stack leaves sigma_min of order
+eps sqrt(n) ||stack||, and ||T|| = ||stack||, so the roundoff of the
+stack's own level is
 
-the roundoff of a singular level: a normalized power block has norm at most
-1, so the stack has norm at most sqrt(m + 1), and Householder QR, backward
-stable column by column, leaves sigma_min of order eps sqrt(n) ||stack||.
-(A commutator block can reach 2^j; on the tests' inputs a singular level
-still reads below floor_m.)  A family reads "inconclusive" when
-lambda_{m-1} >= 10 floor_m (coercive below the staircase's index), else m
-("resolved") when lambda_m >= 10 floor_m, else "unresolved": level m is
-lost in the roundoff of the power basis (E_40), which says nothing against m.
+    floor = eps^2 n s_max^2,
+
+and every decision is value >= 10 floor.  A family reads "inconclusive"
+when lambda_{m-1} >= 10 floor_m (coercive below the staircase's index;
+level m's floor bounds that of its sub-stack), else m ("resolved") when
+lambda_m >= 10 floor_m, else "unresolved": level m is lost in the roundoff
+of the power basis (E_40), which says nothing against m.
 
 A family's coercivity constant kappa_m is lambda_m of its unnormalized
 factors (S and X, or sqrt(R) and J), as in the paper; it decides nothing.
-Block j of that stack is the normalized block times c_j = ||sqrt(R)|| ||X||^j,
-so its roundoff floor is eps^2 n sum_j c_j^2.  A kappa_m below 10 times
-that floor is reported as None, since the stack cannot resolve it: on
-1e-12 E_8 every family resolves m = 7, but kappa_7 reads 0.0 or 1e-180
-against a floor of about 4e-43.
+The same kernel reads it, and a kappa_m below 10 times its own floor is
+reported as None: on 1e-12 E_8 every family resolves m = 7, but kappa_7,
+about 1e-180, reads 0.0 against a floor of about 4e-43.
 """
 
 from __future__ import annotations
@@ -120,22 +122,14 @@ class ObstructionWitness:
         }
 
 
-def _smin2(T: np.ndarray) -> float:
-    return float(np.linalg.svd(T, compute_uv=False)[-1] ** 2)
-
-
-def _levels(blocks: list[np.ndarray], m0: int) -> tuple[float, float]:
-    """(lambda_{m-1}, lambda_m) of the stack blocks = [F_0; ...; F_m].
-
-    One QR of [F_0; ...; F_{m-1}] gives T with T* T = sum_{j<m} F_j* F_j, and
-    one QR of [T; F_m] the factor of level m; each level is sigma_min^2 of
-    its factor.  Level m - 1 reads exactly 0.0, with no SVD, below the
-    counting bound m0.
-    """
-    *head, last = blocks
-    T = np.linalg.qr(np.vstack(head), mode="r") if head else last[:0]
-    prev = _smin2(T) if len(head) - 1 >= m0 else 0.0
-    return prev, _smin2(np.linalg.qr(np.vstack([T, last]), mode="r"))
+def _level(blocks: list[np.ndarray]) -> tuple[float, float]:
+    """(lambda, floor) of the stack [F_0; ...; F_m]: sigma_min^2 of one QR of
+    its rows sorted by decreasing norm, and its roundoff eps^2 n sigma_max^2
+    (module docstring)."""
+    A = np.vstack(blocks)
+    A = A[np.argsort(-np.linalg.norm(A, axis=1), kind="stable")]
+    s = np.linalg.svd(np.linalg.qr(A, mode="r"), compute_uv=False)
+    return float(s[-1] ** 2), float(np.finfo(float).eps ** 2 * A.shape[1] * s[0] ** 2)
 
 
 def _family_checks(
@@ -158,8 +152,6 @@ def _family_checks(
         "j_powers": (S, J.conj().T, norm_J),
         "commutators": (cut.root() / top, J, norm_J),
     }
-    eps = np.finfo(float).eps
-    floor = eps**2 * (m + 1) * n
     reports = {}
     for method in methods:
         F, X, norm_X = factors[method]
@@ -168,14 +160,14 @@ def _family_checks(
         for _ in range(m):
             F = X @ F - F @ X if method == "commutators" else F @ X
             blocks.append(F)
-        prev, lam = _levels(blocks, m0)
+        lam, floor = _level(blocks)
+        prev = _level(blocks[:-1])[0] if m - 1 >= m0 else 0.0
         verdict = ("inconclusive" if prev >= 10.0 * floor
                    else "resolved" if lam >= 10.0 * floor else "unresolved")
-        # the paper's factors, block j times c_j = top * ||X||^j; only level m is read
-        scales = [top * norm_X**j for j in range(m + 1)]
-        kappa = _levels([F * c for F, c in zip(blocks, scales)], m)[1]
-        if kappa < 10.0 * eps**2 * n * sum(c * c for c in scales):
-            kappa = None  # below the roundoff of its own stack
+        # the paper's factors: block j times top * ||X||^j
+        kappa, kappa_floor = _level([F * (top * norm_X**j) for j, F in enumerate(blocks)])
+        if kappa < 10.0 * kappa_floor:
+            kappa = None
         reports[method] = IndexReport(method, verdict, m, prev, lam, floor, kappa, m0)
     return reports
 

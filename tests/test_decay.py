@@ -229,7 +229,12 @@ class TestStabilityCheck:
         rep = decay.stability_check(J)
         assert not rep.stable
         assert abs(rep.spectral_gap) <= 1e-10
-        assert rep.t0 == 1.0
+        assert rep.t0 == 0.5  # 1 / ||J||
+
+    def test_zero_generator_reads_t0_one(self):
+        # 1 / ||C|| has no scale to take from C = 0
+        rep = decay.stability_check(np.zeros((2, 2)))
+        assert not rep.stable and rep.t0 == 1.0 and rep.norm_at_t0 == 1.0
 
     def test_block_assembly_gap_is_minimum(self):
         A = gallery.make_example("ek_blockdiag", blocks=8)

@@ -36,6 +36,22 @@ def stacked_svd_defect(R, J, m):
     return n - int(np.count_nonzero(sv >= rank_tol * sv[0]))
 
 
+def _stack(dec, method, m, normalized=True):
+    """[F_0; ...; F_m] built directly from sqrt(R) and S X^j or the j-fold
+    commutator with J; ``normalized`` divides sqrt(R) and X by their norms
+    (the decision's stack), else it is the paper's stack of kappa."""
+    S = core._psd_cut(dec.R).root()
+    X = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T,
+         "j_powers": dec.J.conj().T, "commutators": dec.J}[method]
+    if normalized:
+        S, X = S / np.linalg.norm(S, 2), X / np.linalg.norm(X, 2)
+    blocks, F = [], S
+    for _ in range(m + 1):
+        blocks.append(F)
+        F = X @ F - F @ X if method == "commutators" else F @ X
+    return np.vstack(blocks)
+
+
 def _shrinking_planted_pairs():
     """Planted pairs whose blocks shrink, so the index lies above the counting
     bound and level m - 1 is evaluated."""
@@ -236,12 +252,15 @@ class TestEquivalenceAudit:
             "index_per_method", "kappa_per_method", "family_checks", "defect_sweep",
             "obstruction", "agree", "rank_bound", "staircase_warnings",
         }
-        # every decision carries its values and its floor
+        # every decision carries its values and its floor, the roundoff
+        # eps^2 n ||stack||^2 of the level-m stack
         assert set(d["family_checks"]) == set(hc_index.METHODS)
-        for check in d["family_checks"].values():
+        dec = core.hermitian_split(gallery.ck_matrix(1))
+        for method, check in d["family_checks"].items():
             assert set(check) == {"verdict", "lambda_prev", "lambda", "floor"}
             assert check["verdict"] == "resolved" and check["lambda"] >= 10 * check["floor"]
-            assert check["floor"] == np.finfo(float).eps ** 2 * 2 * 2
+            top = np.linalg.norm(_stack(dec, method, 1), 2)
+            assert check["floor"] == pytest.approx(np.finfo(float).eps ** 2 * 2 * top**2, rel=1e-12)
 
     def test_random_campaign_no_disagreement(self):
         rng = np.random.default_rng(18)
@@ -275,18 +294,21 @@ class TestEquivalenceAudit:
         (gallery.ek_matrix(8), True), (gallery.ck_matrix(2), True),
     ], ids=["1e-12_ek_8", "ek_40", "ek_8", "ck_2"])
     def test_kappa_below_the_roundoff_of_its_stack_is_none(self, C, resolved):
-        # 1e-12 E_8 resolves m = 7 in every family, but its kappa_7 is lost
-        # below eps^2 n sum_j c_j^2, as is every kappa of the unresolved E_40
+        # kappa_m is None exactly when it is below 10 eps^2 n ||stack||^2 for
+        # the paper's unnormalized stack: 1e-12 E_8 resolves m = 7 in every
+        # family, but its kappa_7 = 1e-180 is lost, as is every kappa of the
+        # unresolved E_40 (its commutators' 3.778e-7, against a floor of 1.9e12)
         dec = core.hermitian_split(C)
         audit = hc_index.equivalence_audit(dec)
-        eps, top = np.finfo(float).eps, np.sqrt(np.linalg.eigvalsh(dec.R)[-1])
+        eps = np.finfo(float).eps
         for method, rep in audit.reports.items():
-            norm_X = np.linalg.norm(dec.J if method in ("j_powers", "commutators") else dec.C, 2)
-            floor = eps**2 * dec.dim * sum((top * norm_X**j) ** 2 for j in range(rep.level + 1))
+            sv = np.linalg.svd(_stack(dec, method, rep.level, normalized=False), compute_uv=False)
+            floor = eps**2 * dec.dim * sv[0] ** 2
             if resolved:
                 assert rep.kappa >= 1e3 * floor, method
             else:
                 assert rep.kappa is None and audit.kappa_per_method[method] is None, method
+                assert sv[-1] ** 2 < 10 * floor, method
 
     def test_planted_staircase_index_four(self):
         R, J = planted_staircase_pair(np.random.default_rng(22), [12] * 5)
@@ -326,7 +348,7 @@ class TestEquivalenceAudit:
         # order from one generator; the families agree with the staircase
         # only if sqrt(R) drops R's roundoff eigenvalues as block 0 does
         rng = np.random.default_rng(7)
-        for n, r, index in ((50, 7, 7), (100, 11, 9)):
+        for n, r, index in ((50, 7, 7), (100, 11, 9), (200, 21, 9)):
             G = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
             R = G @ G.conj().T / n
             S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -334,6 +356,9 @@ class TestEquivalenceAudit:
             audit = hc_index.equivalence_audit(core.hermitian_split(R - J))
             assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), index)
             assert audit.agree
+        # lambda_min of sum_j (S C^j)* (S C^j) with the stored floats as exact
+        # data, from a Gaussian-integer Gram matrix and 60-digit Cholesky tests
+        assert audit.kappa_per_method["c_powers_right"] == pytest.approx(0.0089501887, rel=2e-8)
 
 
     def test_families_share_one_setup(self, monkeypatch):
@@ -398,89 +423,75 @@ class TestCountingBound:
             assert rep.lambda_prev is rep.lambda_m is None
 
     def test_no_svd_below_the_bound(self, monkeypatch):
-        # each run of a family (the decision and kappa) takes at most two
-        # SVDs, and none for a level below m0
-        svd, levels, active, calls = np.linalg.svd, hc_index._levels, [], []
+        # each family reads level m twice (the decision and kappa) and level
+        # m - 1 only from m0 on, each with one SVD: none for a level below m0
+        svd, level, active, calls = np.linalg.svd, hc_index._level, [], []
 
-        def traced_levels(blocks, m0):
-            active.append([len(blocks) - 1, m0, 0])
+        def traced_level(blocks):
+            active.append([len(blocks) - 1, 0])
             try:
-                return levels(blocks, m0)
+                return level(blocks)
             finally:
                 calls.append(active.pop())
 
         def traced_svd(*args, **kwargs):
             if active:
-                active[-1][2] += 1
+                active[-1][1] += 1
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(hc_index, "_levels", traced_levels)
+        monkeypatch.setattr(hc_index, "_level", traced_level)
         monkeypatch.setattr(np.linalg, "svd", traced_svd)
         for dec in _counting_bound_pairs() + _shrinking_planted_pairs():
             calls.clear()
             audit = hc_index.equivalence_audit(dec)
-            if audit.index_per_method["staircase"] is None:
+            m, m0 = audit.index_per_method["staircase"], audit.rank_bound
+            if m is None:
                 assert calls == []
                 continue
-            assert len(calls) == 2 * len(hc_index.METHODS)
-            for m, m0, svds in calls:
-                assert svds == 1 + (m - 1 >= m0) <= 2
+            levels = [m, m] + ([m - 1] if m - 1 >= m0 else [])
+            assert sorted(calls) == sorted([[lv, 1] for lv in levels] * len(hc_index.METHODS))
 
 
 class TestFactorUpdate:
-    """Each family reads its two levels from triangular factors of at most n
-    rows."""
-
-    @staticmethod
-    def _stack(dec, method, m):
-        """[F_0; ...; F_m] of the normalized family, built directly from
-        sqrt(R) / ||sqrt(R)|| and S X^j or the j-fold commutator."""
-        S = core._psd_cut(dec.R).root()
-        S = S / np.linalg.norm(S, 2)
-        J = dec.J / np.linalg.norm(dec.J, 2)
-        X = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T, "j_powers": dec.J.conj().T}
-        blocks, F = [], S
-        for j in range(m + 1):
-            if method == "commutators":
-                blocks.append(F)
-                F = J @ F - F @ J
-            else:
-                Xn = X[method] / np.linalg.norm(X[method], 2)
-                blocks.append(S @ np.linalg.matrix_power(Xn, j))
-        return np.vstack(blocks)
+    """Each level is read from the n x n triangular factor of one QR of its
+    stack, with the rows sorted by decreasing norm."""
 
     def test_factor_stays_n_by_n(self, monkeypatch):
         n, index = 60, 4
         R, J = planted_staircase_pair(np.random.default_rng(22), [12] * (index + 1))
         dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
-        active, svd_rows, qr_calls = [], [], []
-        levels, svd, qr = hc_index._levels, np.linalg.svd, np.linalg.qr
+        active, svd_shapes, qr_rows = [], [], []
+        level, svd, qr = hc_index._level, np.linalg.svd, np.linalg.qr
 
-        def traced_levels(*args):
+        def traced_level(*args):
             active.append(True)
             try:
-                return levels(*args)
+                return level(*args)
             finally:
                 active.pop()
 
         def traced_svd(a, *args, **kwargs):
             if active:
-                svd_rows.append(a.shape[0])
+                svd_shapes.append(a.shape)
             return svd(a, *args, **kwargs)
 
         def traced_qr(a, *args, **kwargs):
             if active:
-                qr_calls.append(a.shape[0])
+                norms = np.linalg.norm(a, axis=1)
+                assert np.all(norms[:-1] >= norms[1:])
+                qr_rows.append(a.shape[0])
             return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(hc_index, "_levels", traced_levels)
+        monkeypatch.setattr(hc_index, "_level", traced_level)
         monkeypatch.setattr(np.linalg, "svd", traced_svd)
         monkeypatch.setattr(np.linalg, "qr", traced_qr)
         audit = hc_index.equivalence_audit(dec)
         assert audit.index_per_method == dict.fromkeys((*hc_index.METHODS, "staircase"), index)
-        assert svd_rows and max(svd_rows) <= n
-        # two QRs per run: the stack of levels 0..m-1, then the update by F_m
-        assert len(qr_calls) == 2 * 2 * len(hc_index.METHODS)
+        # index = m0 = 4: two readings of level 4 (the decision and kappa) per
+        # family, each one QR of the whole stack and one SVD of its factor
+        per_family = {"c_powers_right": 12, "c_powers_left": 12, "j_powers": 12, "commutators": n}
+        assert sorted(qr_rows) == sorted([(index + 1) * rows for rows in per_family.values()] * 2)
+        assert svd_shapes == [(n, n)] * len(qr_rows)
 
     def test_levels_match_the_explicit_stack(self):
         # the QR is backward stable: each level is sigma_min^2 of the explicit
@@ -502,22 +513,29 @@ class TestFactorUpdate:
                     if level < 0:
                         assert lam == 0.0
                         continue
-                    sv = np.linalg.svd(self._stack(dec, method, level), compute_uv=False)
+                    sv = np.linalg.svd(_stack(dec, method, level), compute_uv=False)
                     tol = 10 * (level + 1) * dec.dim * eps * sv[0] ** 2
                     assert abs(lam - sv[-1] ** 2) <= tol, (dec.dim, method, level)
 
     @pytest.mark.parametrize(
-        "C",
-        [gallery.ck_matrix(k) for k in (1, 2, 3)] + [gallery.ek_matrix(k) for k in range(2, 7)],
-        ids=[f"ck_{k}" for k in (1, 2, 3)] + [f"ek_{k}" for k in range(2, 7)],
+        "C, methods, rtol",
+        [(gallery.ck_matrix(k), hc_index.METHODS, 1e-10) for k in (1, 2, 3)]
+        + [(gallery.ek_matrix(k), hc_index.METHODS, 1e-10) for k in range(2, 7)]
+        + [(gallery.ek_matrix(16), hc_index.METHODS, 1e-10),
+           (gallery.ek_matrix(25), hc_index.METHODS[:3], 1e-8)],
+        ids=[f"ck_{k}" for k in (1, 2, 3)] + [f"ek_{k}" for k in (2, 3, 4, 5, 6, 16, 25)],
     )
-    def test_kappa_matches_a_50_digit_gram_sum(self, C):
+    def test_kappa_matches_a_50_digit_gram_sum(self, C, methods, rtol):
+        # the Gram matrices are integer; on E_25 the 50-digit lambda_min agrees
+        # with a 150-digit one to 1e-34.  The powers of E_25 read kappa to
+        # 1.5e-9; its commutators, whose kappa is only 1.8 times 10 floors,
+        # read 1.5e-6 off and are left out
         mp = pytest.importorskip("mpmath")
         n = C.shape[0]
         # R is a 0/1 diagonal here, so sqrt(R) = R exactly
         assert not C.imag.any() and set(np.diag(C.real + C.real.T) / 2) <= {0.0, 1.0}
         dec = core.hermitian_split(C)
-        for method in hc_index.METHODS:
+        for method in methods:
             rep = hc_index.index_via_powers(dec, method)
             with mp.workdps(50):
                 Cm = mp.matrix(C.real.tolist())
@@ -528,7 +546,7 @@ class TestFactorUpdate:
                     gram += F.T * F
                     F = Jm * F - F * Jm if X is None else F * X
                 exact = min(mp.eigsy(gram, eigvals_only=True))
-            assert abs(rep.kappa - exact) <= 1e-10 * exact, method
+            assert abs(rep.kappa - exact) <= rtol * exact, method
 
 
 class TestVanishingFormEquivalence:
