@@ -12,8 +12,9 @@ buffer with one batched ``core.spectral_norm`` call, so the memory is
 bounded whatever the grid length and the per-call overhead, which dominates
 on small blocks, is paid once per buffer.  LAPACK factors each slice of a
 stack exactly as that matrix alone, so the norms are bitwise those of one
-``spectral_norm`` call per propagator.  A propagator that is not finite
-raises ``RangeError`` naming its time.  Two sources feed it:
+``spectral_norm`` call per propagator.  It keeps the one overflow rule of
+``operator_core``: a propagator is refused exactly when it is not finite,
+with a ``RangeError`` naming its time.  Two sources feed it:
 
 - stepping, on a uniform grid of three or more times: E = exp(-C dt) is
   computed once (plus exp(-C t0) when t0 > 0) and P(t_k) = P(t_(k-1)) E.
@@ -21,9 +22,8 @@ raises ``RangeError`` naming its time.  Two sources feed it:
   so at most k*eps for accretive C.  An overflowing product is caught at
   its own time (a bound at the last time would refuse stable non-normal
   generators).  A real generator is stepped in real arithmetic;
-- pointwise, everywhere else: one ``_expm`` per time, after the overflow
-  guard of ``core.matrix_exponential`` has run once, at the last time,
-  which bounds the logarithmic norm of every earlier one.  This serves the
+- pointwise, everywhere else: one ``_expm`` per time, which raises the
+  ``RangeError`` itself where exp(-C t) is not finite.  This serves the
   other grids of ``propagator_norm_curve``, ``short_time_curve`` and the
   single times of ``stability_check`` and ``gallery.ek_rescale_factor``.
 
@@ -154,8 +154,8 @@ FIT_DROPS = (1e-10, 1e-2)
 def _norms(A: np.ndarray, ts: np.ndarray, propagators=None) -> np.ndarray:
     """The kernel of the module docstring: ||P|| for each propagator P of A
     that ``propagators`` yields, one per time in ``ts``.  The default source
-    is the pointwise one, exp(A t) by ``_expm``; its caller has run
-    ``core._check_exp_range`` at the largest time."""
+    is the pointwise one, exp(A t) by ``_expm``.  A propagator that is not
+    finite raises ``RangeError`` naming its time."""
     if propagators is None:
         propagators = (core._expm(A, t) for t in ts)
     n = A.shape[0]
@@ -182,7 +182,6 @@ def propagator_norm_curve(C, times) -> DecayCurve:
     ts = _time_grid(times)
     A = -C
     if not is_uniform_grid(ts):
-        core._check_exp_range(A, ts[-1])
         return DecayCurve(times=ts, norms=_norms(A, ts))
     E = core.matrix_exponential(A, ts[1] - ts[0])
     P0 = core.matrix_exponential(A, ts[0]) if ts[0] > 0 else np.eye(C.shape[0], dtype=C.dtype)
@@ -213,7 +212,7 @@ def short_time_curve(C, times) -> DecayCurve:
     C = core.as_matrix(C, square=True)
     ts = _time_grid(times)
     A = -C
-    mu = max(0.0, core._check_exp_range(A, ts[-1])[1])
+    mu = max(0.0, float(np.linalg.eigvalsh(core._symmetrized(A))[-1]))
     low, high = 0.1 * FIT_DROPS[0], 10.0 * FIT_DROPS[1]
     norms = np.full(ts.size, np.nan)
 
@@ -232,7 +231,8 @@ def short_time_curve(C, times) -> DecayCurve:
         return hi
 
     first = edge(-1, ts.size, lambda v, t: 1.0 - v * math.exp(-mu * t) < low)
-    stop = edge(first - 1, ts.size, lambda v, t: 1.0 - v * math.exp(mu * (ts[-1] - t)) <= high)
+    # 1 - v e^(mu (t_N - t)) <= high, written with e^(-mu (t_N - t)), which cannot overflow
+    stop = edge(first - 1, ts.size, lambda v, t: v >= (1.0 - high) * math.exp(-mu * (ts[-1] - t)))
     todo = [i for i in range(first, stop) if np.isnan(norms[i])]
     if todo:
         norms[todo] = _norms(A, ts[todo])

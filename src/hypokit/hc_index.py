@@ -44,9 +44,10 @@ of the power basis (E_40), which says nothing against m.
 
 A family's coercivity constant kappa_m is lambda_m of its unnormalized
 factors (S and X, or sqrt(R) and J), as in the paper; it decides nothing.
-The same kernel reads it, and a kappa_m below 10 times its own floor is
-reported as None: on 1e-12 E_8 every family resolves m = 7, but kappa_7,
-about 1e-180, reads 0.0 against a floor of about 4e-43.
+The same kernel reads it and its own floor, reported as ``kappa_floor``,
+and a kappa_m below 10 times that floor is reported as None: on 1e-12 E_8
+every family resolves m = 7, but kappa_7, about 1e-180, reads 0.0 against
+a floor of about 4e-43.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ class IndexReport:
     """One family's check of the staircase index m = ``level`` (module
     docstring): its ``verdict``, the normalized levels m - 1 and m that
     ``floor`` decided and kappa_m, None where its own stack cannot resolve
-    it.  With no index, the verdict is "none", the levels and the floor are
-    None and kappa is 0.0."""
+    it, with the floor of its unnormalized stack, ``kappa_floor``.  With no
+    index, the verdict is "none", the levels and both floors are None and
+    kappa is 0.0."""
 
     method: str
     verdict: str
@@ -92,6 +94,7 @@ class IndexReport:
     lambda_m: float | None
     floor: float | None
     kappa: float | None
+    kappa_floor: float | None
     rank_bound: int
 
     @property
@@ -101,7 +104,7 @@ class IndexReport:
 
     def to_json_dict(self) -> dict:
         return {"verdict": self.verdict, "lambda_prev": self.lambda_prev,
-                "lambda": self.lambda_m, "floor": self.floor}
+                "lambda": self.lambda_m, "floor": self.floor, "kappa_floor": self.kappa_floor}
 
 
 @dataclass
@@ -140,7 +143,7 @@ def _family_checks(
     r = cut.rank
     m0 = -(-n // r) - 1 if r else n + 1  # r = 0 has no index
     if m is None:
-        return {method: IndexReport(method, "none", None, None, None, None, 0.0, m0)
+        return {method: IndexReport(method, "none", None, None, None, None, 0.0, None, m0)
                 for method in methods}
     top = float(np.sqrt(cut.w[-1]))
     S = (cut.V[:, n - r:] * np.sqrt(cut.w[n - r:] / cut.w[-1])).conj().T  # r x n, norm 1
@@ -168,7 +171,7 @@ def _family_checks(
         kappa, kappa_floor = _level([F * (top * norm_X**j) for j, F in enumerate(blocks)])
         if kappa < 10.0 * kappa_floor:
             kappa = None
-        reports[method] = IndexReport(method, verdict, m, prev, lam, floor, kappa, m0)
+        reports[method] = IndexReport(method, verdict, m, prev, lam, floor, kappa, kappa_floor, m0)
     return reports
 
 

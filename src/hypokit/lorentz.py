@@ -624,10 +624,9 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
     point (the first by ``times[0]``).  Modes of equal magnitude share one
     generator and one propagator, computed again only when the step length
     changes, so a uniform grid costs one ``expm`` per magnitude (two when it
-    starts after 0).  All generators share the symmetric part R, so one
-    overflow guard (``core._check_exp_range``) per step length covers them.
-    The zero mode has the generator R; its diagonal propagator holds
-    exp(0) = 1 at j = 0, which keeps the mass exact.
+    starts after 0).  A propagator that is not finite raises ``RangeError``
+    (``core._expm``).  The zero mode has the generator R; its diagonal
+    propagator holds exp(0) = 1 at j = 0, which keeps the mass exact.
 
     Frame: every lattice mode (n1, n2) is stepped with the generator of its
     magnitude at angle 0.  The physical generator of the mode at angle
@@ -659,7 +658,6 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
     for t, h in zip(ts, steps):
         if h > 0:
             if h != h_prev:
-                core._check_exp_range(-generators[0], h)
                 props = [core._expm(-C, h) for C in generators]
                 h_prev = h
             for P, idx in zip(props, index):

@@ -12,6 +12,10 @@ staircase and the index, and the pair (R, J) of ``staircase``, whose skew J
 is tested as the Hermitian 1j*J.  It rejects A when its distance to the
 Hermitian part, ||A - A*||_F / 2, exceeds 1e-8 times the largest column
 2-norm of A; a smaller asymmetry is roundoff and is symmetrized away.
+
+One overflow rule: an exponential is refused, by a ``RangeError`` naming t,
+exactly when it is not finite (``_expm``, and ``decay._norms`` for a
+stepped product).  No bound is evaluated to predict an overflow.
 """
 
 from __future__ import annotations
@@ -85,36 +89,12 @@ def hermitian_split(C) -> OperatorDecomposition:
 
 
 def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
-    """Return exp(A*t) by scaling and squaring a Pade approximant (``_expm``).
-
-    Guards against overflow using the logarithmic norm: ||exp(A t)|| is
-    bounded by exp(t * lambda_max(A_H)), so evaluation is refused when that
-    exponent would leave double range.  ``_expm`` raises ``RangeError`` as
-    well where its result is not finite.
-    """
+    """Return exp(A*t) by ``_expm``; a time that is not finite raises
+    ``InvalidEntryError``, a result that is not finite ``RangeError``."""
     A = as_matrix(A, square=True)
-    _check_exp_range(A, t)
-    return _expm(A, t)
-
-
-def _check_exp_range(A: np.ndarray, t: float) -> tuple[float, float]:
-    """The overflow guard of ``matrix_exponential``; returns the extreme
-    eigenvalues (lambda_min, lambda_max) of A_H = (A + A*)/2.
-
-    The logarithmic norm of A*t is t * lambda_max(A_H) for t >= 0 and
-    t * lambda_min(A_H) for t < 0, so a check at the largest time of a grid
-    covers every point of it.
-    """
     if not np.isfinite(t):
         raise InvalidEntryError("time must be finite")
-    w = np.linalg.eigvalsh(_symmetrized(A))
-    lo, hi = float(w[0]), float(w[-1])
-    mu = t * (hi if t >= 0 else lo)
-    if mu > 700.0:
-        raise RangeError(
-            f"exp(A t) may overflow: logarithmic norm of A*t is {mu:.3g} > 700"
-        )
-    return lo, hi
+    return _expm(A, t)
 
 
 #: Largest eta for which the degree-m Pade approximant has backward error
@@ -189,18 +169,15 @@ def _pade_degree(A: np.ndarray) -> tuple[int, int, list[np.ndarray]]:
 
 
 def _expm(A: np.ndarray, t: float) -> np.ndarray:
-    """exp(A*t) without the logarithmic-norm guard; the caller has run
-    ``_check_exp_range``.
-
-    A result that is not finite raises ``RangeError``.  That happens even
-    where exp(A t) is tiny: the powers A^2 .. A^10 that choose the degree are
-    formed before the scaling and overflow once ||A t|| passes about 1e30
-    (for a decaying 2x2 exp(A t) at t = 1e50 the degree choice itself fails).
-    """
+    """exp(A*t) for finite A and t by scaling and squaring a Pade approximant,
+    or ``RangeError`` naming t where it is not finite (the one overflow rule,
+    module docstring).  That happens even where exp(A t) is tiny: the powers
+    A^2 .. A^10 that choose the degree are formed before the scaling and
+    overflow once ||A t|| passes about 1e30."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             E = _scaled_pade(A * t)
-        except OverflowError:  # an infinite power norm reached math.ceil
+        except (OverflowError, ValueError):  # an infinite or NaN power norm reached math.ceil
             E = None
     if E is None or not np.isfinite(E).all():
         raise RangeError(f"exp(A t) is not finite in double precision at t = {t:.6g}")

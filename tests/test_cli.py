@@ -182,6 +182,23 @@ def test_decay_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_decay_at_a_time_whose_pade_powers_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # ck_2 * 1e308 holds infinite entries, and the norms of its powers that
+    # choose the Pade degree are NaN: a RangeError, not a traceback
+    rc = _run(tmp_path, "decay", gallery.ck_matrix(2), "--tmax", "1e308", "--steps", "1")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hypokit: numerical failure:") and err.count("\n") == 1
+
+
+def test_decay_of_a_finite_non_accretive_propagator_succeeds(tmp_path):
+    # ||exp(-C t)|| at t = 20 is finite although the logarithmic norm of -C t is 980
+    C = np.array([[1.0, 100.0], [0.0, 1.0]])
+    assert _run(tmp_path, "decay", C, "--tmax", "20", "--steps", "1", "--format", "json") == 0
+    norms = json.loads((tmp_path / "out").read_text())["norm"]
+    assert norms[-1] == pytest.approx(4.12230827545367e-06, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -61,7 +61,7 @@ class TestPropagatorNormCurve:
             decay.propagator_norm_curve(gallery.ck_matrix(1), np.geomspace(1.0, 1e50, 5))
 
     def test_geometric_grid_guard_covers_the_last_point(self):
-        # log-norm of -C t is t: fine up to t = 700, overflow after it
+        # ||exp(-C t)|| = e^t leaves double range after t = 709.78
         C = np.diag([-1.0, 1.0]).astype(complex)
         decay.propagator_norm_curve(C, np.geomspace(1.0, 650.0, 30))
         with pytest.raises(errors.RangeError):
@@ -71,11 +71,23 @@ class TestPropagatorNormCurve:
 
     def test_stepped_overflow_raises_range_error(self):
         # exp(-C t) grows like e^t on diag(-1, 1): the stepped product leaves
-        # double range after t = 700, and no numpy warning may escape
+        # double range after t = 709.78, and no numpy warning may escape
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(errors.RangeError):
                 decay.propagator_norm_curve(np.diag([-1.0, 1.0]), np.linspace(0.0, 1000.0, 11))
+
+    def test_finite_non_accretive_propagator_is_returned(self):
+        # ||exp(-C t)|| = e^-t ||[[1, -100 t], [0, 1]]||, finite at t = 20
+        # although the logarithmic norm of -C t is 980
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        C = np.array([[1.0, 100.0], [0.0, 1.0]])
+        pointwise = decay.propagator_norm_curve(C, [0.0, 20.0]).norms[-1]
+        stepped = decay.propagator_norm_curve(C, [0.0, 10.0, 20.0]).norms[-1]
+        ref = np.linalg.norm(scipy_linalg.expm(-20.0 * C), 2)
+        assert stepped == pytest.approx(pointwise, rel=1e-12, abs=0.0)
+        assert pointwise == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert stepped == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_submultiplicative_norms(self):
         rng = np.random.default_rng(0)
@@ -118,8 +130,8 @@ class TestUniformGrid:
             tmax = lorentz.appendix_constants(96).tau
         assert decay.is_uniform_grid(np.linspace(0.0, tmax, points))
 
-    def test_short_time_curve_takes_mu_from_the_guard(self, monkeypatch):
-        # one eigvalsh of (A + A*)/2 serves the overflow guard and mu
+    def test_short_time_curve_takes_mu_from_one_eigvalsh(self, monkeypatch):
+        # mu = max(0, lambda_max(-R)) is the one eigen-solve of the window
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(A) or eigvalsh(A))

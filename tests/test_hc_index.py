@@ -103,7 +103,8 @@ class TestIndexViaPowers:
         C = np.diag([1.0, 0.0]).astype(complex)
         rep = hc_index.index_via_powers(core.hermitian_split(C))
         assert rep.index == "none" and rep.level is None
-        assert rep.lambda_prev is rep.lambda_m is rep.floor is None and rep.kappa == 0.0
+        assert rep.lambda_prev is rep.lambda_m is rep.floor is rep.kappa_floor is None
+        assert rep.kappa == 0.0
 
     def test_rejects_non_accretive(self):
         with pytest.raises(errors.PreconditionError):
@@ -253,14 +254,20 @@ class TestEquivalenceAudit:
             "obstruction", "agree", "rank_bound", "staircase_warnings",
         }
         # every decision carries its values and its floor, the roundoff
-        # eps^2 n ||stack||^2 of the level-m stack
+        # eps^2 n ||stack||^2 of the level-m stack, and every kappa the same
+        # floor of the unnormalized stack it was judged against
         assert set(d["family_checks"]) == set(hc_index.METHODS)
         dec = core.hermitian_split(gallery.ck_matrix(1))
+        eps = np.finfo(float).eps
         for method, check in d["family_checks"].items():
-            assert set(check) == {"verdict", "lambda_prev", "lambda", "floor"}
+            assert set(check) == {"verdict", "lambda_prev", "lambda", "floor", "kappa_floor"}
             assert check["verdict"] == "resolved" and check["lambda"] >= 10 * check["floor"]
             top = np.linalg.norm(_stack(dec, method, 1), 2)
-            assert check["floor"] == pytest.approx(np.finfo(float).eps ** 2 * 2 * top**2, rel=1e-12)
+            assert check["floor"] == pytest.approx(eps**2 * 2 * top**2, rel=1e-12)
+            top = np.linalg.norm(_stack(dec, method, 1, normalized=False), 2)
+            assert check["kappa_floor"] == pytest.approx(eps**2 * 2 * top**2, rel=1e-12)
+            kappa = d["kappa_per_method"][method]
+            assert kappa is not None and kappa >= 10 * check["kappa_floor"]
 
     def test_random_campaign_no_disagreement(self):
         rng = np.random.default_rng(18)
@@ -494,8 +501,9 @@ class TestFactorUpdate:
         assert svd_shapes == [(n, n)] * len(qr_rows)
 
     def test_levels_match_the_explicit_stack(self):
-        # the QR is backward stable: each level is sigma_min^2 of the explicit
-        # normalized stack up to 10 (m+1) n eps ||stack||^2
+        # the QR and the SVD of the explicit normalized stack are backward
+        # stable, so each reads sigma_min to delta = 10 (m+1) n eps ||stack||,
+        # and the two squares differ by at most 4 delta (sigma_min + delta)
         rng = np.random.default_rng(41)
         decs = [random_accretive(rng, int(rng.integers(2, 9))) for _ in range(40)]
         decs += [core.hermitian_split(gallery.ek_matrix(k)) for k in range(2, 13)]
@@ -514,7 +522,8 @@ class TestFactorUpdate:
                         assert lam == 0.0
                         continue
                     sv = np.linalg.svd(_stack(dec, method, level), compute_uv=False)
-                    tol = 10 * (level + 1) * dec.dim * eps * sv[0] ** 2
+                    delta = 10 * (level + 1) * dec.dim * eps * sv[0]
+                    tol = 4 * delta * (sv[-1] + delta)
                     assert abs(lam - sv[-1] ** 2) <= tol, (dec.dim, method, level)
 
     @pytest.mark.parametrize(

@@ -477,12 +477,12 @@ class TestSimulate:
                 ref = scipy_linalg.expm(-C * t) @ field.coeffs[n1 + 2, n2 + 2]
                 np.testing.assert_allclose(out.coeffs[n1 + 2, n2 + 2], ref, rtol=0, atol=1e-12)
 
-    def test_one_overflow_guard_per_step_length(self, monkeypatch):
-        # every modal generator R - n K has the symmetric part R, so one
-        # guard covers all magnitudes, the zero mode (generator R) included
+    def test_one_propagator_per_magnitude_and_step_length(self, monkeypatch):
+        # modes of equal magnitude share one propagator, computed again only
+        # when the step length changes; the zero mode is the magnitude 0
         calls = []
-        guard = core._check_exp_range
-        monkeypatch.setattr(core, "_check_exp_range", lambda A, t: calls.append(t) or guard(A, t))
+        expm = core._expm
+        monkeypatch.setattr(core, "_expm", lambda A, t: calls.append(t) or expm(A, t))
         rand = lorentz.LorentzField.random(np.random.default_rng(3), 2, 6)
         for field, ts, lengths in ((rand, np.linspace(0.0, 3.0, 7), 1),
                                    (rand, np.linspace(0.4, 3.0, 6), 2),
@@ -490,7 +490,7 @@ class TestSimulate:
                                    (lorentz.LorentzField(0, 6), np.linspace(0.0, 3.0, 7), 1)):
             calls.clear()
             lorentz.simulate_curve(field, ts)
-            assert len(calls) == lengths
+            assert len(calls) == lengths * len(lorentz._mode_groups(field.N))
 
     @pytest.mark.parametrize("ts", [np.linspace(0.0, 3.0, 7), [0.1, 0.3, 1.0, 1.2, 2.5, 3.0]],
                              ids=["uniform", "non-uniform"])

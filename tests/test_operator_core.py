@@ -170,21 +170,32 @@ class TestMatrixExponential:
             core.matrix_exponential(np.eye(2) * 1000.0, 1.0)
 
     def test_overflow_guard_at_negative_time(self):
-        # for t < 0 the logarithmic norm of A t is t * lambda_min(A_H): here
-        # 705 > 700, although exp(705) itself is still finite
+        # a result is refused only when it is not finite: exp(705) is, and
+        # exp(710) is not
         A = np.diag([-705.0, 1.0])
-        assert core._check_exp_range(A, 0.5) == (-705.0, 1.0)
-        with pytest.raises(errors.RangeError):
-            core.matrix_exponential(A, -1.0)
+        np.testing.assert_array_equal(core.matrix_exponential(A, -1.0),
+                                      np.diag(np.exp([705.0, -1.0])))
         core.matrix_exponential(-A, -1.0)
+        with pytest.raises(errors.RangeError, match="at t = -1$"):
+            core.matrix_exponential(np.diag([-710.0, 1.0]), -1.0)
 
-    @pytest.mark.parametrize("t", [1e50, 1e100])
-    def test_overflowing_powers_raise_range_error(self, t):
-        # exp(-C t) is tiny, but the powers of C t that choose the Pade
-        # degree overflow before the scaling
-        C = np.array([[0.0, 1.0], [-1.0, 1.0]])
+    def test_non_finite_time_is_invalid(self):
+        for t in (np.inf, -np.inf, np.nan):
+            with pytest.raises(errors.InvalidEntryError):
+                core.matrix_exponential(np.eye(2), t)
+
+    @pytest.mark.parametrize(
+        "C, t",
+        [([[0.0, 1.0], [-1.0, 1.0]], 1e50), ([[0.0, 1.0], [-1.0, 1.0]], 1e100),
+         ([[1e200, 1e200], [0.0, 1.0]], 1e200), ([[1.0, 1e160], [0.0, -1.0]], 1e200),
+         (gallery.ck_matrix(2), 1e308)],
+        ids=["1e+50", "1e+100", "upper-1e200", "upper-1e160", "ck_2-1e+308"],
+    )
+    def test_overflowing_powers_raise_range_error(self, C, t):
+        # exp(-C t) may be tiny, but the powers of C t that choose the Pade
+        # degree overflow before the scaling, to inf or to NaN (inf - inf)
         with pytest.raises(errors.RangeError):
-            core.matrix_exponential(-C, t)
+            core.matrix_exponential(-np.asarray(C), t)
 
     def test_one_by_one(self):
         assert core.matrix_exponential([[2.0]], 0.5)[0, 0] == math.exp(1.0)

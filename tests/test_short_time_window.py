@@ -149,11 +149,22 @@ class TestCost:
 
 class TestGrids:
     def test_overflowing_last_time_raises_range_error(self):
-        # log-norm of -C t is t: fine up to t = 700, overflow after it
+        # ||exp(-C t)|| = e^t leaves double range after t = 709.78
         C = np.diag([-1.0, 1.0]).astype(complex)
         decay.short_time_curve(C, np.geomspace(1.0, 650.0, 30))
         with pytest.raises(errors.RangeError):
             decay.short_time_curve(C, np.geomspace(1.0, 750.0, 30))
+
+    def test_finite_non_accretive_curve_is_returned(self):
+        # the logarithmic norm of -C t reaches 49000 on this grid, but every
+        # propagator is finite; mu (t_N - t) > 709 must not overflow either
+        C = np.array([[1.0, 100.0], [0.0, 1.0]])
+        ts = np.geomspace(1e-3, 1e3, 50)
+        window = decay.short_time_curve(C, ts)
+        assert window.times.size > 0
+        first = int(np.searchsorted(ts, window.times[0]))
+        full = decay.propagator_norm_curve(C, ts).norms[first : first + window.times.size]
+        assert window.norms.tolist() == full.tolist()
 
     def test_invalid_grid_is_rejected(self):
         with pytest.raises(errors.PreconditionError):
