@@ -99,7 +99,6 @@ def _build_parser() -> _Parser:
     lp = lsub.add_parser("lyapunov", help="weighted decay-rate margins for modes 1..N")
     lp.add_argument("--N", type=int, default=50)
     lp.add_argument("--M", type=int, default=64)
-    lp.add_argument("--alpha", type=float, default=0.5)
     common(lp)
 
     lp = lsub.add_parser("constants", help="short-time constant pipeline", description=(
@@ -108,7 +107,7 @@ def _build_parser() -> _Parser:
     lp.add_argument("--M", type=int, default=128)
     common(lp)
 
-    lp = lsub.add_parser("verify", help="cubic bound + envelope sandwich checks")
+    lp = lsub.add_parser("verify", help="cubic bound check of the modal norm envelope")
     lp.add_argument("--N", type=int, default=20)
     lp.add_argument("--M", type=int, default=64)
     lp.add_argument("--M-constants", type=int, default=128, dest="M_constants")
@@ -294,15 +293,12 @@ def _cmd_lorentz(args) -> int:
     if cmd == "lyapunov":
         if args.N < 1:
             raise PreconditionError(f"--N must be at least 1, got {args.N}")
-        margins = {
-            str(n): lorentz.lyapunov_margin(n, args.alpha, args.M)
-            for n in range(1, args.N + 1)
-        }
+        margins = {str(n): lorentz.lyapunov_margin(n, args.M) for n in range(1, args.N + 1)}
         worst = min(margins.values())
         _emit_json(
             {
                 "M": args.M,
-                "alpha": args.alpha,
+                "alpha": lorentz.ALPHA,
                 "lambda0": lorentz.LAMBDA0,
                 "margins": margins,
                 "min_margin": worst,
@@ -325,31 +321,29 @@ def _cmd_lorentz(args) -> int:
         _emit_json({"constants": consts.to_json_dict(), **report.to_json_dict()}, args.output)
         return 0 if report.ok else 3
 
-    if cmd == "simulate":
-        import numpy as np
+    # simulate: the subparsers are required, so argparse admits no other name
+    import numpy as np
 
-        times = _uniform_times(args.tmax, args.steps)
-        if args.random:
-            if args.seed < 0:
-                raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
-            rng = np.random.default_rng(args.seed)
-            field0 = lorentz.LorentzField.random(rng, args.N, args.M)
-        elif args.input:
-            field0 = lorentz.field_from_json(_read_json(args.input))
-        else:
-            raise PreconditionError("simulate needs --input or --random")
-        final, reports = lorentz.simulate_curve(field0, times)
-        lines = ["t,distance,bound"]
-        for rep in reports:
-            lines.append(f"{rep.t:.17g},{rep.distance:.17g},{rep.bound:.17g}")
-        outputs = [("\n".join(lines) + "\n", args.output)]
-        if args.final_field:
-            outputs.append((_to_json(lorentz.field_to_json(final)), args.final_field))
-        _emit(*outputs)
-        ok = all(rep.bound_ok and rep.mass_ok for rep in reports)
-        return 0 if ok else 3
-
-    raise _UsageError(f"unknown lorentz subcommand {cmd!r}")
+    times = _uniform_times(args.tmax, args.steps)
+    if args.random:
+        if args.seed < 0:
+            raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
+        rng = np.random.default_rng(args.seed)
+        field0 = lorentz.LorentzField.random(rng, args.N, args.M)
+    elif args.input:
+        field0 = lorentz.field_from_json(_read_json(args.input))
+    else:
+        raise PreconditionError("simulate needs --input or --random")
+    final, reports = lorentz.simulate_curve(field0, times)
+    lines = ["t,distance,bound"]
+    for rep in reports:
+        lines.append(f"{rep.t:.17g},{rep.distance:.17g},{rep.bound:.17g}")
+    outputs = [("\n".join(lines) + "\n", args.output)]
+    if args.final_field:
+        outputs.append((_to_json(lorentz.field_to_json(final)), args.final_field))
+    _emit(*outputs)
+    ok = all(rep.bound_ok and rep.mass_ok for rep in reports)
+    return 0 if ok else 3
 
 
 def main(argv=None) -> int:

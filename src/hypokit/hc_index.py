@@ -147,8 +147,8 @@ def _family_checks(
                 for method in methods}
     top = float(np.sqrt(cut.w[-1]))
     S = (cut.V[:, n - r:] * np.sqrt(cut.w[n - r:] / cut.w[-1])).conj().T  # r x n, norm 1
-    C, J = dec.C, dec.J
-    norm_C, norm_J = (max(v, 1e-300) for v in core.spectral_norm(np.stack([C, J])))
+    C, J, norm_J = dec.C, dec.J, form.norm_J
+    norm_C = max(core.spectral_norm(C), 1e-300)
     factors = {
         "c_powers_right": (S, C, norm_C),
         "c_powers_left": (S, C.conj().T, norm_C),
@@ -200,8 +200,8 @@ def _defect_sweep(form: staircase.StaircaseForm) -> list[int]:
 def _terminal_witness(form: staircase.StaircaseForm, R, J) -> ObstructionWitness | None:
     """Eigenvector of J on the terminal block (J-invariant, killed by R).
 
-    Residuals above ``WITNESS_RTOL`` times ||J|| resp. ||R|| mean a wrong
-    rank decision and raise NumericalError.
+    Residuals above ``WITNESS_RTOL`` times ||J|| resp. ||R||, the scales the
+    form carries, mean a wrong rank decision and raise NumericalError.
     """
     if form.terminal_dim == 0:
         return None
@@ -212,9 +212,7 @@ def _terminal_witness(form: staircase.StaircaseForm, R, J) -> ObstructionWitness
     lam = complex(np.vdot(v, J @ v))
     residual_J = float(np.linalg.norm(J @ v - lam * v))
     residual_R = float(np.linalg.norm(R @ v))
-    scale_J = max(core.spectral_norm(J), 1e-300)
-    scale_R = max(core.spectral_norm(R), 1e-300)
-    if residual_J > WITNESS_RTOL * scale_J or residual_R > WITNESS_RTOL * scale_R:
+    if residual_J > WITNESS_RTOL * form.norm_J or residual_R > WITNESS_RTOL * form.r_cut.norm:
         raise NumericalError(
             f"terminal-block witness fails its residual check "
             f"(||Jv - lambda v|| = {residual_J:.3g}, ||Rv|| = {residual_R:.3g})"
@@ -227,14 +225,14 @@ def _terminal_witness(form: staircase.StaircaseForm, R, J) -> ObstructionWitness
 def kalman_kernel_defect(R, J, m: int) -> int:
     """Dimension of the joint kernel of sqrt(R) (J*)^j, j = 0..m.
 
-    Read off the staircase form of (J, R): n minus the dimensions of its
-    blocks 0..m.  Defect 0 means the Kalman-type spanning condition holds at
-    level m.
+    Read off the staircase form of (J, R): entry m of ``_defect_sweep``, whose
+    last entry every later level keeps.  Defect 0 means the Kalman-type
+    spanning condition holds at level m.
     """
     if m < 0:
         raise PreconditionError("m must be nonnegative")
-    dims = staircase.build_staircase(R, J).block_dims
-    return sum(dims[min(m + 1, len(dims) - 1) :])
+    sweep = _defect_sweep(staircase.build_staircase(R, J))
+    return sweep[min(m, len(sweep) - 1)]
 
 
 def eigenvector_obstruction(R, J) -> ObstructionWitness | None:

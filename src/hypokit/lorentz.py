@@ -68,6 +68,7 @@ from .errors import (
 )
 
 __all__ = [
+    "ALPHA",
     "LAMBDA0",
     "KAPPA_LIMIT",
     "AppendixCConstants",
@@ -89,9 +90,15 @@ __all__ = [
     "field_from_json",
 ]
 
+#: The one weight of the Lyapunov decay certificate: Y has eigenvalues 1 and
+#: 1 +- ALPHA / n (``lyapunov_weight``).  LAMBDA0 and the factor
+#: sqrt(cond Y) = sqrt((1 + ALPHA) / (1 - ALPHA)) of ``simulate_curve``'s
+#: bound at n = 1 are derived for this value alone.
+ALPHA = 0.5
+
 #: Certified exponential decay rate of the weighted norms (not sharp).
 #: 3 * LAMBDA0 is lambda_min of the 4x4 essential block of C*Y + YC (indices
-#: j = -1..2) at n = 1 and alpha = 1/2; tests/test_lorentz.py
+#: j = -1..2) at n = 1 and ALPHA; tests/test_lorentz.py
 #: ``test_essential_block_minimum`` checks it.
 LAMBDA0 = 0.5 - 1.0 / (6.0 * math.sqrt(2.0)) - math.sqrt(7.0 / 16.0 + 1.0 / math.sqrt(8.0)) / 3.0
 
@@ -121,16 +128,16 @@ def modal_generator(n_abs: float, M: int) -> np.ndarray:
     return C
 
 
-def lyapunov_weight(n_abs: float, alpha: float, M: int) -> np.ndarray:
-    """Weight matrix with eigenvalues 1 and 1 +- alpha/n_abs (positive definite):
-    in the real basis (module docstring), the identity plus alpha/n_abs at
+def lyapunov_weight(n_abs: float, M: int) -> np.ndarray:
+    """Weight matrix with eigenvalues 1 and 1 +- ALPHA/n_abs (positive definite):
+    in the real basis (module docstring), the identity plus ALPHA/n_abs at
     (j=0, j=1) and (j=1, j=0)."""
     if M < 2:
         raise DimensionError("M must be at least 2")
-    if not 0.0 < alpha < n_abs:
-        raise PreconditionError("need 0 < alpha < n_abs for a positive definite weight")
+    if not ALPHA < n_abs:
+        raise PreconditionError(f"need n_abs > ALPHA = {ALPHA} for a positive definite weight")
     Y = np.eye(2 * M + 1)
-    Y[M, M + 1] = Y[M + 1, M] = alpha / n_abs
+    Y[M, M + 1] = Y[M + 1, M] = ALPHA / n_abs
     return Y
 
 
@@ -218,7 +225,7 @@ def constrained_mixing_infimum(M: int, delta: float) -> float:
     return math.sqrt(max(best, 0.0))
 
 
-def lyapunov_margin(n_abs: float, alpha: float, M: int) -> float:
+def lyapunov_margin(n_abs: float, M: int) -> float:
     """lambda_min of C^T Y + Y C - 2 LAMBDA0 Y for the magnitude-n_abs generator.
 
     A margin >= -1e-10 certifies the decay rate LAMBDA0 in the Y-weighted
@@ -228,7 +235,7 @@ def lyapunov_margin(n_abs: float, alpha: float, M: int) -> float:
     if n_abs < 1:
         raise PreconditionError("n_abs must be at least 1")
     C = modal_generator(n_abs, M)
-    Y = lyapunov_weight(n_abs, alpha, M)
+    Y = lyapunov_weight(n_abs, M)
     return core.min_eig_hermitian(C.T @ Y + Y @ C - 2.0 * LAMBDA0 * Y)
 
 
@@ -393,12 +400,10 @@ _CUBIC_SLACK = 1e-9  # absolute slack of the cubic bound ||P_n(t)|| <= 1 - c t^3
 class CubicBoundReport:
     """Modal norms ||P_n(t)||, n = 1..N, against the cubic bound 1 - c t^3.
 
-    ``norms`` is the (mode x time) stack, ``sup_norms`` its envelope and
-    ``lower`` = ||P_1(t)|| the modal lower bound of the envelope.  The first
-    smallest margin ``upper - norms`` is ``worst_margin``, at ``worst_entry``
-    (mode index, time index).  ``ok`` is the one verdict of the cubic bound,
-    worst_margin + _CUBIC_SLACK >= 0; the lower bound cannot fail, as the sup
-    over modes 1..N includes mode 1, and takes no part in it.
+    ``norms`` is the (mode x time) stack and ``sup_norms`` its envelope.  The
+    first smallest margin ``upper - norms`` is ``worst_margin``, at
+    ``worst_entry`` (mode index, time index).  ``ok`` is the one verdict of
+    the cubic bound, worst_margin + _CUBIC_SLACK >= 0.
     """
 
     times: np.ndarray
@@ -409,10 +414,6 @@ class CubicBoundReport:
     @property
     def sup_norms(self) -> np.ndarray:
         return self.norms.max(axis=0)
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.norms[0]
 
     @property
     def worst_margin(self) -> float:
@@ -431,7 +432,6 @@ class CubicBoundReport:
     def to_json_dict(self) -> dict:
         """The ``cubic_bound`` and ``sandwich`` sections of ``lorentz verify``."""
         n, i = self.worst_entry
-        sup = self.sup_norms
         return {
             "cubic_bound": {
                 "ok": self.ok,
@@ -444,9 +444,8 @@ class CubicBoundReport:
             "sandwich": {
                 "ok": self.ok,
                 "times": [float(t) for t in self.times],
-                "sup_norms": [float(v) for v in sup],
+                "sup_norms": [float(v) for v in self.sup_norms],
                 "worst_upper_margin": self.worst_upper_margin,
-                "worst_lower_margin": float((sup - self.lower).min()),
             },
         }
 
@@ -471,7 +470,7 @@ def _check_grid(N: int, samples: int) -> None:
 def full_propagator_bounds(
     N: int, M: int, consts: AppendixCConstants, times
 ) -> CubicBoundReport:
-    """sup over modes 1..N of ||P_n(t)|| must lie in [||P_1(t)||, 1 - c t^3]."""
+    """sup over modes 1..N of ||P_n(t)|| must lie below 1 - c t^3."""
     ts = np.asarray(times, dtype=float)
     _check_grid(N, ts.size)
     if np.any(ts < 0) or np.any(ts > consts.tau + 1e-15):
@@ -665,7 +664,7 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
                 X = np.ascontiguousarray(state.coeffs[idx].T).view(np.float64)
                 state.coeffs[idx] = (P @ X).view(complex).T
         d = state.distance_to_equilibrium()
-        bound = math.sqrt(3.0) * math.exp(-LAMBDA0 * float(t)) * d0
+        bound = math.sqrt((1.0 + ALPHA) / (1.0 - ALPHA)) * math.exp(-LAMBDA0 * float(t)) * d0
         reports.append(
             SimulationReport(
                 t=float(t), distance=d, bound=bound, bound_ok=d <= bound + 1e-8,

@@ -7,9 +7,9 @@ factored and normed in real arithmetic.  Results agree with the same call on
 the complexified input up to roundoff.
 
 One Hermitian test (``_hermitian``) guards every input that must be
-Hermitian: ``min_eig_hermitian``, ``psd_sqrt`` and the cut of R behind the
-staircase and the index, and the pair (R, J) of ``staircase``, whose skew J
-is tested as the Hermitian 1j*J.  It rejects A when its distance to the
+Hermitian: ``min_eig_hermitian``, ``psd_sqrt`` and the pair (R, J) of
+``staircase``, whose skew J is tested as the Hermitian 1j*J, before the cut
+of R behind the staircase and the index.  It rejects A when its distance to the
 Hermitian part, ||A - A*||_F / 2, exceeds 1e-8 times the largest column
 2-norm of A; a smaller asymmetry is roundoff and is symmetrized away.
 
@@ -264,10 +264,12 @@ def min_eig_hermitian(A) -> float:
 @dataclass(frozen=True)
 class _PsdCut:
     """R = V diag(w) V* (w ascending) with its top ``rank`` eigenvalues kept and
-    the others read as zero; ``ambiguous`` if some |w| lies within 10x of the cut."""
+    the others read as zero; ``ambiguous`` if some |w| lies within 10x of the cut
+    RANK_RTOL * ``norm``, where ``norm`` = max|w| = ||R|| (1e-300 for R = 0)."""
 
     w: np.ndarray
     V: np.ndarray
+    norm: float
     rank: int
     ambiguous: bool
 
@@ -296,23 +298,22 @@ def _rank_cut(values: np.ndarray, cut: float) -> tuple[int, bool]:
     return int(np.count_nonzero(values >= cut)), bool(near.any())
 
 
-def _psd_cut(R) -> _PsdCut:
+def _psd_cut(R: np.ndarray) -> _PsdCut:
     """The one decision "is R PSD, and which of its eigenvalues are zero".
 
     With s = max|w| over the eigenvalues w of (R + R*)/2, an eigenvalue below
     -RANK_RTOL * s raises ``NotPSDError`` and the rank is ``_rank_cut`` at
     RANK_RTOL * s.  The staircase (its block 0 and its kernel count), the
-    families' factors and every accretivity check read this cut.  An R that
-    fails the one Hermitian test (module docstring) raises
-    ``ContractViolationError``.
+    families' factors and every accretivity check read this cut.  R must have
+    passed the one Hermitian test (module docstring); its callers run it.
     """
-    R = _hermitian(R, "R is not Hermitian")
     w, V = np.linalg.eigh(_symmetrized(R))
-    cut = RANK_RTOL * max(abs(w[0]), abs(w[-1]), 1e-300)
+    norm = float(max(abs(w[0]), abs(w[-1]), 1e-300))
+    cut = RANK_RTOL * norm
     if w[0] < -cut:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {w[0]:.3g} < -{cut:.3g}")
     rank, ambiguous = _rank_cut(w, cut)
-    return _PsdCut(w=w, V=V, rank=rank, ambiguous=ambiguous)
+    return _PsdCut(w=w, V=V, norm=norm, rank=rank, ambiguous=ambiguous)
 
 
 def psd_sqrt(R) -> np.ndarray:
@@ -324,7 +325,7 @@ def psd_sqrt(R) -> np.ndarray:
     An eigenvalue below -1e-10 s raises ``NotPSDError``, and an R that fails
     the one Hermitian test ``ContractViolationError``.
     """
-    return _psd_cut(R).root()
+    return _psd_cut(_hermitian(R, "R is not Hermitian")).root()
 
 
 def spectral_abscissa(A) -> float:

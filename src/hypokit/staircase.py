@@ -17,7 +17,7 @@ by s > 0:
 - a subdiagonal block keeps the singular values at or above
   RANK_RTOL * ||J||, and a block of rank 0 (an empty one too) ends the chain;
 - a value within a factor 10 of its cut (in [cut / 10, 10 cut]) is reported
-  in ``warnings`` as ambiguous.
+  in ``warnings`` as ambiguous, naming the cut.
 
 RANK_RTOL = 1e-10 is the fixed cut of ``core``.  ``verify_staircase``
 checks the subdiagonal blocks with the same rule.
@@ -45,16 +45,17 @@ class StaircaseForm:
 
     ``block_dims`` sums to the dimension; the final entry may be 0 so that the
     block count always includes the (possibly trivial) terminal invariant
-    space.
+    space.  ``r_cut`` (the cut of R that made block 0, ||R|| its ``norm``) and
+    ``norm_J`` = ||J|| (1e-300 for J = 0) are the scales every check reads.
     """
 
     basis: np.ndarray
     block_dims: list[int]
     J_hat: np.ndarray
     R_hat: np.ndarray
+    r_cut: core._PsdCut = field(repr=False)
+    norm_J: float
     warnings: list[str] = field(default_factory=list)
-    #: The cut of R that made block 0, kept for the power families' sqrt(R).
-    r_cut: core._PsdCut | None = field(default=None, repr=False)
 
     @property
     def n_blocks(self) -> int:
@@ -106,12 +107,16 @@ def build_staircase(R, J) -> StaircaseForm:
     """
     R, J = _check_pair(R, J)
     n = R.shape[0]
-    cut_J = core.RANK_RTOL * max(core.spectral_norm(J), 1e-300)
+    norm_J = max(core.spectral_norm(J), 1e-300)
+    cut_J = core.RANK_RTOL * norm_J
     warnings: list[str] = []
 
     r_cut = core._psd_cut(R)
     if r_cut.ambiguous:
-        warnings.append("rank decision for the Hermitian part is within 10x of rank_tol")
+        warnings.append(
+            "rank decision for the Hermitian part is within 10x of its cut "
+            f"{core.RANK_RTOL:g} * max|eigenvalue of R| = {core.RANK_RTOL * r_cut.norm:.3g}"
+        )
     k = n - r_cut.rank
     blocks = [r_cut.V[:, k:][:, ::-1]]  # kept eigenvectors, largest eigenvalue first
     trailing = r_cut.V[:, :k]
@@ -121,7 +126,8 @@ def build_staircase(R, J) -> StaircaseForm:
         rank, ambiguous = core._rank_cut(s, cut_J)
         if ambiguous:
             warnings.append(
-                f"rank decision at block {len(blocks) + 1} is within 10x of rank_tol"
+                f"rank decision at block {len(blocks) + 1} is within 10x of its cut "
+                f"{core.RANK_RTOL:g} * ||J|| = {cut_J:.3g}"
             )
         if rank == 0:
             blocks.append(trailing)
@@ -137,8 +143,9 @@ def build_staircase(R, J) -> StaircaseForm:
         block_dims=[b.shape[1] for b in blocks],
         J_hat=J_hat,
         R_hat=R_hat,
-        warnings=warnings,
         r_cut=r_cut,
+        norm_J=norm_J,
+        warnings=warnings,
     )
 
 
@@ -170,6 +177,8 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     The J pattern and the R corner, where the builder leaves what it cut,
     must hold to its cut, ``core.RANK_RTOL`` times ||J|| resp. max|eigenvalue
     of R|, and both reconstructions to ``VERIFY_RTOL`` = 1e-10 times those.
+    Both scales and the rank of R come from the form, not from a second cut
+    of R; a form of another pair fails a reconstruction whatever it carries.
     The basis must be unitary to 1e-12, and each subdiagonal block must keep
     full row rank under the builder's rank rule (module docstring).  A nonzero
     terminal block implies the pair is not hypocoercive; the converse
@@ -179,9 +188,7 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     R, J = _check_pair(R, J)
     n = R.shape[0]
     Q = form.basis
-    scale_J = max(core.spectral_norm(J), 1e-300)
-    r_cut = core._psd_cut(R)
-    scale_R = max(float(np.abs(r_cut.w).max()), 1e-300)
+    scale_J, scale_R = form.norm_J, form.r_cut.norm
     checks: dict[str, tuple[bool, float]] = {}
 
     res = core.spectral_norm(Q.conj().T @ Q - np.eye(n))
@@ -221,7 +228,7 @@ def verify_staircase(form: StaircaseForm, R, J) -> StaircaseReport:
     checks["reconstruct_J"] = (rec_J <= VERIFY_RTOL * scale_J, rec_J)
     checks["reconstruct_R"] = (rec_R <= VERIFY_RTOL * scale_R, rec_R)
 
-    kernel_dim = n - r_cut.rank
+    kernel_dim = n - form.r_cut.rank
     count_ok = s <= kernel_dim + 2
     checks["block_count_bound"] = (count_ok, float(s - kernel_dim - 2))
 

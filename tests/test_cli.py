@@ -228,6 +228,16 @@ def test_invalid_sizes_exit_1_without_traceback(tmp_path, capsys, argv):
     assert "hypokit: invalid input:" in capsys.readouterr().err
 
 
+def test_lorentz_weight_is_not_an_option(tmp_path, capsys):
+    # every margin is certified for the one weight lorentz.ALPHA = 1/2
+    out = tmp_path / "out.json"
+    argv = ["lorentz", "lyapunov", "--N", "2", "--M", "4", "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["alpha"] == 0.5 == lorentz.ALPHA
+    assert cli.main([*argv, "--alpha", "0.3"]) == 1
+    assert "hypokit: unrecognized arguments: --alpha 0.3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, option", [
     ("analyze", "--tol-rank"), ("staircase", "--tol-rank"),
     ("analyze", "--tol-kappa"), ("analyze", "--m-max"),

@@ -215,7 +215,8 @@ class TestEigenvectorObstruction:
         # must refuse it instead of returning an unverified vector
         R = np.diag([1.0, 0.0]).astype(complex)
         J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-        form = StaircaseForm(basis=np.eye(2, dtype=complex), block_dims=[1, 1], J_hat=J, R_hat=R)
+        form = StaircaseForm(basis=np.eye(2, dtype=complex), block_dims=[1, 1], J_hat=J, R_hat=R,
+                             r_cut=core._psd_cut(R), norm_J=1.0)
         with pytest.raises(errors.NumericalError):
             hc_index._terminal_witness(form, R, J)
 
@@ -525,6 +526,21 @@ class TestFactorUpdate:
                     delta = 10 * (level + 1) * dec.dim * eps * sv[0]
                     tol = 4 * delta * (sv[-1] + delta)
                     assert abs(lam - sv[-1] ** 2) <= tol, (dec.dim, method, level)
+
+    @pytest.mark.parametrize("g", [1e-6, 1e-8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_level_of_a_graded_stack_matches_60_digits(self, seed, g):
+        # the small rows g B come first, so only the row sort keeps lambda,
+        # about g^2, to its last digits: an unsorted QR reads it 3.5e-11 off
+        # or worse
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        blocks = [g * rng.standard_normal((6, 6)), rng.standard_normal((5, 6))]
+        lam, _ = hc_index._level(blocks)
+        with mp.workdps(60):
+            A = mp.matrix(np.vstack(blocks).tolist())
+            exact = min(mp.eigsy(A.T * A, eigvals_only=True))
+        assert abs(lam - exact) <= 1e-13 * exact
 
     @pytest.mark.parametrize(
         "C, methods, rtol",

@@ -241,25 +241,26 @@ class TestParityBlocks:
 class TestLyapunovWeight:
     def test_eigenvalues_exact(self):
         for n in (1, 2, 5):
-            Y = lorentz.lyapunov_weight(n, 0.5, 6)
+            Y = lorentz.lyapunov_weight(n, 6)
             w = np.sort(np.linalg.eigvalsh(Y))
             assert abs(w[0] - (1 - 0.5 / n)) <= 1e-12
             assert abs(w[-1] - (1 + 0.5 / n)) <= 1e-12
             assert np.abs(w[1:-1] - 1.0).max() <= 1e-12
 
     def test_rejects_indefinite_weight(self):
+        # the eigenvalue 1 - ALPHA / n_abs is 0 at n_abs = ALPHA
         with pytest.raises(errors.PreconditionError):
-            lorentz.lyapunov_weight(1, 1.0, 4)
+            lorentz.lyapunov_weight(lorentz.ALPHA, 4)
 
     def test_margin_certifies_rate(self):
-        assert lorentz.lyapunov_margin(1, 0.5, 64) >= -1e-10
-        assert lorentz.lyapunov_margin(5, 0.5, 64) >= lorentz.lyapunov_margin(1, 0.5, 64) - 1e-12
+        assert lorentz.lyapunov_margin(1, 64) >= -1e-10
+        assert lorentz.lyapunov_margin(5, 64) >= lorentz.lyapunov_margin(1, 64) - 1e-12
 
     @staticmethod
     def essential_block(n):
         """The 4x4 non-diagonal core of C*Y + YC on the indices j = -1..2,
-        for the weight with alpha = 1/2."""
-        a = 0.5
+        for the weight with ALPHA = 1/2."""
+        a = lorentz.ALPHA
         return np.array(
             [
                 [2.0, 0.0, -a / 2.0, 0.0],
@@ -418,7 +419,7 @@ class TestCubicAndSandwich:
         rep = lorentz.full_propagator_bounds(5, 16, consts, ts)
         assert rep.ok
         # the envelope is attained by the slowest-mixing mode at small times
-        assert np.abs(rep.sup_norms[1:4] - rep.lower[1:4]).max() <= 1e-12
+        assert np.abs(rep.sup_norms[1:4] - rep.norms[0, 1:4]).max() <= 1e-12
 
 
 class TestSimulate:

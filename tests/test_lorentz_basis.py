@@ -44,12 +44,12 @@ def test_lyapunov_margin_matches_the_physical_form(M):
     R, J10 = lorentz_reference(M)
     d = phases(M)
     for n in range(1, 6):
-        Y = physical_weight(n, 0.5, M)
-        assert np.all(lorentz.lyapunov_weight(n, 0.5, M) == d.conj()[:, None] * Y * d)
+        Y = physical_weight(n, lorentz.ALPHA, M)
+        assert np.all(lorentz.lyapunov_weight(n, M) == d.conj()[:, None] * Y * d)
         C = R - n * J10
         S = C.conj().T @ Y + Y @ C - 2.0 * lorentz.LAMBDA0 * Y
         ref = np.linalg.eigvalsh(S)[0]
-        assert abs(lorentz.lyapunov_margin(n, 0.5, M) - ref) <= 1e-13
+        assert abs(lorentz.lyapunov_margin(n, M) - ref) <= 1e-13
 
 
 def test_curve_at_time_zero_returns_the_field_bit_for_bit():

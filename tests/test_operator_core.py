@@ -415,7 +415,7 @@ class TestMinEigHermitian:
     def test_lorentz_weight(self):
         from hypokit import lorentz
 
-        Y = lorentz.lyapunov_weight(1, 0.5, 4)
+        Y = lorentz.lyapunov_weight(1, 4)
         assert core.min_eig_hermitian(Y) == pytest.approx(0.5, abs=1e-12)
 
     def test_windowed_lorentz_mixing_form(self):

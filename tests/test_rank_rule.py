@@ -138,7 +138,8 @@ def test_analyze_prints_the_staircase_warnings(tmp_path):
     src.write_text(cli._to_json(core.matrix_to_json(Q @ (R - J) @ Q.conj().T)))
     assert cli.main(["analyze", "--input", str(src), "--output", str(out)]) == 3
     audit = json.loads(out.read_text())["audit"]
-    assert audit["staircase_warnings"] == ["rank decision at block 4 is within 10x of rank_tol"]
+    assert audit["staircase_warnings"] == [
+        "rank decision at block 4 is within 10x of its cut 1e-10 * ||J|| = 1e-07"]
     assert audit["rank_bound"] == 2 and audit["agree"] is True
     assert audit["index_per_method"] == {
         **dict.fromkeys(hc_index.METHODS, "unresolved"), "staircase": 3}
@@ -149,7 +150,7 @@ def test_a_value_near_the_cut_is_reported_where_it_ends_the_chain():
     assert form.block_dims == [2, 2, 1, 0] and form.warnings == []
     form = build_staircase(*_weak_coupling_pair(5e-8))  # in the band: dropped
     assert form.block_dims == [2, 1, 1, 1]
-    assert form.warnings == ["rank decision at block 2 is within 10x of rank_tol"]
+    assert form.warnings == ["rank decision at block 2 is within 10x of its cut 1e-10 * ||J|| = 1e-07"]
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -163,11 +164,50 @@ def test_pair_checks_are_relative_to_the_operator(s):
         build_staircase(s * np.eye(2), s * (good + np.diag([0.0, 1e-6])))
 
 
+@pytest.mark.parametrize("command, hermitian_tests", [("staircase", 4), ("analyze", 2)])
+def test_each_scale_is_measured_once(tmp_path, monkeypatch, command, hermitian_tests):
+    # the builder cuts R and norms J once, and the verifier, the families and
+    # the witness read both from the form; the verifier tests the pair again
+    C = bench_planted_pair(1, 0, 60, 12)
+    J = core.hermitian_split(C).J
+    src = tmp_path / "pair.json"
+    src.write_text(cli._to_json(core.matrix_to_json(C)))
+    calls = {"_psd_cut": 0, "_hermitian": 0, "norm_J": 0}
+
+    def counting(name, fn):
+        def wrapped(A, *args):
+            calls[name] += 1
+            return fn(A, *args)
+        return wrapped
+
+    def norm(A, _fn=core.spectral_norm):
+        calls["norm_J"] += any(np.array_equal(X, J) for X in np.reshape(A, (-1, *J.shape)))
+        return _fn(A)
+
+    monkeypatch.setattr(core, "_psd_cut", counting("_psd_cut", core._psd_cut))
+    monkeypatch.setattr(core, "_hermitian", counting("_hermitian", core._hermitian))
+    monkeypatch.setattr(core, "spectral_norm", norm)
+    assert cli.main([command, "--input", str(src), "--output", str(tmp_path / "out")]) == 0
+    assert calls == {"_psd_cut": 1, "_hermitian": hermitian_tests, "norm_J": 1}
+
+
+def test_witness_takes_its_scales_from_the_form(monkeypatch):
+    R, J = _weak_coupling_pair()
+    form = build_staircase(R, J)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the witness ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert hc_index._terminal_witness(form, R, J) is not None
+
+
 @pytest.mark.parametrize("s", SCALES)
 def test_failed_witness_raises_at_every_scale(s):
     # a terminal block that is not J-invariant: ||J v - lambda v|| = s
     R, J = s * np.diag([1.0, 0.0]), s * np.array([[0.0, -1.0], [1.0, 0.0]])
-    form = StaircaseForm(basis=np.eye(2), block_dims=[1, 1], J_hat=J, R_hat=R)
+    form = StaircaseForm(basis=np.eye(2), block_dims=[1, 1], J_hat=J, R_hat=R,
+                         r_cut=core._psd_cut(R), norm_J=s)
     with pytest.raises(errors.NumericalError):
         hc_index._terminal_witness(form, R, J)
 

@@ -73,7 +73,8 @@ class TestBuildStaircase:
         # an eigenvalue of R within 10x of RANK_RTOL * ||R|| gets a warning
         R = np.diag([1.0, small])
         form = build_staircase(R, np.array([[0.0, -1.0], [1.0, 0.0]]))
-        warning = "rank decision for the Hermitian part is within 10x of rank_tol"
+        warning = ("rank decision for the Hermitian part is within 10x of its cut "
+                   "1e-10 * max|eigenvalue of R| = 1e-10")
         assert form.warnings == ([warning] if flagged else [])
         assert form.block_dims == [2, 0]
 
