@@ -150,7 +150,8 @@ def test_a_value_near_the_cut_is_reported_where_it_ends_the_chain():
     assert form.block_dims == [2, 2, 1, 0] and form.warnings == []
     form = build_staircase(*_weak_coupling_pair(5e-8))  # in the band: dropped
     assert form.block_dims == [2, 1, 1, 1]
-    assert form.warnings == ["rank decision at block 2 is within 10x of its cut 1e-10 * ||J|| = 1e-07"]
+    assert form.warnings == [
+        "rank decision at block 2 is within 10x of its cut 1e-10 * ||J|| = 1e-07"]
 
 
 @pytest.mark.parametrize("s", SCALES)
