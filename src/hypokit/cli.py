@@ -71,7 +71,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--input", required=True)
     common(sp)
 
-    sp = sub.add_parser("staircase", help="staircase form of the input pair")
+    sp = sub.add_parser("staircase", help="staircase form of the input pair", description=(
+        "Exit 3 when the verification fails or a rank decision (cut at 1e-10 times the "
+        "norm of R or J) is ambiguous; the form's warnings name it."))
     sp.add_argument("--input", required=True)
     common(sp)
 
@@ -203,14 +205,13 @@ def _cmd_analyze(args) -> int:
     from . import operator_core as core
     from .errors import NoDecayError
 
-    A = _load_matrix(args.input)
-    dec = core.hermitian_split(A)
+    dec = core.hermitian_split(_load_matrix(args.input))
     audit = hc_index.equivalence_audit(dec)
-    stab = decay.stability_check(A)
-    scale = max(core.spectral_norm(A), 1e-300)
+    stab = decay.stability_check(dec)
+    scale = max(dec.norm, 1e-300)
     times = np.geomspace(1e-4 / scale, 10.0 / scale, 220)
     try:
-        fit = decay.fit_short_time(decay.short_time_curve(A, times)).to_json_dict()
+        fit = decay.fit_short_time(decay.short_time_curve(dec, times)).to_json_dict()
     except NoDecayError:
         fit = None
     out = {
@@ -233,7 +234,7 @@ def _cmd_staircase(args) -> int:
     out = form.to_json_dict()
     out["verification"] = report.to_json_dict()
     _emit_json(out, args.output)
-    return 0 if report.ok else 3
+    return 0 if report.ok and not form.warnings else 3
 
 
 def _uniform_times(tmax: float, steps: int):

@@ -189,9 +189,9 @@ def propagator_norm_curve(C, times) -> DecayCurve:
     return DecayCurve(times=ts, norms=_norms(A, ts, steps))
 
 
-def short_time_curve(C, times) -> DecayCurve:
+def short_time_curve(dec: core.OperatorDecomposition, times) -> DecayCurve:
     """The points of the curve of ||exp(-C t)|| on ``times`` that can hold a
-    point of the ``fit_short_time`` window.
+    point of the ``fit_short_time`` window, for C = ``dec.C``.
 
     The result is a contiguous run of the grid, normed by the pointwise
     source of the kernel (module docstring).  On a grid that is not uniform
@@ -209,10 +209,9 @@ def short_time_curve(C, times) -> DecayCurve:
     Probe norms are reused, and the rest of the run is normed in one batch.
     Where no point survives, the curve is empty.
     """
-    C = core.as_matrix(C, square=True)
     ts = _time_grid(times)
-    A = -C
-    mu = max(0.0, float(np.linalg.eigvalsh(core._symmetrized(A))[-1]))
+    A = -dec.C
+    mu = max(0.0, float(np.linalg.eigvalsh(-dec.R)[-1]))
     low, high = 0.1 * FIT_DROPS[0], 10.0 * FIT_DROPS[1]
     norms = np.full(ts.size, np.nan)
 
@@ -298,18 +297,18 @@ def short_time_constant(dec: core.OperatorDecomposition, m: int) -> float:
     return lam / (math.factorial(2 * m + 1) * math.comb(2 * m, m))
 
 
-def stability_check(C) -> StabilityReport:
+def stability_check(dec: core.OperatorDecomposition) -> StabilityReport:
     """Exponential stability marker ||exp(-C t0)|| < 1 plus the spectral gap.
 
-    For a bounded generator the sharp asymptotic rate equals the spectral
-    gap min Re sigma(C); a norm strictly below one at any single time already
-    certifies uniform exponential stability.  t0 = 3/gap, about three decay
-    times, when the gap exceeds 1e-12 ||C||, else 1/||C|| (1 for C = 0).
-    Both are relative to the scale of C, so s C reads t0 / s.
+    For a bounded generator C = ``dec.C`` the sharp asymptotic rate equals the
+    spectral gap min Re sigma(C); a norm strictly below one at any single time
+    already certifies uniform exponential stability.  t0 = 3/gap, about three
+    decay times, when the gap exceeds 1e-12 ||C||, else 1/||C|| (1 for C = 0),
+    with ||C|| read from the record (``dec.norm``, measured once).  Both are
+    relative to the scale of C, so s C reads t0 / s.
     """
-    C = core.as_matrix(C, square=True)
-    gap = -core.spectral_abscissa(-C)
-    norm_C = core.spectral_norm(C)
+    gap = -core.spectral_abscissa(-dec.C)
+    norm_C = dec.norm
     t0 = 3.0 / gap if gap > 1e-12 * norm_C else 1.0 / norm_C if norm_C > 0 else 1.0
-    norm = float(propagator_norm_curve(C, [t0]).norms[0])
+    norm = float(propagator_norm_curve(dec.C, [t0]).norms[0])
     return StabilityReport(stable=norm < 1.0 - 1e-12, t0=t0, norm_at_t0=norm, spectral_gap=gap)

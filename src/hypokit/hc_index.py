@@ -148,7 +148,7 @@ def _family_checks(
     top = float(np.sqrt(cut.w[-1]))
     S = (cut.V[:, n - r:] * np.sqrt(cut.w[n - r:] / cut.w[-1])).conj().T  # r x n, norm 1
     C, J, norm_J = dec.C, dec.J, form.norm_J
-    norm_C = max(core.spectral_norm(C), 1e-300)
+    norm_C = max(dec.norm, 1e-300)
     factors = {
         "c_powers_right": (S, C, norm_C),
         "c_powers_left": (S, C.conj().T, norm_C),

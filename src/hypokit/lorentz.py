@@ -171,11 +171,11 @@ def kappa_truncated(M: int) -> float:
     return core.min_eig_hermitian(_even_form(M, lambda R, K: R + K @ R @ K.T))
 
 
-def kappa3_truncated(M: int, n_abs: float = 1.0) -> float:
-    """Smallest eigenvalue of R + C^T R C for the magnitude-n_abs generator."""
+def kappa3_truncated(M: int) -> float:
+    """Smallest eigenvalue of R + C^T R C for the magnitude-1 generator C = R - K."""
 
     def form(R, K):
-        C = R - n_abs * K
+        C = R - K
         return R + C.T @ R @ C
 
     return core.min_eig_hermitian(_even_form(M, form))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +70,8 @@ def _finite(M: np.ndarray, copy: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorDecomposition:
-    """Unique split C = R - J with R Hermitian (PSD for accretive C) and J skew."""
+    """Unique split C = R - J with R Hermitian (PSD for accretive C) and J skew:
+    the one record of a generator, whose ||C|| (``norm``) is measured once."""
 
     C: np.ndarray
     R: np.ndarray
@@ -78,6 +80,11 @@ class OperatorDecomposition:
     @property
     def dim(self) -> int:
         return self.C.shape[0]
+
+    @cached_property
+    def norm(self) -> float:
+        """||C||, the largest singular value of C."""
+        return spectral_norm(self.C)
 
 
 def hermitian_split(C) -> OperatorDecomposition:
@@ -242,14 +249,16 @@ def _hermitian(A, message: str) -> np.ndarray:
 
     The test is never looser than the same one with spectral norms on both
     sides, since ||X||_2 <= ||X||_F and the largest column norm is at most
-    ||A||_2, and it needs no SVD.
+    ||A||_2, and it needs no SVD.  It norms A / 2^e, max|A / 2^e| in [1, 2):
+    an exact scaling, under which no square underflows or overflows.
     """
     A = as_matrix(A, square=True)
-    asym = float(np.linalg.norm(A - A.conj().T)) / 2.0
-    scale = float(np.linalg.norm(A, axis=0).max())
+    X = A / (unit := 2.0 ** (math.frexp(float(np.abs(A).max()))[1] - 1))
+    asym = float(np.linalg.norm(X - X.conj().T)) / 2.0
+    scale = float(np.linalg.norm(X, axis=0).max())
     if asym > 1e-8 * scale:
         raise ContractViolationError(
-            f"{message}: asymmetry {asym:.3g} exceeds 1e-8 * column norm {scale:.3g}"
+            f"{message}: asymmetry {asym * unit:.3g} exceeds 1e-8 * column norm {scale * unit:.3g}"
         )
     return A
 

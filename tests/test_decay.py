@@ -135,7 +135,8 @@ class TestUniformGrid:
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(A) or eigvalsh(A))
-        decay.short_time_curve(-np.diag([1.0, -0.5]), np.geomspace(1e-3, 1.0, 20))
+        dec = core.hermitian_split(-np.diag([1.0, -0.5]))
+        decay.short_time_curve(dec, np.geomspace(1e-3, 1.0, 20))
         assert len(calls) == 1
 
 
@@ -231,26 +232,26 @@ class TestFitShortTime:
 
 class TestStabilityCheck:
     def test_ck(self):
-        rep = decay.stability_check(gallery.ck_matrix(2))
+        rep = decay.stability_check(core.hermitian_split(gallery.ck_matrix(2)))
         assert rep.stable
         assert rep.spectral_gap == pytest.approx(0.5, abs=1e-12)
         assert rep.t0 == pytest.approx(6.0, rel=1e-12)  # 3 / gap
 
     def test_skew_is_not_stable(self):
         J = np.array([[0.0, -2.0], [2.0, 0.0]])
-        rep = decay.stability_check(J)
+        rep = decay.stability_check(core.hermitian_split(J))
         assert not rep.stable
         assert abs(rep.spectral_gap) <= 1e-10
         assert rep.t0 == 0.5  # 1 / ||J||
 
     def test_zero_generator_reads_t0_one(self):
         # 1 / ||C|| has no scale to take from C = 0
-        rep = decay.stability_check(np.zeros((2, 2)))
+        rep = decay.stability_check(core.hermitian_split(np.zeros((2, 2))))
         assert not rep.stable and rep.t0 == 1.0 and rep.norm_at_t0 == 1.0
 
     def test_block_assembly_gap_is_minimum(self):
         A = gallery.make_example("ek_blockdiag", blocks=8)
-        rep = decay.stability_check(A)
+        rep = decay.stability_check(core.hermitian_split(A))
         gaps = [-core.spectral_abscissa(-gallery.ek_matrix(k)) for k in range(1, 9)]
         assert rep.spectral_gap == pytest.approx(min(gaps), abs=1e-12)
         assert rep.spectral_gap <= 1.0 / 8.0 + 1e-12

@@ -143,6 +143,8 @@ def test_analyze_prints_the_staircase_warnings(tmp_path):
     assert audit["rank_bound"] == 2 and audit["agree"] is True
     assert audit["index_per_method"] == {
         **dict.fromkeys(hc_index.METHODS, "unresolved"), "staircase": 3}
+    assert cli.main(["staircase", "--input", str(src), "--output", str(out)]) == 3
+    assert json.loads(out.read_text())["warnings"] == audit["staircase_warnings"]
 
 
 def test_a_value_near_the_cut_is_reported_where_it_ends_the_chain():
@@ -154,26 +156,30 @@ def test_a_value_near_the_cut_is_reported_where_it_ends_the_chain():
         "rank decision at block 2 is within 10x of its cut 1e-10 * ||J|| = 1e-07"]
 
 
-@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("s", SCALES + (1e-170, 1e160))
 def test_pair_checks_are_relative_to_the_operator(s):
-    # an asymmetry of 1e-6 of the operator's size is rejected at every scale
+    # an asymmetry of 1e-6 of the operator's size is rejected at every scale,
+    # also where the squares in its norms underflow (1e-170) or overflow (1e160)
     good = np.array([[0.0, -1.0], [1.0, 0.0]])
     bad = np.array([[1.0, 1e-6], [0.0, 1.0]])
     with pytest.raises(errors.ContractViolationError, match="R is not Hermitian"):
         build_staircase(s * bad, s * good)
     with pytest.raises(errors.ContractViolationError, match="J is not skew-Hermitian"):
         build_staircase(s * np.eye(2), s * (good + np.diag([0.0, 1e-6])))
+    with pytest.raises(errors.ContractViolationError, match="matrix is not Hermitian"):
+        core.min_eig_hermitian(s * bad)
 
 
 @pytest.mark.parametrize("command, hermitian_tests", [("staircase", 4), ("analyze", 2)])
 def test_each_scale_is_measured_once(tmp_path, monkeypatch, command, hermitian_tests):
     # the builder cuts R and norms J once, and the verifier, the families and
-    # the witness read both from the form; the verifier tests the pair again
+    # the witness read both from the form; the verifier tests the pair again.
+    # analyze norms C once, in its record, and staircase never
     C = bench_planted_pair(1, 0, 60, 12)
     J = core.hermitian_split(C).J
     src = tmp_path / "pair.json"
     src.write_text(cli._to_json(core.matrix_to_json(C)))
-    calls = {"_psd_cut": 0, "_hermitian": 0, "norm_J": 0}
+    calls = {"_psd_cut": 0, "_hermitian": 0, "norm_J": 0, "norm_C": 0}
 
     def counting(name, fn):
         def wrapped(A, *args):
@@ -182,14 +188,16 @@ def test_each_scale_is_measured_once(tmp_path, monkeypatch, command, hermitian_t
         return wrapped
 
     def norm(A, _fn=core.spectral_norm):
-        calls["norm_J"] += any(np.array_equal(X, J) for X in np.reshape(A, (-1, *J.shape)))
+        for name, M in (("norm_J", J), ("norm_C", C)):
+            calls[name] += any(np.array_equal(X, M) for X in np.reshape(A, (-1, *M.shape)))
         return _fn(A)
 
     monkeypatch.setattr(core, "_psd_cut", counting("_psd_cut", core._psd_cut))
     monkeypatch.setattr(core, "_hermitian", counting("_hermitian", core._hermitian))
     monkeypatch.setattr(core, "spectral_norm", norm)
     assert cli.main([command, "--input", str(src), "--output", str(tmp_path / "out")]) == 0
-    assert calls == {"_psd_cut": 1, "_hermitian": hermitian_tests, "norm_J": 1}
+    norm_C = int(command == "analyze")
+    assert calls == {"_psd_cut": 1, "_hermitian": hermitian_tests, "norm_J": 1, "norm_C": norm_C}
 
 
 def test_witness_takes_its_scales_from_the_form(monkeypatch):

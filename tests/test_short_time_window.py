@@ -101,7 +101,7 @@ class TestWindowEqualsFullGrid:
         C = CASES[name]()
         ts = _analyze_grid(C)
         full = decay.propagator_norm_curve(C, ts)
-        window = decay.short_time_curve(C, ts)
+        window = decay.short_time_curve(core.hermitian_split(C), ts)
         assert _fit(window) == _fit(full)
         # a contiguous run of the grid, with the full curve's norms
         first = int(np.searchsorted(ts, window.times[0])) if window.times.size else 0
@@ -137,13 +137,13 @@ class TestCost:
     @pytest.mark.parametrize("k", [16, 40])
     def test_high_index_costs_a_bisection(self, k, expm_calls):
         C = gallery.ek_matrix(k)
-        decay.short_time_curve(C, _analyze_grid(C))
+        decay.short_time_curve(core.hermitian_split(C), _analyze_grid(C))
         assert expm_calls[0] <= 2 * math.ceil(math.log2(GRID_POINTS)) + 2
 
     @pytest.mark.parametrize("name", ["ck_3", "planted60", "coercive", "non_accretive"])
     def test_probes_beyond_the_window_are_logarithmic(self, name, expm_calls):
         C = CASES[name]()
-        window = decay.short_time_curve(C, _analyze_grid(C))
+        window = decay.short_time_curve(core.hermitian_split(C), _analyze_grid(C))
         assert expm_calls[0] <= window.times.size + 3 * math.ceil(math.log2(GRID_POINTS)) + 1
 
 
@@ -151,16 +151,16 @@ class TestGrids:
     def test_overflowing_last_time_raises_range_error(self):
         # ||exp(-C t)|| = e^t leaves double range after t = 709.78
         C = np.diag([-1.0, 1.0]).astype(complex)
-        decay.short_time_curve(C, np.geomspace(1.0, 650.0, 30))
+        decay.short_time_curve(core.hermitian_split(C), np.geomspace(1.0, 650.0, 30))
         with pytest.raises(errors.RangeError):
-            decay.short_time_curve(C, np.geomspace(1.0, 750.0, 30))
+            decay.short_time_curve(core.hermitian_split(C), np.geomspace(1.0, 750.0, 30))
 
     def test_finite_non_accretive_curve_is_returned(self):
         # the logarithmic norm of -C t reaches 49000 on this grid, but every
         # propagator is finite; mu (t_N - t) > 709 must not overflow either
         C = np.array([[1.0, 100.0], [0.0, 1.0]])
         ts = np.geomspace(1e-3, 1e3, 50)
-        window = decay.short_time_curve(C, ts)
+        window = decay.short_time_curve(core.hermitian_split(C), ts)
         assert window.times.size > 0
         first = int(np.searchsorted(ts, window.times[0]))
         full = decay.propagator_norm_curve(C, ts).norms[first : first + window.times.size]
@@ -168,4 +168,4 @@ class TestGrids:
 
     def test_invalid_grid_is_rejected(self):
         with pytest.raises(errors.PreconditionError):
-            decay.short_time_curve(gallery.ck_matrix(1), [1.0, 0.5])
+            decay.short_time_curve(core.hermitian_split(gallery.ck_matrix(1)), [1.0, 0.5])
