@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--output", default=None, help="output path (default stdout)")
 
-    sp = sub.add_parser("analyze", help="index audit + stability + short-time fit", description=(
+    sp = sub.add_parser("analyze", help="index audit + stability + short-time law", description=(
         "The staircase decides the index m; each coercive family reads m (resolved), "
         "unresolved or inconclusive from its levels m - 1 and m against 10 times the "
         "floor eps^2 n ||stack||^2, the roundoff of its level-m stack, or none with no "
@@ -62,10 +62,12 @@ def _build_parser() -> _Parser:
         "moved the power families' kappa by up to 3.2e-11 relative on generic n = 100 "
         "and 200 pairs, and the commutators' by up to 7.5e-3 on E_25, whose kappa is "
         "only 17.6 times its floor; family_checks gives each floor as kappa_floor. "
-        "short_time_fit holds about 6 digits of "
-        "a_est and c_est and 4 of residual and odd_gap: a roundoff-level change of the "
-        "exponential moved a_est by up to 5.7e-7 and odd_gap by up to 2.6e-5 relative on "
-        "a planted n = 60 pair. Exit 3 when a family is "
+        "short_time_law gives m, the exponent 2m + 1 and the constant c of "
+        "||exp(-Ct)|| = 1 - c t^(2m+1) + ..., read off the staircase chain (null with no "
+        "index; c null, with a reason, outside double range). short_time_fit is a "
+        "log-log fit of the same law on a time grid: its c_est was off c by 5.7e-4 "
+        "relative on E_4 and by 6.3% on E_8, and it is flagged where c_est is not a "
+        "positive normal float. Exit 3 when a family is "
         "inconclusive or a staircase rank decision (cut at 1e-10 times the norm of R "
         "or J) is ambiguous."))
     sp.add_argument("--input", required=True)
@@ -218,6 +220,7 @@ def _cmd_analyze(args) -> int:
         "audit": audit.to_json_dict(),
         "stability": stab.to_json_dict(),
         "short_time_fit": fit,
+        "short_time_law": audit.short_time_law,
     }
     _emit_json(out, args.output)
     return 0 if audit.agree and not audit.warnings else 3
@@ -341,7 +344,7 @@ def _cmd_lorentz(args) -> int:
         lines.append(f"{rep.t:.17g},{rep.distance:.17g},{rep.bound:.17g}")
     outputs = [("\n".join(lines) + "\n", args.output)]
     if args.final_field:
-        outputs.append((_to_json(lorentz.field_to_json(final)), args.final_field))
+        outputs.append((lorentz.field_to_json(final), args.final_field))
     _emit(*outputs)
     ok = all(rep.bound_ok and rep.mass_ok for rep in reports)
     return 0 if ok else 3

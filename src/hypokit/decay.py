@@ -2,7 +2,7 @@
 
 Covers sampled propagator-norm curves, the short-time law
 ``||P(t)|| = 1 - c t^(2m+1) + o(t^(2m+1))`` attached to the hypocoercivity
-index m, the analytic constant c evaluated on the exact kernel intersection,
+index m, fitted here (``hc_index`` reads the exact c off the staircase form),
 and exponential-stability checks.
 
 One kernel, ``_norms``, takes every propagator norm that hypokit reports.
@@ -49,7 +49,6 @@ import numpy as np
 
 from . import operator_core as core
 from .errors import (
-    ContractViolationError,
     DimensionError,
     InvalidEntryError,
     NoDecayError,
@@ -65,7 +64,6 @@ __all__ = [
     "propagator_norm_curve",
     "short_time_curve",
     "fit_short_time",
-    "short_time_constant",
     "stability_check",
 ]
 
@@ -89,7 +87,9 @@ class ShortTimeFit:
     """Log-log fit of the initial norm drop 1 - ||P(t)|| ~ c t^a.
 
     ``a_rounded`` is the nearest odd integer; ``flagged`` marks fits whose
-    estimated exponent strays more than 0.2 from it.
+    estimated exponent strays more than 0.2 from it, or whose ``c_est`` is
+    not a positive normal float: exp of the intercept under- or overflowed,
+    as on 1e-170 E_4, whose c is about 1e-1195.
     """
 
     a_est: float
@@ -242,7 +242,9 @@ def fit_short_time(curve: DecayCurve) -> ShortTimeFit:
     """Least-squares fit of log(1 - ||P(t)||) = log c + a log t.
 
     Only samples at t > 0 whose norm drop lies in ``FIT_DROPS``,
-    [1e-10, 1e-2], participate.
+    [1e-10, 1e-2], participate.  The fit is ``flagged`` where c_est is not
+    a positive normal float, as well as where a_est is not near an odd
+    integer (``ShortTimeFit``).
     """
     drop = 1.0 - curve.norms
     mask = (drop >= FIT_DROPS[0]) & (drop <= FIT_DROPS[1]) & (curve.times > 0)
@@ -267,34 +269,8 @@ def fit_short_time(curve: DecayCurve) -> ShortTimeFit:
         residual=resid,
         fit_window=(float(curve.times[mask][0]), float(curve.times[mask][-1])),
         odd_gap=odd_gap,
-        flagged=odd_gap > 0.2,
+        flagged=odd_gap > 0.2 or not np.finfo(float).tiny <= c_est < math.inf,
     )
-
-
-def short_time_constant(dec: core.OperatorDecomposition, m: int) -> float:
-    """Leading coefficient c of the short-time law 1 - c t^(2m+1) for index m.
-
-    Evaluates the constrained minimum of ||sqrt(C_H) C^m x||^2 over the joint
-    kernel of sqrt(C_H) C^j, j < m (the shrinking-neighborhood limit in the
-    analytic definition collapses to this exact kernel in finite dimensions),
-    normalized by (2m+1)! * binom(2m, m).  The kernel is read off the
-    staircase form of (J, R): it is spanned by the basis columns after the
-    first m blocks.  Building it raises ``NotPSDError`` when C is not accretive.
-    """
-    from . import staircase  # here, so that decay alone does not load it
-
-    if m < 0:
-        raise PreconditionError("m must be nonnegative")
-    form = staircase.build_staircase(dec.R, dec.J)
-    B = form.basis[:, sum(form.block_dims[:m]) :]
-    if B.shape[1] == 0:
-        raise ContractViolationError(
-            f"the kernel intersection at level m={m} is trivial; m is not the index"
-        )
-    for _ in range(m):
-        B = dec.C @ B
-    lam = core.min_eig_hermitian(B.conj().T @ dec.R @ B)
-    return lam / (math.factorial(2 * m + 1) * math.comb(2 * m, m))
 
 
 def stability_check(dec: core.OperatorDecomposition) -> StabilityReport:

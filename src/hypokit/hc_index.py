@@ -52,6 +52,7 @@ a floor of about 4e-43.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,6 +223,29 @@ def _terminal_witness(form: staircase.StaircaseForm, R, J) -> ObstructionWitness
     )
 
 
+def _short_time_law(form: staircase.StaircaseForm) -> dict:
+    """{m, exponent: 2m + 1, c, reason} of ||exp(-C t)|| = 1 - c t^(2m+1) + ...
+    at the index m.  Block m is the kernel of sqrt(R) C^j, j < m, which m
+    steps of the form take to block 0 only through the couplings J_hat_(i,i+1):
+    c = sigma_min(sqrt(W) J_hat_01 ... J_hat_(m-1,m))^2 / ((2m+1)! binom(2m, m)),
+    W the kept eigenvalues of R, largest first as in block 0.  Powers of 2 scale
+    each factor and one ``ldexp`` undoes them: c of 2^k C is bitwise 2^(k(2m+1)) c
+    where the form scales bitwise; c is None unless normal (frexp exponent -1021..1024)."""
+    m, cut, blocks = form.index, form.r_cut, form.block_slices()
+    a, b = (math.frexp(x)[1] - 1 for x in (cut.norm, form.norm_J))
+    P, e = np.diag(np.sqrt(cut.w[cut.w.size - cut.rank:][::-1] / 2.0**a)), a + 2 * m * b
+    for i in range(m):
+        P = P @ (form.J_hat[blocks[i], blocks[i + 1]] / 2.0**b)
+        unit = math.frexp(float(np.abs(P).max()))[1] - 1
+        P, e = P / 2.0**unit, e + 2 * unit
+    s, s_exp = math.frexp(float(np.linalg.svd(P, compute_uv=False)[-1]))
+    N = math.factorial(2 * m + 1) * math.comb(2 * m, m)
+    frac, e = s * s / (N / 2 ** (N.bit_length() - 1)), e + 2 * s_exp - N.bit_length() + 1
+    c = math.ldexp(frac, e) if frac and -1021 <= math.frexp(frac)[1] + e <= 1024 else None
+    reason = None if c else f"c = {frac:.6g} * 2^{e} is not a positive normal double"
+    return {"m": m, "exponent": 2 * m + 1, "c": c, "reason": reason}
+
+
 def kalman_kernel_defect(R, J, m: int) -> int:
     """Dimension of the joint kernel of sqrt(R) (J*)^j, j = 0..m.
 
@@ -251,8 +275,8 @@ def eigenvector_obstruction(R, J) -> ObstructionWitness | None:
 @dataclass
 class AuditReport:
     """Staircase index (None when there is none) and each family's reading,
-    defect sweep, witness, warnings and the counting bound; ``agree`` means
-    that no family reads "inconclusive"."""
+    defect sweep, witness, warnings, counting bound and short-time law;
+    ``agree`` means that no family reads "inconclusive"."""
 
     index_per_method: dict[str, int | str | None]
     kappa_per_method: dict[str, float | None]
@@ -262,6 +286,7 @@ class AuditReport:
     agree: bool
     rank_bound: int
     warnings: list[str]
+    short_time_law: dict | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -279,10 +304,10 @@ class AuditReport:
 
 
 def equivalence_audit(dec: core.OperatorDecomposition) -> AuditReport:
-    """Index, defect sweep, obstruction and warnings from one staircase form
-    (the index as method "staircase"), and the four families' checks of that
-    index (module docstring).  An "inconclusive" family is reported, not
-    raised: its values and floor are what is needed to diagnose it."""
+    """Index, defect sweep, obstruction, warnings and short-time law from one
+    staircase form (the index as method "staircase"), and the four families'
+    checks of that index (module docstring).  An "inconclusive" family is
+    reported, not raised: its values and floor are what is needed to diagnose it."""
     form = staircase.build_staircase(dec.R, dec.J)
     reports = _family_checks(dec, form)
     return AuditReport(
@@ -294,4 +319,5 @@ def equivalence_audit(dec: core.OperatorDecomposition) -> AuditReport:
         agree=all(rep.verdict != "inconclusive" for rep in reports.values()),
         rank_bound=reports[METHODS[0]].rank_bound,
         warnings=list(form.warnings),
+        short_time_law=None if form.index is None else _short_time_law(form),
     )

@@ -65,6 +65,7 @@ from .errors import (
     InvalidEntryError,
     NumericalError,
     PreconditionError,
+    RangeError,
 )
 
 __all__ = [
@@ -521,9 +522,18 @@ class LorentzField:
         return complex(self.coeffs[self.N, self.N, self.M])
 
     def distance_to_equilibrium(self) -> float:
-        """Norm of the field minus its constant equilibrium component."""
-        total = float(np.sum(np.abs(self.coeffs) ** 2))
-        return math.sqrt(max(total - abs(self.mass) ** 2, 0.0))
+        """Norm of the field minus its constant equilibrium component.
+
+        It is taken of the moduli |c| divided by 2^e, max|c| / 2^e in [1, 2),
+        and multiplied back: an exact scaling, under which no square
+        overflows or underflows, so 2^k times a field has 2^k times its
+        distance.  A field that is not finite, or a distance past double
+        range, gives inf or nan.
+        """
+        moduli = np.abs(self.coeffs)
+        unit = 2.0 ** (math.frexp(float(moduli.max()))[1] - 1)
+        total = float(np.sum((moduli / unit) ** 2))
+        return math.sqrt(max(total - (abs(self.mass) / unit) ** 2, 0.0)) * unit
 
     @classmethod
     def random(cls, rng: np.random.Generator, N: int, M: int) -> "LorentzField":
@@ -533,18 +543,19 @@ class LorentzField:
         return field
 
 
-def field_to_json(field: LorentzField) -> dict:
-    """Serialize nonzero coefficients, ordered by (n1, n2, j)."""
+def field_to_json(field: LorentzField) -> str:
+    """The JSON text of the nonzero coefficients, ordered by (n1, n2, j):
+    byte for byte ``json.dumps(..., sort_keys=True)`` of {"N", "M",
+    "coeffs": [{"n": [n1, n2], "j", "re", "im"}, ...]}, written with one
+    %-format per coefficient (a float as its repr, as ``json`` writes it)."""
     n1, n2, j = np.nonzero(field.coeffs)
     z = field.coeffs[n1, n2, j]
-    items = [
-        {"n": [a, b], "j": c, "re": re, "im": im}
-        for a, b, c, re, im in zip(
-            (n1 - field.N).tolist(), (n2 - field.N).tolist(), (j - field.M).tolist(),
-            z.real.tolist(), z.imag.tolist(),
-        )
-    ]
-    return {"N": field.N, "M": field.M, "coeffs": items}
+    items = ", ".join(
+        '{"im": %r, "j": %d, "n": [%d, %d], "re": %r}' % item
+        for item in zip(z.imag.tolist(), (j - field.M).tolist(), (n1 - field.N).tolist(),
+                        (n2 - field.N).tolist(), z.real.tolist())
+    )
+    return '{"M": %d, "N": %d, "coeffs": [%s]}' % (field.M, field.N, items)
 
 
 def field_from_json(obj: dict) -> LorentzField:
@@ -624,7 +635,8 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
     generator and one propagator, computed again only when the step length
     changes, so a uniform grid costs one ``expm`` per magnitude (two when it
     starts after 0).  A propagator that is not finite raises ``RangeError``
-    (``core._expm``).  The zero mode has the generator R; its diagonal
+    (``core._expm``), and so does a state whose distance or bound is not
+    finite, naming its time.  The zero mode has the generator R; its diagonal
     propagator holds exp(0) = 1 at j = 0, which keeps the mass exact.
 
     Frame: every lattice mode (n1, n2) is stepped with the generator of its
@@ -665,6 +677,8 @@ def simulate_curve(field0: LorentzField, times) -> tuple[LorentzField, list[Simu
                 state.coeffs[idx] = (P @ X).view(complex).T
         d = state.distance_to_equilibrium()
         bound = math.sqrt((1.0 + ALPHA) / (1.0 - ALPHA)) * math.exp(-LAMBDA0 * float(t)) * d0
+        if not (math.isfinite(d) and math.isfinite(bound)):
+            raise RangeError(f"the field or its bound leaves double range at t = {t:.6g}")
         reports.append(
             SimulationReport(
                 t=float(t), distance=d, bound=bound, bound_ok=d <= bound + 1e-8,

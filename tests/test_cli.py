@@ -164,6 +164,28 @@ def test_analyze_fit_is_the_full_grid_fit(tmp_path, C):
     assert (expected is None) == (C.shape[0] == 16)
 
 
+@pytest.mark.parametrize("C, law", [
+    (gallery.ek_matrix(4), {"m": 3, "exponent": 7, "c": 1 / 100800, "reason": None}),
+    (gallery.ck_matrix(2), {"m": 1, "exponent": 3, "c": 1 / 3, "reason": None}),
+    (1e-170 * gallery.ek_matrix(4), {"m": 3, "exponent": 7, "c": None,
+                                     "reason": "c = 0.608965 * 2^-3969 is not a positive normal double"}),
+    (np.array([[0.0, 1.0], [-1.0, 0.0]]), None),
+], ids=["ek_4", "ck_2", "1e-170 ek_4", "skew"])
+def test_analyze_prints_the_short_time_law(tmp_path, C, law):
+    # c = 1 / (7! binom(6, 3)) for E_4 and k^2 / 12 for C_k; below double
+    # range c is null with its reason, and the fit's 0.0 is flagged
+    src, out = tmp_path / "input.json", tmp_path / "analyze.json"
+    src.write_text(json.dumps(core.matrix_to_json(C)))
+    rc = cli.main(["analyze", "--input", str(src), "--output", str(out)])
+    doc = json.loads(out.read_text())
+    assert rc == 0
+    if law is not None and law["c"] is not None:
+        law["c"] = pytest.approx(law["c"], rel=1e-14)
+    assert doc["short_time_law"] == law
+    if law is not None and law["c"] is None:
+        assert doc["short_time_fit"]["c_est"] == 0.0 and doc["short_time_fit"]["flagged"] is True
+
+
 def _run(tmp_path, command, C, *extra):
     src = tmp_path / "input.json"
     src.write_text(json.dumps(core.matrix_to_json(C)))
@@ -430,7 +452,6 @@ UNREACHED = {
     "hc_index.eigenvector_obstruction": "benchmark layer",
     "operator_core.psd_sqrt": "benchmark layer",
     "lorentz.simulate": "benchmark layer",
-    "decay.short_time_constant": "test oracle of the fitted short-time constant",
 }
 
 

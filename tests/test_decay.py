@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypokit import decay, errors, gallery, hc_index, lorentz
+from hypokit import decay, errors, gallery, hc_index, lorentz, staircase
 from hypokit import operator_core as core
 
-from helpers import ck_closed_form_norm, ck_short_time_constant_exact, random_accretive
+from helpers import (
+    bench_planted_pair, ck_closed_form_norm, ck_short_time_constant_exact, random_accretive,
+)
 
 
 class TestPropagatorNormCurve:
@@ -140,42 +142,109 @@ class TestUniformGrid:
         assert len(calls) == 1
 
 
+def _law(C) -> dict | None:
+    return hc_index.equivalence_audit(core.hermitian_split(C)).short_time_law
+
+
+def _stacked_svd_constant(C, m: int) -> float:
+    """The constant from the kernel of the stacked [sqrt(R) C^j, j < m] by
+    SVD and the raw power C^m, independent of the staircase: the minimum of
+    <C^m x, R C^m x> over unit x in that kernel, over (2m+1)! binom(2m, m)."""
+    dec = core.hermitian_split(C)
+    S = core.psd_sqrt(dec.R)
+    K = np.vstack([S @ np.linalg.matrix_power(C, j) for j in range(m)])
+    _, sv, Vh = np.linalg.svd(K)
+    B = Vh[int(np.count_nonzero(sv >= 1e-10 * sv[0])) :].conj().T
+    Cm = np.linalg.matrix_power(C, m)
+    lam = np.linalg.eigvalsh(B.conj().T @ Cm.conj().T @ dec.R @ Cm @ B)[0]
+    return lam / (math.factorial(2 * m + 1) * math.comb(2 * m, m))
+
+
+def _ek_constant(m: int) -> float:
+    """1 / ((2m+1)! binom(2m, m)), the constant of E_(m+1), correctly rounded."""
+    return 1 / (math.factorial(2 * m + 1) * math.comb(2 * m, m))
+
+
 class TestShortTimeConstant:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    """c of ||exp(-C t)|| = 1 - c t^(2m+1) + ..., read off the staircase chain
+    by ``hc_index.equivalence_audit``."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_ck_family(self, k):
-        dec = core.hermitian_split(gallery.ck_matrix(k))
         exact = ck_short_time_constant_exact(k)
         assert exact == Fraction(k * k, 12)
-        assert decay.short_time_constant(dec, 1) == pytest.approx(float(exact), abs=1e-12)
+        law = _law(gallery.ck_matrix(k))
+        assert (law["m"], law["exponent"], law["reason"]) == (1, 3, None)
+        assert law["c"] == pytest.approx(float(exact), rel=1e-14)
 
     def test_coercive_case_is_min_eig(self):
-        dec = core.hermitian_split(np.diag([1.0, 2.0]))
-        assert decay.short_time_constant(dec, 0) == pytest.approx(1.0, abs=1e-14)
+        law = _law(np.diag([1.0, 2.0]))
+        assert (law["m"], law["exponent"]) == (0, 1)
+        assert law["c"] == pytest.approx(1.0, rel=1e-14)
 
     def test_e2(self):
-        dec = core.hermitian_split(gallery.ek_matrix(2))
-        assert decay.short_time_constant(dec, 1) == pytest.approx(1.0 / 12.0, abs=1e-13)
+        law = _law(gallery.ek_matrix(2))
+        assert (law["m"], law["exponent"]) == (1, 3)
+        assert law["c"] == pytest.approx(1.0 / 12.0, rel=1e-14)
+
+    @pytest.mark.parametrize("k", range(2, 26))
+    def test_ek_family(self, k):
+        # the chain of E_k couples e_(k-1) to e_0 with unit weights
+        law = _law(gallery.ek_matrix(k))
+        assert (law["m"], law["exponent"]) == (k - 1, 2 * k - 1)
+        assert law["c"] == pytest.approx(_ek_constant(k - 1), rel=1e-14)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_ek_matches_stacked_svd_kernel(self, k):
-        # reference: the kernel of the stacked [sqrt(R) C^j, j < m] by SVD
-        # and the raw power C^m, independent of the staircase
         C = gallery.ek_matrix(k)
-        dec = core.hermitian_split(C)
-        m = k - 1
-        S = core.psd_sqrt(dec.R)
-        K = np.vstack([S @ np.linalg.matrix_power(C, j) for j in range(m)])
-        _, sv, Vh = np.linalg.svd(K)
-        B = Vh[int(np.count_nonzero(sv >= 1e-10 * sv[0])) :].conj().T
-        Cm = np.linalg.matrix_power(C, m)
-        lam = np.linalg.eigvalsh(B.conj().T @ Cm.conj().T @ dec.R @ Cm @ B)[0]
-        ref = lam / (math.factorial(2 * m + 1) * math.comb(2 * m, m))
-        assert decay.short_time_constant(dec, m) == pytest.approx(ref, rel=1e-12)
+        assert _law(C)["c"] == pytest.approx(_stacked_svd_constant(C, k - 1), rel=1e-12)
 
-    def test_wrong_level_raises(self):
-        dec = core.hermitian_split(np.eye(3))
-        with pytest.raises(errors.ContractViolationError):
-            decay.short_time_constant(dec, 1)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generic_matches_stacked_svd_kernel(self, seed):
+        # R = G G^T of rank 2 weights the chain unevenly (E_k and C_k have
+        # W = [1]); found within 6.8e-13 relative, index 2
+        rng = np.random.default_rng(seed)
+        G, S = rng.standard_normal((6, 2)), rng.standard_normal((6, 6))
+        C = G @ G.T - (S - S.T) / 2
+        law = _law(C)
+        assert law["c"] == pytest.approx(_stacked_svd_constant(C, law["m"]), rel=1e-10)
+
+    @pytest.mark.parametrize("M", [8, 64, 512])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_lorentz_modes(self, n, M):
+        # one step from the kernel e_0 of R to its range, by couplings n / 2;
+        # the law reads the form alone, so the families (4 s at M = 512) wait
+        dec = core.hermitian_split(lorentz.modal_generator(n, M))
+        form = staircase.build_staircase(dec.R, dec.J)
+        law = hc_index._short_time_law(form)
+        assert (law["m"], law["exponent"]) == (1, 3)
+        assert law["c"] == pytest.approx(n * n / 24, rel=1e-14)
+
+    def test_no_index_has_no_law(self):
+        assert _law(np.array([[0.0, 1.0], [-1.0, 0.0]])) is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_pairs_of_the_benchmark(self, seed):
+        # the C^m B route raised on (100, 11) and (60, 4): ||B|| reached 6e7
+        pairs = [bench_planted_pair(seed, 0, 60, 12), bench_planted_pair(seed, 0, 50, 7),
+                 bench_planted_pair(seed, 1, 100, 11)]
+        if seed == 1:
+            pairs.append(bench_planted_pair(1, 0, 60, 4))
+        for C in pairs:
+            audit = hc_index.equivalence_audit(core.hermitian_split(C))
+            law = audit.short_time_law
+            assert law["m"] == audit.index_per_method["staircase"]
+            assert law["c"] >= np.finfo(float).tiny and law["reason"] is None
+
+    @pytest.mark.parametrize("C, m", [(gallery.ek_matrix(100), 99),
+                                      (1e-170 * gallery.ek_matrix(4), 3)],
+                             ids=["ek_100", "1e-170 ek_4"])
+    def test_constant_outside_double_range_is_none(self, C, m):
+        # (2m+1)! alone passes double range from m = 85; 1e-170^7 / 100800
+        # is far below it
+        law = _law(C)
+        assert (law["m"], law["exponent"], law["c"]) == (m, 2 * m + 1, None)
+        assert law["reason"].endswith("is not a positive normal double")
 
 
 class TestFitShortTime:
@@ -204,6 +273,15 @@ class TestFitShortTime:
         assert fit.a_rounded == 7
         assert abs(fit.a_est - 7.0) <= 0.2
 
+    def test_underflowed_constant_is_flagged(self):
+        # on analyze's grid the fit of 1e-170 E_4 reads the exponent 7, but
+        # its constant, about 1e-1195, underflows to 0.0
+        dec = core.hermitian_split(1e-170 * gallery.ek_matrix(4))
+        times = np.geomspace(1e-4 / dec.norm, 10.0 / dec.norm, 220)
+        fit = decay.fit_short_time(decay.short_time_curve(dec, times))
+        assert fit.a_rounded == 7 and fit.odd_gap <= 0.2
+        assert fit.c_est == 0.0 and fit.flagged
+
     def test_skew_generator_has_no_decay(self):
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
         curve = decay.propagator_norm_curve(J, np.geomspace(1e-4, 1.0, 50))
@@ -226,7 +304,7 @@ class TestFitShortTime:
                 grid = np.geomspace(1e-4 / s, 1e-1 / s, 120)
             fit = decay.fit_short_time(decay.propagator_norm_curve(C, grid))
             assert abs(fit.a_est - (2 * m + 1)) <= 0.1
-            c_ref = decay.short_time_constant(core.hermitian_split(C), m)
+            c_ref = hc_index.equivalence_audit(core.hermitian_split(C)).short_time_law["c"]
             assert 0.8 <= fit.c_est / c_ref <= 1.25
 
 

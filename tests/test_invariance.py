@@ -1,7 +1,8 @@
 """The index decisions do not depend on the basis, on complex conjugation or
 on the scale of C, the propagator norm and the stability marker rescale
-exactly with time, and the short-time constant of s C is s^(2m+1) times
-that of C.
+exactly with time, and the short-time constant c of s C is s^(2m+1) times
+that of C (bitwise for s = 2^k where the staircase scales bitwise), while
+a unitary similarity or conjugation moves c by at most 1e-9 relative.
 
 For C = R - J and a unitary U, U C U* has the same staircase up to the basis;
 conj(C) is the same operator on conjugated vectors; and s C for s > 0 has the
@@ -12,6 +13,8 @@ power families' coercivity constants kappa hold to 1e-9 relative under a
 unitary similarity and conjugation (found: at most 3.2e-11); the
 commutators' kappa is not compared, since on E_25 it moves by 7.5e-3.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -113,14 +116,53 @@ def test_stability_marker_rescales_with_time(name, s):
     assert got.norm_at_t0 == pytest.approx(at_t0, rel=0.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("transform", ["similarity", "conjugate"])
+@pytest.mark.parametrize("name", INPUTS)
+def test_short_time_constant_is_invariant(name, transform):
+    # found: at most 1.2e-14 relative under the similarity, 0 under conjugation
+    C = INPUTS[name]()
+    ref = hc_index.equivalence_audit(core.hermitian_split(C)).short_time_law
+    got = hc_index.equivalence_audit(core.hermitian_split(TRANSFORMS[transform](C))).short_time_law
+    assert got["m"] == ref["m"]
+    assert got["c"] == pytest.approx(ref["c"], rel=1e-9)
+
+
 @pytest.mark.parametrize("s", [1e-6, 1e6])
 @pytest.mark.parametrize("name", INPUTS)
 def test_short_time_constant_rescales_as_a_power(name, s):
     # 1 - c t^(2m+1) of s C at t / s is that of C at t, so s C has the
-    # constant s^(2m+1) c (found within 9.1e-11 relative, on planted60); at
-    # s = 1e-12 the constant of E_16 (m = 15) underflows
+    # constant s^(2m+1) c (found within 7.2e-13 relative: 1e+-6 is not a
+    # power of 2, so the form of s C is s times that of C only to roundoff)
     C = INPUTS[name]()
-    dec = core.hermitian_split(C)
-    m = staircase.build_staircase(dec.R, dec.J).index
-    got = decay.short_time_constant(core.hermitian_split(s * C), m)
-    assert got == pytest.approx(s ** (2 * m + 1) * decay.short_time_constant(dec, m), rel=1e-9)
+    ref = hc_index.equivalence_audit(core.hermitian_split(C)).short_time_law
+    got = hc_index.equivalence_audit(core.hermitian_split(s * C)).short_time_law
+    assert got["m"] == ref["m"]
+    assert got["c"] == pytest.approx(s ** ref["exponent"] * ref["c"], rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [-40, -1, 1, 40])
+@pytest.mark.parametrize("name", INPUTS)
+def test_short_time_constant_scales_bitwise_by_powers_of_two(name, k):
+    # s = 2^k gives the constant 2^(k(2m+1)) c: bitwise where the form of
+    # s C is bitwise s times that of C (every case here), where that is a
+    # normal double (E_16 at k = +-40 is not, and reads None)
+    C = INPUTS[name]()
+    dec, dec_s = core.hermitian_split(C), core.hermitian_split(2.0**k * C)
+    form, form_s = (staircase.build_staircase(d.R, d.J) for d in (dec, dec_s))
+    ref = hc_index._short_time_law(form)
+    got = hc_index._short_time_law(form_s)
+    try:
+        expected = math.ldexp(ref["c"], k * ref["exponent"])
+    except OverflowError:
+        expected = None
+    if expected is not None and expected < np.finfo(float).tiny:
+        expected = None
+    assert got["m"] == ref["m"] and (got["c"] is None) == (got["reason"] is not None)
+    if expected is None:
+        assert got["c"] is None
+    elif (np.array_equal(form_s.J_hat, 2.0**k * form.J_hat)
+          and np.array_equal(form_s.r_cut.w, 2.0**k * form.r_cut.w)
+          and form_s.norm_J == 2.0**k * form.norm_J):
+        assert got["c"] == expected
+    else:
+        assert got["c"] == pytest.approx(expected, rel=1e-14)

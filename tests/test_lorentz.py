@@ -513,13 +513,67 @@ class TestSimulate:
         assert rep.distance == pytest.approx(math.exp(-2.0), abs=1e-12)
 
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_powers_of_two_scale_every_output_exactly(self, k):
+        # distance_to_equilibrium norms the field divided by a power of 2, so
+        # 2^k times a field evolves to 2^k times the final field, distances
+        # and bounds, bit for bit
+        field = lorentz.LorentzField.random(np.random.default_rng(5), 2, 6)
+        ts = np.linspace(0.0, 3.0, 7)
+        final, reports = lorentz.simulate_curve(field, ts)
+        final_k, reports_k = lorentz.simulate_curve(
+            lorentz.LorentzField(2, 6, field.coeffs * 2.0**k), ts)
+        np.testing.assert_array_equal(final_k.coeffs, final.coeffs * 2.0**k)
+        assert [r.distance for r in reports_k] == [r.distance * 2.0**k for r in reports]
+        assert [r.bound for r in reports_k] == [r.bound * 2.0**k for r in reports]
+
+    @pytest.mark.parametrize("where, value", [((0, 0, 0), 1e160), ((1, 0, 1), 1e200),
+                                              ((1, 0, 1), 5e-324)],
+                             ids=["mass-1e160", "mode-1e200", "mode-subnormal"])
+    def test_distance_at_any_finite_scale(self, where, value):
+        # |mass|^2 overflowed (OverflowError) above about 1.3e154, and a
+        # square of 1e200 read inf
+        field = lorentz.LorentzField(1, 2)
+        field[where] = value
+        field[0, 1, -1] = value / 2
+        d = field.distance_to_equilibrium()
+        expected = value / 2 if where == (0, 0, 0) else math.hypot(value, value / 2)
+        assert d == pytest.approx(expected, rel=1e-15)
+        assert lorentz.simulate(field, 1.0)[1].distance <= d
+
+    def test_a_field_past_double_range_is_a_range_error(self):
+        field = lorentz.LorentzField(1, 2, np.full((3, 3, 5), 1e308))
+        with pytest.raises(errors.RangeError, match="at t = 0"):
+            lorentz.simulate_curve(field, [0.0, 1.0])
+
+
 class TestFieldJson:
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
         field = lorentz.LorentzField.random(rng, 2, 3)
-        blob = json.dumps(lorentz.field_to_json(field))
-        back = lorentz.field_from_json(json.loads(blob))
+        back = lorentz.field_from_json(json.loads(lorentz.field_to_json(field)))
         np.testing.assert_array_equal(back.coeffs, field.coeffs)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_text_is_that_of_json_dumps(self, seed):
+        # the dict the writer built before it wrote text, through json.dumps
+        rng = np.random.default_rng(seed)
+        field = lorentz.LorentzField.random(rng, int(rng.integers(0, 3)), int(rng.integers(1, 4)))
+        special = [-0.0, 0.0, 5e-324, 1e16, 1e22, 1.797e308, -1.797e308, 1e-300, 0.1, 2.0**53]
+        flat = field.coeffs.reshape(-1)
+        picks = rng.integers(0, flat.size, size=min(flat.size, 8))
+        flat[picks] = rng.choice(special, picks.size) + 1j * rng.choice(special, picks.size)
+        n1, n2, j = np.nonzero(field.coeffs)
+        z = field.coeffs[n1, n2, j]
+        old = {"N": field.N, "M": field.M, "coeffs": [
+            {"n": [a, b], "j": c, "re": re, "im": im}
+            for a, b, c, re, im in zip((n1 - field.N).tolist(), (n2 - field.N).tolist(),
+                                       (j - field.M).tolist(), z.real.tolist(), z.imag.tolist())
+        ]}
+        assert lorentz.field_to_json(field) == json.dumps(old, sort_keys=True)
+
+    def test_text_of_an_empty_field(self):
+        assert lorentz.field_to_json(lorentz.LorentzField(0, 1)) == '{"M": 1, "N": 0, "coeffs": []}'
 
     def test_sparse_input(self):
         obj = {"N": 1, "M": 2, "coeffs": [{"n": [1, 0], "j": -2, "re": 1.0, "im": -0.5}]}
