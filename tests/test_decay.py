@@ -160,11 +160,6 @@ def _stacked_svd_constant(C, m: int) -> float:
     return lam / (math.factorial(2 * m + 1) * math.comb(2 * m, m))
 
 
-def _ek_constant(m: int) -> float:
-    """1 / ((2m+1)! binom(2m, m)), the constant of E_(m+1), correctly rounded."""
-    return 1 / (math.factorial(2 * m + 1) * math.comb(2 * m, m))
-
-
 class TestShortTimeConstant:
     """c of ||exp(-C t)|| = 1 - c t^(2m+1) + ..., read off the staircase chain
     by ``hc_index.equivalence_audit``."""
@@ -189,10 +184,12 @@ class TestShortTimeConstant:
 
     @pytest.mark.parametrize("k", range(2, 26))
     def test_ek_family(self, k):
-        # the chain of E_k couples e_(k-1) to e_0 with unit weights
+        # the chain of E_k couples e_(k-1) to e_0 with unit weights, so
+        # c = 1 / ((2m+1)! binom(2m, m)) with m = k - 1
         law = _law(gallery.ek_matrix(k))
         assert (law["m"], law["exponent"]) == (k - 1, 2 * k - 1)
-        assert law["c"] == pytest.approx(_ek_constant(k - 1), rel=1e-14)
+        exact = 1 / (math.factorial(2 * k - 1) * math.comb(2 * k - 2, k - 1))
+        assert law["c"] == pytest.approx(exact, rel=1e-14)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_ek_matches_stacked_svd_kernel(self, k):
