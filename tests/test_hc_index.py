@@ -254,7 +254,8 @@ class TestEquivalenceAudit:
             "index_per_method", "kappa_per_method", "family_checks", "defect_sweep",
             "obstruction", "agree", "rank_bound", "staircase_warnings",
         }
-        assert audit.short_time_law == {"m": 1, "exponent": 3, "c": 1 / 12, "reason": None}
+        assert audit.short_time_law == {
+            "m": 1, "exponent": 3, "c": pytest.approx(1 / 12, rel=1e-14), "reason": None}
         # every decision carries its values and its floor, the roundoff
         # eps^2 n ||stack||^2 of the level-m stack, and every kappa the same
         # floor of the unnormalized stack it was judged against
