@@ -58,10 +58,11 @@ def _build_parser() -> _Parser:
         "unresolved or inconclusive from its levels m - 1 and m against 10 times the "
         "floor eps^2 n ||stack||^2, the roundoff of its level-m stack, or none with no "
         "index. A family's kappa_m is null below 10 times the same floor of its "
-        "unnormalized stack (block j times ||sqrt R|| ||X||^j). A unitary similarity "
-        "moved the power families' kappa by up to 3.2e-11 relative on generic n = 100 "
-        "and 200 pairs, and the commutators' by up to 7.5e-3 on E_25, whose kappa is "
-        "only 17.6 times its floor; family_checks gives each floor as kappa_floor. "
+        "unnormalized stack (block j times ||sqrt R|| ||X||^j), or where its weights leave "
+        "double range. A unitary similarity moved the power families' kappa by up to "
+        "3.2e-11 relative on generic n = 100 and 200 pairs, and the commutators' by up "
+        "to 7.5e-3 on E_25, whose kappa is only 17.6 times its floor; family_checks "
+        "gives each floor as kappa_floor. "
         "short_time_law gives m, the exponent 2m + 1 and the constant c of "
         "||exp(-Ct)|| = 1 - c t^(2m+1) + ..., read off the staircase chain (null with no "
         "index; c null, with a reason, outside double range). short_time_fit is a "
@@ -228,16 +229,14 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_staircase(args) -> int:
     from . import operator_core as core
-    from .staircase import build_staircase, verify_staircase
+    from .staircase import verify_staircase
 
-    A = _load_matrix(args.input)
-    dec = core.hermitian_split(A)
-    form = build_staircase(dec.R, dec.J)
-    report = verify_staircase(form, dec.R, dec.J)
-    out = form.to_json_dict()
+    dec = core.hermitian_split(_load_matrix(args.input))
+    report = verify_staircase(dec.form, dec.R, dec.J)
+    out = dec.form.to_json_dict()
     out["verification"] = report.to_json_dict()
     _emit_json(out, args.output)
-    return 0 if report.ok and not form.warnings else 3
+    return 0 if report.ok and not dec.form.warnings else 3
 
 
 def _uniform_times(tmax: float, steps: int):

@@ -258,7 +258,8 @@ def fit_short_time(curve: DecayCurve) -> ShortTimeFit:
     A = np.vstack([np.ones_like(T), T]).T
     coef, *_ = np.linalg.lstsq(A, L, rcond=None)
     a_est = float(coef[1])
-    c_est = float(np.exp(coef[0]))
+    with np.errstate(over="ignore"):  # an infinite c_est is flagged below
+        c_est = float(np.exp(coef[0]))
     resid = float(np.sqrt(np.mean((A @ coef - L) ** 2)))
     a_rounded = max(1, 2 * round((a_est - 1.0) / 2.0) + 1)
     odd_gap = abs(a_est - a_rounded)

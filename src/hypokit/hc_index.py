@@ -4,16 +4,16 @@ coercive partial-sum family at that one level.
 The index of an accretive C = R - J is the number of steps before the chain
 of subdiagonal blocks of the staircase form of (J, R) ends (Paige 1981,
 "Properties of numerical algorithms related to computing controllability").
-One ``build_staircase`` call yields the index m, the Kalman defect sweep (the
-block dimensions) and, when the terminal block is nonzero, an eigenvector
-obstruction; with no index that witness decides, and the families read
-"none" without being evaluated.
+Every reading takes the one form of the record, ``dec.form``: the index m,
+the Kalman defects (``kalman_kernel_defect``, from the block dimensions) and,
+when the terminal block is nonzero, an ``eigenvector_obstruction``; with no
+index that witness decides, and the families read "none" unevaluated.
 
 The four families of partial sums sum_{j<=m} (C*)^j R C^j (and three
 equivalent ones) become coercive at the same minimal m in exact arithmetic,
-so each family confirms the staircase's m at that one level: singular at
-m - 1, coercive at m.  Their factors come from the cut of R that made
-block 0 (``core._psd_cut``), so they cross-check the chain of J-steps, not
+so each family confirms the staircase's m at that one level
+(``index_via_powers``): singular at m - 1, coercive at m.  Their factors come
+from the cut of R that made block 0 (``core._psd_cut``), so they cross-check the chain of J-steps, not
 the cut of R.  A level is a Gram matrix sum_{j<=m} F_j* F_j whose smallest
 eigenvalue lambda_m is sigma_min^2 of the stack [F_0; ...; F_m], never read
 from the sum, which would lose half the digits.  Every family vanishes on
@@ -47,7 +47,8 @@ factors (S and X, or sqrt(R) and J), as in the paper; it decides nothing.
 The same kernel reads it and its own floor, reported as ``kappa_floor``,
 and a kappa_m below 10 times that floor is reported as None: on 1e-12 E_8
 every family resolves m = 7, but kappa_7, about 1e-180, reads 0.0 against
-a floor of about 4e-43.
+a floor of about 4e-43.  Both are None where that floor is not a positive
+finite double: the weights or their squares leave double range.
 """
 
 from __future__ import annotations
@@ -136,74 +137,63 @@ def _level(blocks: list[np.ndarray]) -> tuple[float, float]:
     return float(s[-1] ** 2), float(np.finfo(float).eps ** 2 * A.shape[1] * s[0] ** 2)
 
 
-def _family_checks(
-    dec: core.OperatorDecomposition, form: staircase.StaircaseForm, methods=METHODS
-) -> dict[str, IndexReport]:
-    """Each family's check of ``form.index`` (module docstring)."""
-    cut, n, m = form.r_cut, dec.dim, form.index
-    r = cut.rank
-    m0 = -(-n // r) - 1 if r else n + 1  # r = 0 has no index
-    if m is None:
-        return {method: IndexReport(method, "none", None, None, None, None, 0.0, None, m0)
-                for method in methods}
-    top = float(np.sqrt(cut.w[-1]))
-    S = (cut.V[:, n - r:] * np.sqrt(cut.w[n - r:] / cut.w[-1])).conj().T  # r x n, norm 1
-    C, J, norm_J = dec.C, dec.J, form.norm_J
-    norm_C = max(dec.norm, 1e-300)
-    factors = {
-        "c_powers_right": (S, C, norm_C),
-        "c_powers_left": (S, C.conj().T, norm_C),
-        "j_powers": (S, J.conj().T, norm_J),
-        "commutators": (cut.root() / top, J, norm_J),
-    }
-    reports = {}
-    for method in methods:
-        F, X, norm_X = factors[method]
-        X = X / norm_X
-        blocks = [F]
-        for _ in range(m):
-            F = X @ F - F @ X if method == "commutators" else F @ X
-            blocks.append(F)
-        lam, floor = _level(blocks)
-        prev = _level(blocks[:-1])[0] if m - 1 >= m0 else 0.0
-        verdict = ("inconclusive" if prev >= 10.0 * floor
-                   else "resolved" if lam >= 10.0 * floor else "unresolved")
-        # the paper's factors: block j times top * ||X||^j
-        kappa, kappa_floor = _level([F * (top * norm_X**j) for j, F in enumerate(blocks)])
-        if kappa < 10.0 * kappa_floor:
-            kappa = None
-        reports[method] = IndexReport(method, verdict, m, prev, lam, floor, kappa, kappa_floor, m0)
-    return reports
-
-
 def index_via_powers(dec: core.OperatorDecomposition, method: str = "c_powers_right") -> IndexReport:
-    """The staircase index of C, checked by one family (module docstring).
-
-    The staircase and sqrt(R) are cut at ``core.RANK_RTOL``.
-    """
+    """One family's check of the index of ``dec.form`` (module docstring);
+    sqrt(R) is the form's cut of R, at ``core.RANK_RTOL``."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    form = staircase.build_staircase(dec.R, dec.J)
-    return _family_checks(dec, form, (method,))[method]
+    form, n = dec.form, dec.dim
+    cut, m, r = form.r_cut, form.index, form.r_cut.rank
+    m0 = -(-n // r) - 1 if r else n + 1  # r = 0 has no index
+    if m is None:
+        return IndexReport(method, "none", None, None, None, None, 0.0, None, m0)
+    top = float(np.sqrt(cut.w[-1]))
+    X = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T,
+         "j_powers": dec.J.conj().T, "commutators": dec.J}[method]
+    norm_X = form.norm_J if method in ("j_powers", "commutators") else max(dec.norm, 1e-300)
+    F = (cut.root() / top if method == "commutators"  # else r x n, norm 1
+         else (cut.V[:, n - r:] * np.sqrt(cut.w[n - r:] / cut.w[-1])).conj().T)
+    X = X / norm_X
+    blocks = [F]
+    for _ in range(m):
+        F = X @ F - F @ X if method == "commutators" else F @ X
+        blocks.append(F)
+    lam, floor = _level(blocks)
+    prev = _level(blocks[:-1])[0] if m - 1 >= m0 else 0.0
+    verdict = ("inconclusive" if prev >= 10.0 * floor
+               else "resolved" if lam >= 10.0 * floor else "unresolved")
+    # the paper's factors: block j times top * ||X||^j.  Where the weights
+    # (inf, not an OverflowError) or their squares leave double range, kappa
+    # and its floor are None
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = [F * (top * np.float64(norm_X) ** j) for j, F in enumerate(blocks)]
+        finite = all(np.isfinite(B).all() for B in weighted)
+        kappa, kappa_floor = _level(weighted) if finite else (0.0, math.inf)
+    if not 0.0 < kappa_floor < math.inf:
+        kappa = kappa_floor = None
+    elif kappa < 10.0 * kappa_floor:
+        kappa = None
+    return IndexReport(method, verdict, m, prev, lam, floor, kappa, kappa_floor, m0)
 
 
-def _defect_sweep(form: staircase.StaircaseForm) -> list[int]:
-    """Kalman defects n - dim span{J^j range R : j <= m}, one per non-terminal
-    block m of the staircase (blocks 0..m span that space).
+def kalman_kernel_defect(dec: core.OperatorDecomposition, m: int) -> int:
+    """Dimension of the joint kernel of sqrt(R) (J*)^j, j = 0..m: n minus the
+    dimensions of blocks 0..m of ``dec.form``.  It decreases to 0 at the index
+    (the Kalman-type spanning condition holds), or else to the terminal
+    dimension, which every later level keeps."""
+    if m < 0:
+        raise PreconditionError("m must be nonnegative")
+    dims = dec.form.block_dims
+    return sum(dims[min(m, len(dims) - 2) + 1 :])
 
-    The sweep is decreasing; it ends at 0 at the index, or at the terminal
-    dimension, which every later level keeps, when there is no index.
-    """
-    dims = form.block_dims
-    return [sum(dims[m + 1 :]) for m in range(len(dims) - 1)]
 
-
-def _terminal_witness(form: staircase.StaircaseForm, R, J) -> ObstructionWitness | None:
-    """Eigenvector of J on the terminal block (J-invariant, killed by R).
-
-    Residuals above ``WITNESS_RTOL`` times ||J|| resp. ||R||, the scales the
-    form carries, mean a wrong rank decision and raise NumericalError.
-    """
+def eigenvector_obstruction(dec: core.OperatorDecomposition) -> ObstructionWitness | None:
+    """Unit eigenvector of skew J killed by R, or None: one exists iff the Kalman
+    spanning condition fails at every level, iff ``dec.form`` has a nonzero
+    terminal block, on which J's eigenvector is taken.  Residuals above
+    ``WITNESS_RTOL`` = 1e-8 times ||J|| resp. ||R||, the scales the form
+    carries, mean a wrong rank decision and raise NumericalError."""
+    form, R, J = dec.form, dec.R, dec.J
     if form.terminal_dim == 0:
         return None
     T = form.block_slices()[-1]
@@ -246,32 +236,6 @@ def _short_time_law(form: staircase.StaircaseForm) -> dict:
     return {"m": m, "exponent": 2 * m + 1, "c": c, "reason": reason}
 
 
-def kalman_kernel_defect(R, J, m: int) -> int:
-    """Dimension of the joint kernel of sqrt(R) (J*)^j, j = 0..m.
-
-    Read off the staircase form of (J, R): entry m of ``_defect_sweep``, whose
-    last entry every later level keeps.  Defect 0 means the Kalman-type
-    spanning condition holds at level m.
-    """
-    if m < 0:
-        raise PreconditionError("m must be nonnegative")
-    sweep = _defect_sweep(staircase.build_staircase(R, J))
-    return sweep[min(m, len(sweep) - 1)]
-
-
-def eigenvector_obstruction(R, J) -> ObstructionWitness | None:
-    """Unit eigenvector of skew-Hermitian J killed by R, or None.
-
-    Such a vector exists iff the staircase form of (J, R) has a nonzero
-    terminal block; the witness is an eigenvector of J restricted to that
-    block, its residuals checked against ``WITNESS_RTOL`` = 1e-8.  In finite
-    dimensions a witness exists iff the Kalman spanning condition fails at
-    every level.
-    """
-    R, J = staircase._check_pair(R, J)
-    return _terminal_witness(staircase.build_staircase(R, J), R, J)
-
-
 @dataclass
 class AuditReport:
     """Staircase index (None when there is none) and each family's reading,
@@ -308,14 +272,14 @@ def equivalence_audit(dec: core.OperatorDecomposition) -> AuditReport:
     staircase form (the index as method "staircase"), and the four families'
     checks of that index (module docstring).  An "inconclusive" family is
     reported, not raised: its values and floor are what is needed to diagnose it."""
-    form = staircase.build_staircase(dec.R, dec.J)
-    reports = _family_checks(dec, form)
+    form = dec.form
+    reports = {method: index_via_powers(dec, method) for method in METHODS}
     return AuditReport(
         index_per_method={**{k: rep.index for k, rep in reports.items()}, "staircase": form.index},
         kappa_per_method={method: rep.kappa for method, rep in reports.items()},
         reports=reports,
-        defect_sweep=_defect_sweep(form),
-        obstruction=_terminal_witness(form, dec.R, dec.J),
+        defect_sweep=[kalman_kernel_defect(dec, m) for m in range(form.n_blocks - 1)],
+        obstruction=eigenvector_obstruction(dec),
         agree=all(rep.verdict != "inconclusive" for rep in reports.values()),
         rank_bound=reports[METHODS[0]].rank_bound,
         warnings=list(form.warnings),

@@ -71,7 +71,8 @@ def _finite(M: np.ndarray, copy: bool) -> np.ndarray:
 @dataclass(frozen=True)
 class OperatorDecomposition:
     """Unique split C = R - J with R Hermitian (PSD for accretive C) and J skew:
-    the one record of a generator, whose ||C|| (``norm``) is measured once."""
+    the one record of a generator, whose ||C|| (``norm``) and staircase form
+    (``form``) are each computed once, on first read."""
 
     C: np.ndarray
     R: np.ndarray
@@ -85,6 +86,13 @@ class OperatorDecomposition:
     def norm(self) -> float:
         """||C||, the largest singular value of C."""
         return spectral_norm(self.C)
+
+    @cached_property
+    def form(self):
+        """The staircase form of (J, R), ``staircase.build_staircase(R, J)``."""
+        from . import staircase
+
+        return staircase.build_staircase(self.R, self.J)
 
 
 def hermitian_split(C) -> OperatorDecomposition:
@@ -249,11 +257,13 @@ def _hermitian(A, message: str) -> np.ndarray:
 
     The test is never looser than the same one with spectral norms on both
     sides, since ||X||_2 <= ||X||_F and the largest column norm is at most
-    ||A||_2, and it needs no SVD.  It norms A / 2^e, max|A / 2^e| in [1, 2):
-    an exact scaling, under which no square underflows or overflows.
+    ||A||_2, and it needs no SVD.  It norms A / 2^e, max|A / 2^e| in [1, 2),
+    scaling each real part by ``ldexp`` (a complex division forms 1 / 2^e, past
+    double range for a subnormal max|A|), so that no square under- or overflows.
     """
     A = as_matrix(A, square=True)
-    X = A / (unit := 2.0 ** (math.frexp(float(np.abs(A).max()))[1] - 1))
+    unit = 2.0 ** (e := math.frexp(float(np.abs(A).max()))[1] - 1)
+    X = np.ldexp(A.real, -e) + (1j * np.ldexp(A.imag, -e) if A.dtype.kind == "c" else 0.0)
     asym = float(np.linalg.norm(X - X.conj().T)) / 2.0
     scale = float(np.linalg.norm(X, axis=0).max())
     if asym > 1e-8 * scale:

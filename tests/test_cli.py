@@ -446,12 +446,10 @@ def test_gallery_rejects_a_parameter_its_example_does_not_take(tmp_path, capsys)
 #: Public functions that no command calls, each with the reason it stays.
 UNREACHED = {
     # perfbench/tracer.py LAYERS installs these by name, and perfbench's
-    # tests run that install
-    "hc_index.index_via_powers": "benchmark layer",
-    "hc_index.kalman_kernel_defect": "benchmark layer",
-    "hc_index.eigenvector_obstruction": "benchmark layer",
-    "operator_core.psd_sqrt": "benchmark layer",
-    "lorentz.simulate": "benchmark layer",
+    # tests run that install; ROADMAP item 5 deletes both together with
+    # their layers, in a change to the benchmark
+    "operator_core.psd_sqrt": "benchmark layer (ROADMAP item 5)",
+    "lorentz.simulate": "benchmark layer (ROADMAP item 5)",
 }
 
 

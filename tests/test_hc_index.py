@@ -10,9 +10,9 @@ from helpers import (
 )
 
 
-def _rj(C):
-    dec = core.hermitian_split(C)
-    return dec.R, dec.J
+def _record(R, J):
+    """The record of C = R - J that keeps the raw pair (R, J) exact."""
+    return core.OperatorDecomposition(C=R - J, R=R, J=J)
 
 
 def stacked_svd_defect(R, J, m):
@@ -95,7 +95,7 @@ class TestIndexViaPowers:
         C = np.array([[1.0 / n, 1.0], [-1.0, 1.0]])
         rep = hc_index.index_via_powers(core.hermitian_split(C), "j_powers")
         assert rep.index == 0 and rep.lambda_m >= 1e20 * rep.floor
-        assert hc_index.kalman_kernel_defect(*_rj(C), 0) == 0
+        assert hc_index.kalman_kernel_defect(core.hermitian_split(C), 0) == 0
 
     def test_none_up_to_m_max(self):
         # R = diag(1, 0) with J = 0 has an invariant kernel: no index exists,
@@ -133,20 +133,22 @@ class TestKalmanKernelDefect:
     def test_two_by_two_hand_case(self):
         R = np.diag([1.0, 0.0])
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
-        assert hc_index.kalman_kernel_defect(R, J, 0) == 1
-        assert hc_index.kalman_kernel_defect(R, J, 1) == 0
+        dec = _record(R, J)
+        assert hc_index.kalman_kernel_defect(dec, 0) == 1
+        assert hc_index.kalman_kernel_defect(dec, 1) == 0
 
     def test_nonsingular_R(self):
         rng = np.random.default_rng(12)
         S = rng.standard_normal((4, 4))
         J = (S - S.T) / 2
-        assert hc_index.kalman_kernel_defect(np.eye(4), J, 0) == 0
+        assert hc_index.kalman_kernel_defect(_record(np.eye(4), J), 0) == 0
 
     def test_zero_R(self):
         S = np.random.default_rng(13).standard_normal((5, 5))
         J = (S - S.T) / 2
+        dec = _record(np.zeros((5, 5)), J)
         for m in (0, 2, 5):
-            assert hc_index.kalman_kernel_defect(np.zeros((5, 5)), J, m) == 5
+            assert hc_index.kalman_kernel_defect(dec, m) == 5
 
     def test_defect_at_kernel_dim_suffices(self):
         # whenever the full sweep reaches zero it already reached it at
@@ -155,9 +157,9 @@ class TestKalmanKernelDefect:
         for _ in range(50):
             dec = random_accretive(rng, int(rng.integers(2, 8)))
             n = dec.dim
-            kdim = hc_index.kalman_kernel_defect(dec.R, dec.J, 0)
-            if hc_index.kalman_kernel_defect(dec.R, dec.J, n) == 0:
-                assert hc_index.kalman_kernel_defect(dec.R, dec.J, max(kdim, 0)) == 0
+            kdim = hc_index.kalman_kernel_defect(dec, 0)
+            if hc_index.kalman_kernel_defect(dec, n) == 0:
+                assert hc_index.kalman_kernel_defect(dec, max(kdim, 0)) == 0
 
     def test_sweep_matches_stacked_svd(self):
         # the sweep has one entry per non-terminal block; every later level
@@ -170,8 +172,7 @@ class TestKalmanKernelDefect:
             else:
                 dec = random_accretive(rng, n)
                 R, J = dec.R, dec.J
-            dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
-            sweep = hc_index.equivalence_audit(dec).defect_sweep
+            sweep = hc_index.equivalence_audit(_record(R, J)).defect_sweep
             assert sweep == [stacked_svd_defect(R, J, m) for m in range(len(sweep))]
             tail = [stacked_svd_defect(R, J, m) for m in range(len(sweep), n + 1)]
             assert tail == [sweep[-1]] * len(tail)
@@ -180,7 +181,7 @@ class TestKalmanKernelDefect:
 class TestEigenvectorObstruction:
     def test_zero_R_reports_witness(self):
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
-        w = hc_index.eigenvector_obstruction(np.zeros((2, 2)), J)
+        w = hc_index.eigenvector_obstruction(_record(np.zeros((2, 2)), J))
         assert w is not None
         assert abs(abs(w.eigenvalue) - 1.0) <= 1e-12
         assert abs(w.eigenvalue.real) <= 1e-12
@@ -191,7 +192,7 @@ class TestEigenvectorObstruction:
     def test_full_rank_R_reports_none(self):
         rng = np.random.default_rng(15)
         S = rng.standard_normal((4, 4))
-        assert hc_index.eigenvector_obstruction(np.eye(4), (S - S.T) / 2) is None
+        assert hc_index.eigenvector_obstruction(_record(np.eye(4), (S - S.T) / 2)) is None
 
     def test_coupled_chain_has_no_obstruction(self):
         R = np.diag([1.0, 0.0, 0.0])
@@ -199,13 +200,13 @@ class TestEigenvectorObstruction:
         # every eigenvector of this J has a nonzero first component
         _, V = np.linalg.eigh(1j * J)
         assert np.all(np.abs(V[0, :]) > 1e-8)
-        assert hc_index.eigenvector_obstruction(R, J) is None
+        assert hc_index.eigenvector_obstruction(_record(R, J)) is None
 
     def test_forced_witness_is_verified(self):
         rng = np.random.default_rng(16)
         for _ in range(20):
             R, J = forced_obstruction_pair(rng, int(rng.integers(2, 7)))
-            w = hc_index.eigenvector_obstruction(R, J)
+            w = hc_index.eigenvector_obstruction(_record(R, J))
             assert w is not None
             assert w.residual_R <= 1e-8 * max(np.linalg.norm(R, 2), 1.0)
             assert w.residual_J <= 1e-8 * max(np.linalg.norm(J, 2), 1.0)
@@ -215,10 +216,11 @@ class TestEigenvectorObstruction:
         # must refuse it instead of returning an unverified vector
         R = np.diag([1.0, 0.0]).astype(complex)
         J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-        form = StaircaseForm(basis=np.eye(2, dtype=complex), block_dims=[1, 1], J_hat=J, R_hat=R,
-                             r_cut=core._psd_cut(R), norm_J=1.0)
+        dec = _record(R, J)
+        vars(dec)["form"] = StaircaseForm(basis=np.eye(2, dtype=complex), block_dims=[1, 1],
+                                          J_hat=J, R_hat=R, r_cut=core._psd_cut(R), norm_J=1.0)
         with pytest.raises(errors.NumericalError):
-            hc_index._terminal_witness(form, R, J)
+            hc_index.eigenvector_obstruction(dec)
 
     def test_matches_kalman_rank(self):
         rng = np.random.default_rng(17)
@@ -230,7 +232,7 @@ class TestEigenvectorObstruction:
                 dec = random_accretive(rng, n)
                 R, J = dec.R, dec.J
             full_rank = stacked_svd_defect(R, J, n) == 0
-            witness = hc_index.eigenvector_obstruction(R, J)
+            witness = hc_index.eigenvector_obstruction(_record(R, J))
             assert full_rank == (witness is None)
 
 
@@ -373,9 +375,11 @@ class TestEquivalenceAudit:
 
     def test_families_share_one_setup(self, monkeypatch):
         # one eigendecomposition of R per audit: the staircase's cut, which
-        # also checks accretivity and gives the families their sqrt(R)
+        # also checks accretivity and gives the families their sqrt(R); the
+        # expected reports come from a separate record, which builds its own form
         dec = random_accretive(np.random.default_rng(31), 10)
-        expected = {m: hc_index.index_via_powers(dec, m) for m in hc_index.METHODS}
+        other = core.OperatorDecomposition(C=dec.C, R=dec.R, J=dec.J)
+        expected = {m: hc_index.index_via_powers(other, m) for m in hc_index.METHODS}
         calls = {"_psd_cut": 0, "psd_sqrt": 0, "min_eig_hermitian": 0}
         for name in calls:
             def counting(*args, _fn=getattr(core, name), _name=name, **kwargs):
@@ -629,7 +633,7 @@ def test_random_accretive_generator_contract():
         dec = random_accretive(rng, 5)
         assert core.min_eig_hermitian(dec.R) >= -1e-12
         assert np.abs(dec.J + dec.J.conj().T).max() <= 1e-12
-        kdim = hc_index.kalman_kernel_defect(dec.R, dec.J, 0)
+        kdim = hc_index.kalman_kernel_defect(dec, 0)
         saw_deficient |= kdim > 0
         saw_full |= kdim == 0
     assert saw_deficient and saw_full

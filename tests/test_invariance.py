@@ -3,6 +3,8 @@ on the scale of C, the propagator norm and the stability marker rescale
 exactly with time, and the short-time constant c of s C is s^(2m+1) times
 that of C (bitwise for s = 2^k where the staircase scales bitwise), while
 a unitary similarity or conjugation moves c by at most 1e-9 relative.
+Far outside double range (1e160 C, 2^900 C) the index holds, and kappa and
+c read null.
 
 For C = R - J and a unitary U, U C U* has the same staircase up to the basis;
 conj(C) is the same operator on conjugated vectors; and s C for s > 0 has the
@@ -14,12 +16,14 @@ unitary similarity and conjugation (found: at most 3.2e-11); the
 commutators' kappa is not compared, since on E_25 it moves by 7.5e-3.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hypokit import decay, gallery, hc_index, staircase
+from hypokit import cli, decay, gallery, hc_index, staircase
 from hypokit import operator_core as core
 
 from helpers import bench_planted_pair, random_unitary
@@ -166,3 +170,28 @@ def test_short_time_constant_scales_bitwise_by_powers_of_two(name, k):
         assert got["c"] == expected
     else:
         assert got["c"] == pytest.approx(expected, rel=1e-14)
+
+
+EXPONENTS = (-1000, -300, 200, 300, 500, 900)
+
+
+@pytest.mark.parametrize("s", [1e160, *(2.0**k for k in EXPONENTS)],
+                         ids=["1e160", *(f"2^{k}" for k in EXPONENTS)])
+@pytest.mark.parametrize("name", ["ek4", "planted60"])
+def test_analyze_far_outside_double_range(tmp_path, name, s):
+    # every method reads the index of C, every kappa (whose weights
+    # ||sqrt R|| ||X||^j, or their squares at 2^200, leave double range) and
+    # c read null, and analyze exits 0 with no warning
+    C = gallery.ek_matrix(4) if name == "ek4" else INPUTS[name]()
+    index = hc_index.equivalence_audit(core.hermitian_split(C)).index_per_method["staircase"]
+    src, out = tmp_path / "c.json", tmp_path / "out.json"
+    src.write_text(cli._to_json(core.matrix_to_json(s * C)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["analyze", "--input", str(src), "--output", str(out)]) == 0
+    d = json.loads(out.read_text())
+    assert d["audit"]["index_per_method"] == dict.fromkeys((*hc_index.METHODS, "staircase"), index)
+    assert d["audit"]["kappa_per_method"] == dict.fromkeys(hc_index.METHODS, None)
+    if s > 1.0:
+        assert all(c["kappa_floor"] is None for c in d["audit"]["family_checks"].values())
+    assert d["short_time_law"]["m"] == index and d["short_time_law"]["c"] is None

@@ -2,11 +2,12 @@
 that accepts every form the builder returns.  numpy only."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from hypokit import cli, errors, gallery, hc_index
+from hypokit import cli, errors, gallery, hc_index, staircase
 from hypokit import operator_core as core
 from hypokit.staircase import StaircaseForm, build_staircase, verify_staircase
 
@@ -85,7 +86,8 @@ def test_weak_coupling_block_is_cut_against_the_norm_of_J():
     form = build_staircase(R, J)
     assert form.block_dims == [2, 1, 1, 1]
     assert form.warnings == []
-    assert hc_index.eigenvector_obstruction(R, J) is not None
+    dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
+    assert hc_index.eigenvector_obstruction(dec) is not None
 
 
 def test_verifier_accepts_the_weak_coupling_in_a_random_basis():
@@ -170,16 +172,32 @@ def test_pair_checks_are_relative_to_the_operator(s):
         core.min_eig_hermitian(s * bad)
 
 
+@pytest.mark.parametrize("s", SCALES + (1e-320,))
+def test_hermitian_test_scales_exactly(tmp_path, s):
+    # the complex s [[1, 1], [0, 1]] is refused at every scale, also where
+    # max|A| is subnormal and a reciprocal 1 / 2^e would overflow; its
+    # Hermitian and skew parts pass, and staircase reads them with no warning
+    A = s * np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(errors.ContractViolationError, match="matrix is not Hermitian"):
+        core.min_eig_hermitian(A)
+    src, out = tmp_path / "a.json", tmp_path / "out.json"
+    src.write_text(cli._to_json(core.matrix_to_json(A)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["staircase", "--input", str(src), "--output", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command, hermitian_tests", [("staircase", 4), ("analyze", 2)])
 def test_each_scale_is_measured_once(tmp_path, monkeypatch, command, hermitian_tests):
-    # the builder cuts R and norms J once, and the verifier, the families and
-    # the witness read both from the form; the verifier tests the pair again.
-    # analyze norms C once, in its record, and staircase never
+    # the record builds one staircase form, whose builder cuts R and norms J
+    # once, and the verifier, the families and the witness read both from the
+    # form; the verifier tests the pair again.  analyze norms C once, in its
+    # record, and staircase never
     C = bench_planted_pair(1, 0, 60, 12)
     J = core.hermitian_split(C).J
     src = tmp_path / "pair.json"
     src.write_text(cli._to_json(core.matrix_to_json(C)))
-    calls = {"_psd_cut": 0, "_hermitian": 0, "norm_J": 0, "norm_C": 0}
+    calls = {"build_staircase": 0, "_psd_cut": 0, "_hermitian": 0, "norm_J": 0, "norm_C": 0}
 
     def counting(name, fn):
         def wrapped(A, *args):
@@ -192,33 +210,57 @@ def test_each_scale_is_measured_once(tmp_path, monkeypatch, command, hermitian_t
             calls[name] += any(np.array_equal(X, M) for X in np.reshape(A, (-1, *M.shape)))
         return _fn(A)
 
+    monkeypatch.setattr(staircase, "build_staircase",
+                        counting("build_staircase", staircase.build_staircase))
     monkeypatch.setattr(core, "_psd_cut", counting("_psd_cut", core._psd_cut))
     monkeypatch.setattr(core, "_hermitian", counting("_hermitian", core._hermitian))
     monkeypatch.setattr(core, "spectral_norm", norm)
     assert cli.main([command, "--input", str(src), "--output", str(tmp_path / "out")]) == 0
     norm_C = int(command == "analyze")
-    assert calls == {"_psd_cut": 1, "_hermitian": hermitian_tests, "norm_J": 1, "norm_C": norm_C}
+    assert calls == {"build_staircase": 1, "_psd_cut": 1, "_hermitian": hermitian_tests,
+                     "norm_J": 1, "norm_C": norm_C}
+
+
+def test_the_public_readings_of_one_record_share_one_form(monkeypatch):
+    # every family check, defect, witness and the audit read the record's
+    # form, built (and R cut) on the first of them
+    dec = core.hermitian_split(bench_planted_pair(1, 0, 60, 12))
+    calls = {"build_staircase": 0, "_psd_cut": 0}
+    for module, name in ((staircase, "build_staircase"), (core, "_psd_cut")):
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    reports = {m: hc_index.index_via_powers(dec, m) for m in hc_index.METHODS}
+    defects = [hc_index.kalman_kernel_defect(dec, m) for m in range(6)]
+    assert hc_index.eigenvector_obstruction(dec) is None
+    audit = hc_index.equivalence_audit(dec)
+    assert calls == {"build_staircase": 1, "_psd_cut": 1}
+    assert audit.reports == reports and audit.defect_sweep == defects[:5] == [48, 36, 24, 12, 0]
+    assert defects[5] == 0 and audit.index_per_method["staircase"] == 4
 
 
 def test_witness_takes_its_scales_from_the_form(monkeypatch):
     R, J = _weak_coupling_pair()
-    form = build_staircase(R, J)
+    dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
+    vars(dec)["form"] = build_staircase(R, J)
 
     def no_svd(*args, **kwargs):
         raise AssertionError("the witness ran an SVD")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    assert hc_index._terminal_witness(form, R, J) is not None
+    assert hc_index.eigenvector_obstruction(dec) is not None
 
 
 @pytest.mark.parametrize("s", SCALES)
 def test_failed_witness_raises_at_every_scale(s):
     # a terminal block that is not J-invariant: ||J v - lambda v|| = s
     R, J = s * np.diag([1.0, 0.0]), s * np.array([[0.0, -1.0], [1.0, 0.0]])
-    form = StaircaseForm(basis=np.eye(2), block_dims=[1, 1], J_hat=J, R_hat=R,
-                         r_cut=core._psd_cut(R), norm_J=s)
+    dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
+    vars(dec)["form"] = StaircaseForm(basis=np.eye(2), block_dims=[1, 1], J_hat=J, R_hat=R,
+                                      r_cut=core._psd_cut(R), norm_J=s)
     with pytest.raises(errors.NumericalError):
-        hc_index._terminal_witness(form, R, J)
+        hc_index.eigenvector_obstruction(dec)
 
 
 def test_cli_on_scaled_ek8(tmp_path):

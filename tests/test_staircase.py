@@ -200,7 +200,8 @@ class TestStaircaseProperties:
             form = build_staircase(R, J)
             if form.terminal_dim > 0:
                 found += 1
-                assert hc_index.eigenvector_obstruction(R, J) is not None
+                dec = core.OperatorDecomposition(C=R - J, R=R, J=J)
+                assert hc_index.eigenvector_obstruction(dec) is not None
         assert found >= 10
 
     def test_lorentz_modal_pair_has_trivial_terminal_block(self):
