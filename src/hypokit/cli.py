@@ -65,10 +65,10 @@ def _build_parser() -> _Parser:
         "gives each floor as kappa_floor. "
         "short_time_law gives m, the exponent 2m + 1 and the constant c of "
         "||exp(-Ct)|| = 1 - c t^(2m+1) + ..., read off the staircase chain (null with no "
-        "index; c null, with a reason, outside double range). short_time_fit is a "
-        "log-log fit of the same law on a time grid: its c_est was off c by 5.7e-4 "
-        "relative on E_4 and by 6.3% on E_8, and it is flagged where c_est is not a "
-        "positive normal float. Exit 3 when a family is "
+        "index; c null, with a reason, outside double range); a unitary similarity moved c up to "
+        "1.5e-7 at m = 14, 3.4e-9 at m = 9. short_time_fit, a log-log fit of the law, was off c "
+        "by 5.7e-4 on E_4 and 6.3% on E_8, is flagged where c_est is not a positive normal float "
+        "and, like stability, is null where its times leave double range. Exit 3 when a family is "
         "inconclusive or a staircase rank decision (cut at 1e-10 times the norm of R "
         "or J) is ambiguous."))
     sp.add_argument("--input", required=True)
@@ -206,20 +206,24 @@ def _cmd_analyze(args) -> int:
 
     from . import decay, hc_index
     from . import operator_core as core
-    from .errors import NoDecayError
+    from .errors import NoDecayError, RangeError
 
     dec = core.hermitian_split(_load_matrix(args.input))
     audit = hc_index.equivalence_audit(dec)
-    stab = decay.stability_check(dec)
-    scale = max(dec.norm, 1e-300)
-    times = np.geomspace(1e-4 / scale, 10.0 / scale, 220)
     try:
-        fit = decay.fit_short_time(decay.short_time_curve(dec, times)).to_json_dict()
-    except NoDecayError:
-        fit = None
+        stab = decay.stability_check(dec).to_json_dict()
+    except RangeError:  # its time t0 is past double range
+        stab = None
+    fit = None
+    if 0.0 < dec.norm and np.isfinite(10.0 / dec.norm):  # no fit for C = 0 or times past range
+        times = np.geomspace(1e-4 / dec.norm, 10.0 / dec.norm, 220)
+        try:
+            fit = decay.fit_short_time(decay.short_time_curve(dec, times)).to_json_dict()
+        except NoDecayError:
+            pass
     out = {
         "audit": audit.to_json_dict(),
-        "stability": stab.to_json_dict(),
+        "stability": stab,
         "short_time_fit": fit,
         "short_time_law": audit.short_time_law,
     }

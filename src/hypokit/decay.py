@@ -282,10 +282,12 @@ def stability_check(dec: core.OperatorDecomposition) -> StabilityReport:
     already certifies uniform exponential stability.  t0 = 3/gap, about three
     decay times, when the gap exceeds 1e-12 ||C||, else 1/||C|| (1 for C = 0),
     with ||C|| read from the record (``dec.norm``, measured once).  Both are
-    relative to the scale of C, so s C reads t0 / s.
-    """
+    relative to the scale of C, so s C reads t0 / s; a t0 that is not finite
+    raises ``RangeError`` naming it."""
     gap = -core.spectral_abscissa(-dec.C)
     norm_C = dec.norm
     t0 = 3.0 / gap if gap > 1e-12 * norm_C else 1.0 / norm_C if norm_C > 0 else 1.0
+    if not math.isfinite(t0):
+        raise RangeError(f"the stability time t0 = {t0:.6g} is past double range (gap {gap:.3g})")
     norm = float(propagator_norm_curve(dec.C, [t0]).norms[0])
     return StabilityReport(stable=norm < 1.0 - 1e-12, t0=t0, norm_at_t0=norm, spectral_gap=gap)

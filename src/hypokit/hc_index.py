@@ -150,7 +150,7 @@ def index_via_powers(dec: core.OperatorDecomposition, method: str = "c_powers_ri
     top = float(np.sqrt(cut.w[-1]))
     X = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T,
          "j_powers": dec.J.conj().T, "commutators": dec.J}[method]
-    norm_X = form.norm_J if method in ("j_powers", "commutators") else max(dec.norm, 1e-300)
+    norm_X = form.norm_J if method in ("j_powers", "commutators") else dec.norm
     F = (cut.root() / top if method == "commutators"  # else r x n, norm 1
          else (cut.V[:, n - r:] * np.sqrt(cut.w[n - r:] / cut.w[-1])).conj().T)
     X = X / norm_X

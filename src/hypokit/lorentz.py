@@ -322,7 +322,7 @@ class AppendixCConstants:
 
     def relations_hold(self) -> bool:
         """The fixed relations, each to 1e-12 relative."""
-        close = lambda a, b: abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300)
+        close = lambda a, b: abs(a - b) <= 1e-12 * max(abs(a), abs(b))
         return (
             close(self.delta, min(self.kappa1 / 5.0, self.kappa3 / 2.0))
             and close(self.tau, min(self.tau1, self.tau2, self.tau3, 1.0))

@@ -16,11 +16,17 @@ Hermitian part, ||A - A*||_F / 2, exceeds 1e-8 times the largest column
 One overflow rule: an exponential is refused, by a ``RangeError`` naming t,
 exactly when it is not finite (``_expm``, and ``decay._norms`` for a
 stepped product).  No bound is evaluated to predict an overflow.
+
+One rank rule (``_rank_cut``) reads a value below RANK_RTOL times the norm
+of its operator as zero, so no decision changes when C is scaled, and one
+floor rule keeps that cut positive: ||R|| and ||J|| (never ||C||) read as
+``sys.float_info.min``, the smallest normal double, wherever they are below it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -284,7 +290,7 @@ def min_eig_hermitian(A) -> float:
 class _PsdCut:
     """R = V diag(w) V* (w ascending) with its top ``rank`` eigenvalues kept and
     the others read as zero; ``ambiguous`` if some |w| lies within 10x of the cut
-    RANK_RTOL * ``norm``, where ``norm`` = max|w| = ||R|| (1e-300 for R = 0)."""
+    RANK_RTOL * ``norm``, where ``norm`` = max|w| = ||R|| (``_NORM_FLOOR`` for R = 0)."""
 
     w: np.ndarray
     V: np.ndarray
@@ -299,19 +305,17 @@ class _PsdCut:
         return _symmetrized(S)
 
 
-#: The one relative rank cut: every rank decision reads a value below
-#: RANK_RTOL times the norm of the operator it comes from as zero (Paige
-#: 1981), so no decision changes when the pair is scaled.
+#: The one relative rank cut and the one norm floor (module docstring).
 RANK_RTOL = 1e-10
+_NORM_FLOOR = sys.float_info.min
 
 
 def _rank_cut(values: np.ndarray, cut: float) -> tuple[int, bool]:
     """The one rank rule: how many ``values`` reach ``cut``, and whether any
     |value| lies within a factor 10 of it (in [cut / 10, 10 cut]).
 
-    Every cut is ``RANK_RTOL`` times the norm of the operator the values come
-    from.  ``_psd_cut`` applies it to the eigenvalues of R, and the staircase
-    builder and its verifier to the singular values of each subdiagonal block.
+    ``_psd_cut`` applies it to the eigenvalues of R, the staircase builder and
+    its verifier to the singular values of each subdiagonal block.
     """
     near = (np.abs(values) >= 0.1 * cut) & (np.abs(values) <= 10.0 * cut)
     return int(np.count_nonzero(values >= cut)), bool(near.any())
@@ -327,7 +331,7 @@ def _psd_cut(R: np.ndarray) -> _PsdCut:
     passed the one Hermitian test (module docstring); its callers run it.
     """
     w, V = np.linalg.eigh(_symmetrized(R))
-    norm = float(max(abs(w[0]), abs(w[-1]), 1e-300))
+    norm = float(max(abs(w[0]), abs(w[-1]), _NORM_FLOOR))
     cut = RANK_RTOL * norm
     if w[0] < -cut:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {w[0]:.3g} < -{cut:.3g}")

@@ -45,8 +45,8 @@ class StaircaseForm:
 
     ``block_dims`` sums to the dimension; the final entry may be 0 so that the
     block count always includes the (possibly trivial) terminal invariant
-    space.  ``r_cut`` (the cut of R that made block 0, ||R|| its ``norm``) and
-    ``norm_J`` = ||J|| (1e-300 for J = 0) are the scales every check reads.
+    space.  ``r_cut`` (block 0's cut of R, ||R|| its ``norm``) and ``norm_J``
+    = ||J|| (``core._NORM_FLOOR`` for J = 0) are the scales every check reads.
     """
 
     basis: np.ndarray
@@ -107,7 +107,7 @@ def build_staircase(R, J) -> StaircaseForm:
     """
     R, J = _check_pair(R, J)
     n = R.shape[0]
-    norm_J = max(core.spectral_norm(J), 1e-300)
+    norm_J = max(core.spectral_norm(J), core._NORM_FLOOR)
     cut_J = core.RANK_RTOL * norm_J
     warnings: list[str] = []
 

@@ -324,6 +324,17 @@ class TestStabilityCheck:
         rep = decay.stability_check(core.hermitian_split(np.zeros((2, 2))))
         assert not rep.stable and rep.t0 == 1.0 and rep.norm_at_t0 == 1.0
 
+    @pytest.mark.parametrize("C", [2.0**-1020 * gallery.ek_matrix(4),
+                                   1e-320 * np.array([[0.0, 1.0], [-1.0, 0.0]])],
+                             ids=["3/gap", "1/norm"])
+    def test_t0_past_double_range_is_a_range_error(self, C):
+        # 3 / gap of 2^-1020 E_4 and 1 / ||C|| of a subnormal skew C (gap 0)
+        # overflow; 2^-1019 E_4 still reads t0 = 1.6e308
+        with pytest.raises(errors.RangeError, match="t0 = inf"):
+            decay.stability_check(core.hermitian_split(C))
+        rep = decay.stability_check(core.hermitian_split(2.0**-1019 * gallery.ek_matrix(4)))
+        assert rep.stable and 1.6e308 < rep.t0 < math.inf
+
     def test_block_assembly_gap_is_minimum(self):
         A = gallery.make_example("ek_blockdiag", blocks=8)
         rep = decay.stability_check(core.hermitian_split(A))

@@ -4,7 +4,8 @@ exactly with time, and the short-time constant c of s C is s^(2m+1) times
 that of C (bitwise for s = 2^k where the staircase scales bitwise), while
 a unitary similarity or conjugation moves c by at most 1e-9 relative.
 Far outside double range (1e160 C, 2^900 C) the index holds, and kappa and
-c read null.
+c read null.  Under 2^k C, |k| <= 1000, with normal entries no norm is
+floored, so every decision is that of C and every normalized level holds.
 
 For C = R - J and a unitary U, U C U* has the same staircase up to the basis;
 conj(C) is the same operator on conjugated vectors; and s C for s > 0 has the
@@ -172,26 +173,84 @@ def test_short_time_constant_scales_bitwise_by_powers_of_two(name, k):
         assert got["c"] == pytest.approx(expected, rel=1e-14)
 
 
-EXPONENTS = (-1000, -300, 200, 300, 500, 900)
+#: ROADMAP item 2's inputs: E_4, the benchmark's planted60, generic n = 50
+#: and C_3.
+SWEEP_INPUTS = {
+    "ek4": lambda: gallery.ek_matrix(4),
+    "planted60": INPUTS["planted60"],
+    "generic50": INPUTS["generic50"],
+    "ck3": lambda: gallery.ck_matrix(3),
+}
 
 
-@pytest.mark.parametrize("s", [1e160, *(2.0**k for k in EXPONENTS)],
-                         ids=["1e160", *(f"2^{k}" for k in EXPONENTS)])
-@pytest.mark.parametrize("name", ["ek4", "planted60"])
-def test_analyze_far_outside_double_range(tmp_path, name, s):
-    # every method reads the index of C, every kappa (whose weights
-    # ||sqrt R|| ||X||^j, or their squares at 2^200, leave double range) and
-    # c read null, and analyze exits 0 with no warning
-    C = gallery.ek_matrix(4) if name == "ek4" else INPUTS[name]()
-    index = hc_index.equivalence_audit(core.hermitian_split(C)).index_per_method["staircase"]
-    src, out = tmp_path / "c.json", tmp_path / "out.json"
-    src.write_text(cli._to_json(core.matrix_to_json(s * C)))
+def _run(tmp_path, capsys, command: str, C: np.ndarray) -> tuple[int, dict]:
+    """(exit code, output) of ``command`` on C, with nothing on stderr and any
+    warning an error."""
+    src, out = tmp_path / f"{command}.in.json", tmp_path / f"{command}.out.json"
+    src.write_text(cli._to_json(core.matrix_to_json(C)))
+    capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["analyze", "--input", str(src), "--output", str(out)]) == 0
-    d = json.loads(out.read_text())
+        code = cli.main([command, "--input", str(src), "--output", str(out)])
+    assert capsys.readouterr().err == ""
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("k", [-1000, -900, -300, -40, -1, 1, 40, 300, 900, 1000])
+@pytest.mark.parametrize("name", SWEEP_INPUTS)
+def test_readings_are_covariant_under_powers_of_two(tmp_path, capsys, name, k):
+    # no norm is floored while C's entries are normal, so 2^k C takes every
+    # decision of C, and its normalized levels and floors are C's up to
+    # LAPACK's own rescaling (found: equal on E_4 and C_3, at most 1.2e-12
+    # relative on planted60 and generic50)
+    C = SWEEP_INPUTS[name]()
+    C_k = math.ldexp(1.0, k) * C
+    parts = np.concatenate([C_k.real.ravel(), C_k.imag.ravel()])
+    assert np.all(np.isfinite(parts)) and np.all(np.abs(parts[parts != 0]) >= np.finfo(float).tiny)
+    for command in ("analyze", "staircase"):
+        (ref_code, ref), (code, got) = (_run(tmp_path, capsys, command, X) for X in (C, C_k))
+        assert code == ref_code
+        if command == "staircase":
+            assert got["block_dims"] == ref["block_dims"]
+            assert got["warnings"] == ref["warnings"]
+            continue
+        ref, got = ref["audit"], got["audit"]
+        for key in ("index_per_method", "defect_sweep", "rank_bound", "staircase_warnings"):
+            assert got[key] == ref[key], key
+        for method, check in ref["family_checks"].items():
+            assert got["family_checks"][method]["verdict"] == check["verdict"], method
+            for key in ("lambda_prev", "lambda", "floor"):
+                assert got["family_checks"][method][key] == pytest.approx(
+                    check[key], rel=1e-11, abs=0.0), (method, key)
+
+
+EXPONENTS = (-1000, -300, 200, 300, 500, 900)
+#: (name, s, id): both inputs at 1e160 and at 2^k for k in EXPONENTS, and
+#: E_4 at 2^-1020 and 2^-1022, whose entries are still normal doubles
+FAR = [(name, s, f"{name}-{sid}") for name in ("ek4", "planted60")
+       for s, sid in ((1e160, "1e160"), *((2.0**k, f"2^{k}") for k in EXPONENTS))]
+FAR += [("ek4", 2.0**k, f"ek4-2^{k}") for k in (-1020, -1022)]
+
+
+@pytest.mark.parametrize("name, s", [case[:2] for case in FAR], ids=[case[2] for case in FAR])
+def test_analyze_far_outside_double_range(tmp_path, capsys, name, s):
+    # every method reads the index of C, every kappa (whose weights
+    # ||sqrt R|| ||X||^j, or their squares at 2^200, leave double range) and
+    # c read null, and analyze exits 0 with no warning.  Below 2^-1019 the
+    # stability time t0 = 3 / gap of E_4 is past double range and reads
+    # null; at 2^-1022 so is the fit grid's 10 / ||C||, and the fit reads
+    # null (at 2^-1020 it runs, and is flagged: c_est underflows to 0.0)
+    C = gallery.ek_matrix(4) if name == "ek4" else INPUTS[name]()
+    index = hc_index.equivalence_audit(core.hermitian_split(C)).index_per_method["staircase"]
+    code, d = _run(tmp_path, capsys, "analyze", s * C)
+    assert code == 0
     assert d["audit"]["index_per_method"] == dict.fromkeys((*hc_index.METHODS, "staircase"), index)
     assert d["audit"]["kappa_per_method"] == dict.fromkeys(hc_index.METHODS, None)
     if s > 1.0:
         assert all(c["kappa_floor"] is None for c in d["audit"]["family_checks"].values())
     assert d["short_time_law"]["m"] == index and d["short_time_law"]["c"] is None
+    assert (d["stability"] is None) == (s < 2.0**-1019)
+    if s < 2.0**-1021:
+        assert d["short_time_fit"] is None
+    elif s < 2.0**-1019:
+        assert d["short_time_fit"]["flagged"] and d["short_time_fit"]["c_est"] == 0.0

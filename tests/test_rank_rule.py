@@ -187,6 +187,46 @@ def test_hermitian_test_scales_exactly(tmp_path, s):
         assert cli.main(["staircase", "--input", str(src), "--output", str(out)]) == 0
 
 
+#: Operators whose R or J is zero, so the one floor rule of ``operator_core``
+#: is their norm: (C, index, block_dims, t0 of the stability marker).
+ZERO_PARTS = {
+    "C=0": (np.zeros((3, 3)), None, [0, 3], 1.0),
+    "skew": (np.array([[0.0, 1.0], [-1.0, 0.0]]), None, [0, 2], 1.0),
+    "R=I": (np.eye(3), 0, [3, 0], 3.0),
+    "diag(1,0)": (np.diag([1.0, 0.0]), None, [1, 1], 1.0),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_PARTS)
+def test_zero_parts_are_read_against_the_floor(tmp_path, capsys, name):
+    # a zero R or J is cut against the smallest normal double: R = 0 keeps no
+    # eigenvalue and J = 0 no coupling, both commands exit 0 with no warning,
+    # and only R = I (index 0) has a short-time fit and law
+    C, index, dims, t0 = ZERO_PARTS[name]
+    src = tmp_path / "c.json"
+    src.write_text(cli._to_json(core.matrix_to_json(C)))
+    out = {}
+    for command in ("analyze", "staircase"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--input", str(src), "--output", str(tmp_path / command)]) == 0
+        out[command] = json.loads((tmp_path / command).read_text())
+    assert capsys.readouterr().err == ""
+    form, audit = out["staircase"], out["analyze"]["audit"]
+    assert form["block_dims"] == dims and form["warnings"] == []
+    assert form["verification"]["ok"] and form["verification"]["hypocoercive_possible"] == (index == 0)
+    reading = "none" if index is None else index
+    assert audit["index_per_method"] == dict.fromkeys((*hc_index.METHODS, "staircase"), reading)
+    assert audit["kappa_per_method"] == dict.fromkeys(hc_index.METHODS, 0.0 if index is None else 1.0)
+    assert (audit["obstruction"] is None) == (index == 0)
+    if audit["obstruction"] is not None:
+        assert audit["obstruction"]["residual_R"] == 0.0
+    assert out["analyze"]["stability"]["t0"] == t0
+    assert out["analyze"]["stability"]["stable"] == (index == 0)
+    assert (out["analyze"]["short_time_fit"] is None) == (index is None)
+    assert (out["analyze"]["short_time_law"] is None) == (index is None)
+
+
 @pytest.mark.parametrize("command, hermitian_tests", [("staircase", 4), ("analyze", 2)])
 def test_each_scale_is_measured_once(tmp_path, monkeypatch, command, hermitian_tests):
     # the record builds one staircase form, whose builder cuts R and norms J
