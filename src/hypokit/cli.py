@@ -144,12 +144,18 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
     existing file as it was and creates none.  A replaced file keeps its
     permission bits, and an existing file that the user may not write is
     refused before anything is staged, as a direct ``open`` would refuse it
-    (``os.replace`` needs only write permission on the directory).  Other
-    paths (devices, directories) are opened directly.
+    (``os.replace`` needs only write permission on the directory), and so
+    are two such outputs that resolve to one file (``os.path.realpath``).
+    Other paths (devices, directories) are opened directly.
     """
+    targets: set[str] = set()  # the real paths of the files to stage
     for _, path in outputs:
         if path is not None and os.path.isfile(path) and not os.access(path, os.W_OK):
             raise _FileError(f"cannot write output: {path}: Permission denied")
+        if path is not None and (os.path.isfile(path) or not os.path.exists(path)):
+            if os.path.realpath(path) in targets:
+                raise _FileError(f"cannot write output: {path}: two outputs name the same file")
+            targets.add(os.path.realpath(path))
     staged: dict[str, str] = {}  # output path -> its temporary file
     path = None  # the output being written, named in the error
     try:
@@ -365,7 +371,6 @@ def main(argv=None) -> int:
         ContractViolationError,
         DimensionError,
         InvalidEntryError,
-        NoDecayError,
         NumericalError,
         PreconditionError,
         RangeError,
@@ -387,7 +392,7 @@ def main(argv=None) -> int:
     except _FileError as exc:
         print(f"hypokit: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, RangeError, ContractViolationError, NoDecayError) as exc:
+    except (NumericalError, RangeError, ContractViolationError) as exc:
         print(f"hypokit: numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -12,19 +12,20 @@ index that witness decides, and the families read "none" unevaluated.
 The four families of partial sums sum_{j<=m} (C*)^j R C^j (and three
 equivalent ones) become coercive at the same minimal m in exact arithmetic,
 so each family confirms the staircase's m at that one level
-(``index_via_powers``): singular at m - 1, coercive at m.  Their factors come
-from the cut of R that made block 0 (``core._psd_cut``), so they cross-check the chain of J-steps, not
-the cut of R.  A level is a Gram matrix sum_{j<=m} F_j* F_j whose smallest
-eigenvalue lambda_m is sigma_min^2 of the stack [F_0; ...; F_m], never read
-from the sum, which would lose half the digits.  Every family vanishes on
-the Kalman kernel, of dimension at least n - (m+1) r for a cut of R of rank
-r, so a level below the counting bound m0 = ceil(n / r) - 1 reads exactly
-0.0 with no SVD (and m >= m0).
+(``index_via_powers``): singular at m - 1, coercive at m.  All four start
+from the one factor of the cut of R that made block 0, so they cross-check
+the chain of J-steps, not the cut of R.  A level is a Gram matrix
+sum_{j<=m} F_j* F_j whose smallest eigenvalue lambda_m is sigma_min^2 of
+the stack [F_0; ...; F_m], never read from the sum, which would lose half
+the digits.  Every family vanishes on the Kalman kernel, of dimension at
+least n - (m+1) r for a cut of R of rank r, so a level below the counting
+bound m0 = ceil(n / r) - 1 reads exactly 0.0 with no SVD (and m >= m0).
 
-The decision is scale-free: the power families take F_0 = S / ||S|| with
-S = diag(sqrt(w)) V_r*, the r x n factor of the kept eigenpairs of R, and
-F_j = F_{j-1} X / ||X|| for X = C, C* or J*; the commutators take
-F_0 = sqrt(R) / ||sqrt(R)|| and F_j = [X, F_{j-1}] with X = J / ||J||.
+The decision is scale-free.  That factor (``core._PsdCut.factor``) is the
+r x n matrix F = diag(sqrt(w / w_max)) V_r* of the kept eigenpairs (w, V_r)
+of R, whose ratios are exact under C -> 2^k C.  The power families take
+F_0 = F and F_j = F_{j-1} X / ||X|| for X = C, C* or J*; the commutators take
+F_0 = V_r F = sqrt(R) / ||sqrt(R)|| and F_j = [X, F_{j-1}] with X = J / ||J||.
 
 One kernel, ``_level``, reads every level.  It sorts the rows of the stack
 by decreasing norm and takes one Householder QR, which is then row-wise
@@ -148,12 +149,10 @@ def index_via_powers(dec: core.OperatorDecomposition, method: str = "c_powers_ri
     if m is None:
         return IndexReport(method, "none", None, None, None, None, 0.0, None, m0)
     top = float(np.sqrt(cut.w[-1]))
-    X = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T,
-         "j_powers": dec.J.conj().T, "commutators": dec.J}[method]
     norm_X = form.norm_J if method in ("j_powers", "commutators") else dec.norm
-    F = (cut.root() / top if method == "commutators"  # else r x n, norm 1
-         else (cut.V[:, n - r:] * np.sqrt(cut.w[n - r:] / cut.w[-1])).conj().T)
-    X = X / norm_X
+    X = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T,
+         "j_powers": dec.J.conj().T, "commutators": dec.J}[method] / norm_X
+    F = cut.V[:, n - r:] @ cut.factor if method == "commutators" else cut.factor
     blocks = [F]
     for _ in range(m):
         F = X @ F - F @ X if method == "commutators" else F @ X

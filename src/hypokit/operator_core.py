@@ -298,11 +298,11 @@ class _PsdCut:
     rank: int
     ambiguous: bool
 
-    def root(self) -> np.ndarray:
-        """sqrt(R) on the kept eigenvalues."""
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """F = diag(sqrt(w_k / w_max)) V_k*, r x n, where every index family starts."""
         k = self.w.size - self.rank
-        S = (self.V[:, k:] * np.sqrt(self.w[k:])) @ self.V[:, k:].conj().T
-        return _symmetrized(S)
+        return (self.V[:, k:] * np.sqrt(self.w[k:] / self.w[-1])).conj().T
 
 
 #: The one relative rank cut and the one norm floor (module docstring).
@@ -340,15 +340,17 @@ def _psd_cut(R: np.ndarray) -> _PsdCut:
 
 
 def psd_sqrt(R) -> np.ndarray:
-    """Hermitian square root S >= 0 of a PSD Hermitian R, cut as ``_psd_cut``
-    at RANK_RTOL = 1e-10.
+    """Hermitian square root S = sqrt(w_max) V_k F >= 0 of a PSD Hermitian R,
+    symmetrized, from the one factor F of its cut (``_PsdCut.factor``).
 
     With s = max|eigenvalue of R|, eigenvalues in (-1e-10 s, 1e-10 s) are
     read as zero, so S has the rank of that cut and S @ S = R up to 1e-10 s.
     An eigenvalue below -1e-10 s raises ``NotPSDError``, and an R that fails
     the one Hermitian test ``ContractViolationError``.
     """
-    return _psd_cut(_hermitian(R, "R is not Hermitian")).root()
+    cut = _psd_cut(_hermitian(R, "R is not Hermitian"))
+    S = cut.V[:, cut.w.size - cut.rank:] @ cut.factor
+    return _symmetrized(math.sqrt(max(cut.w[-1], 0.0)) * S)
 
 
 def spectral_abscissa(A) -> float:

@@ -411,6 +411,26 @@ def test_output_the_user_may_not_write_is_refused(tmp_path, capsys, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["locked.json"]
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotdot"])
+@pytest.mark.parametrize("existing", [None, "old"], ids=["new", "existing"])
+def test_two_outputs_naming_one_file_are_refused(tmp_path, capsys, spelling, existing):
+    # the CSV and the final field would replace one file: neither may land
+    (tmp_path / "d").mkdir()
+    out = tmp_path / "out.json"
+    if existing is not None:
+        out.write_text(existing)
+    final = out if spelling == "same" else tmp_path / "d" / ".." / "out.json"
+    argv = ["lorentz", "simulate", "--random", "--N", "1", "--M", "2",
+            "--output", str(out), "--final-field", str(final)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"hypokit: cannot write output: {final}: two outputs name the same file\n")
+    assert (out.read_text() if out.exists() else None) == existing
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["d"] if existing is None else ["d", "out.json"])
+    assert not any((tmp_path / "d").iterdir())
+
+
 def test_constants_decides_the_relations_once(tmp_path, monkeypatch):
     calls = []
     relations_hold = lorentz.AppendixCConstants.relations_hold

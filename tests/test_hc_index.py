@@ -40,7 +40,7 @@ def _stack(dec, method, m, normalized=True):
     """[F_0; ...; F_m] built directly from sqrt(R) and S X^j or the j-fold
     commutator with J; ``normalized`` divides sqrt(R) and X by their norms
     (the decision's stack), else it is the paper's stack of kappa."""
-    S = core._psd_cut(dec.R).root()
+    S = core.psd_sqrt(dec.R)
     X = {"c_powers_right": dec.C, "c_powers_left": dec.C.conj().T,
          "j_powers": dec.J.conj().T, "commutators": dec.J}[method]
     if normalized:
